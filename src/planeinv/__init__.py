@@ -32,7 +32,7 @@ from .grassmann import (
     sample_config,
     sample_invertible,
 )
-from .linalg import Jet, Mat, Rat, kernel_backend, trace_word
+from .linalg import Jet, Mat, Rat, trace_word
 from .orbit import (
     Verdict,
     enumerate_words,
@@ -69,7 +69,6 @@ __all__ = [
     "intersect",
     "invariant_vector",
     "jacobian_rank",
-    "kernel_backend",
     "letter_count",
     "matrix_data",
     "sample_config",

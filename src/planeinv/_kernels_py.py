@@ -2,9 +2,7 @@
 
 These two routines are the arithmetic inner loops of the whole package:
 every inverse, nullspace, solve and word-trace ultimately bottoms out in
-``mat_mul`` and ``rref_in_place``.  A compiled twin with the exact same
-contract lives in ``_kernels_cy.pyx``; :mod:`planeinv.linalg` picks
-whichever is importable (see ``kernel_backend``).
+``mat_mul`` and ``rref_in_place``, which :mod:`planeinv.linalg` calls.
 
 Both kernels work on plain list-of-lists whose entries belong to any exact
 field type (``fractions.Fraction`` or :class:`planeinv.linalg.Jet`).  Pivot

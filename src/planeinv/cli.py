@@ -34,6 +34,13 @@ EXIT_DEGENERATE = 4
 EXIT_INCONCLUSIVE = 5
 
 
+def _word_length(text: str) -> int:
+    """A ``--max-len`` value: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planeinv",
@@ -51,17 +58,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="compute the invariant vector")
     p.add_argument("--in", dest="infile", required=True, help="configuration file")
-    p.add_argument("--max-len", type=int, default=None, help="word-length cap")
+    p.add_argument("--max-len", type=_word_length, default=None, help="word-length cap")
     p.add_argument("--out", required=True, help="output invariants file")
 
     p = sub.add_parser("orbit-test", help="compare two configurations")
     p.add_argument("--a", required=True, help="first configuration file")
     p.add_argument("--b", required=True, help="second configuration file")
-    p.add_argument("--max-len", type=int, default=None, help="word-length cap")
+    p.add_argument("--max-len", type=_word_length, default=None, help="word-length cap")
 
     p = sub.add_parser("rank", help="exact Jacobian rank of the invariant map")
     p.add_argument("--in", dest="infile", required=True, help="configuration file")
-    p.add_argument("--max-len", type=int, default=None, help="word-length cap")
+    p.add_argument("--max-len", type=_word_length, default=None, help="word-length cap")
 
     p = sub.add_parser("embed", help="divisible normal form from a letter grid")
     p.add_argument("--in", dest="infile", required=True, help="letters file")

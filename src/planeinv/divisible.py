@@ -21,10 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CaseMismatchError, DegenerateConfigError, DimensionMismatchError, SingularMatrixError
+from .errors import (
+    CaseMismatchError,
+    Degeneracy,
+    DegenerateConfigError,
+    DimensionMismatchError,
+    SingularMatrixError,
+)
 from .grassmann import CaseTag, Config, Subspace, classify_case
 from .linalg import Mat, hstack, vstack
-from .words import InvariantVector, build_vector
+from .words import InvariantVector, trace_vector
 
 
 def _require_divisible(config: Config) -> CaseTag:
@@ -134,18 +140,52 @@ class ReducedDivisible:
         return tuple(m for row in self.grid for m in row)
 
 
+def _letter_grid(phi: Mat, r: int, d: int, s: int) -> ReducedDivisible:
+    """The letters D_ij(phi), inverting each block (i, 1) and (1, j) once."""
+
+    def blk(i: int, j: int) -> Mat:
+        return phi.block((i - 1) * d, i * d, (j - 1) * d, j * d)
+
+    def inv(i: int, j: int) -> Mat:
+        try:
+            return blk(i, j).inverse()
+        except SingularMatrixError:
+            raise DegenerateConfigError(
+                f"block ({i}, {j}) of the translated matrix is singular", block=r + j
+            ) from None
+
+    cols = [inv(1, j) for j in range(2, s - r + 1)]
+    grid = []
+    for i in range(2, r + 1):
+        left = blk(1, 1) @ inv(i, 1) if cols else None
+        grid.append(tuple(left @ blk(i, j) @ col for j, col in enumerate(cols, start=2)))
+    return ReducedDivisible(d=d, r=r, s=s, grid=tuple(grid))
+
+
+def _singular_block(phi: Mat, r: int, d: int, s: int) -> Degeneracy | None:
+    """The first singular d x d block of phi among those the letters do not invert.
+
+    General position asks every block of phi to be invertible.  When
+    s > r + 1 the letters invert the blocks (i, 1) and (1, j), and
+    :func:`_letter_grid` raises on a singular one, so only the others are
+    rank-checked here.
+    """
+    for i in range(1, r + 1):
+        for j in range(1, s - r + 1):
+            if s > r + 1 and (i == 1) != (j == 1):
+                continue
+            if phi.block((i - 1) * d, i * d, (j - 1) * d, j * d).rank() != d:
+                return Degeneracy(f"phi block ({i}, {j}) is singular", block=r + j)
+    return None
+
+
 def matrix_data(config: Config) -> ReducedDivisible:
     """Extract the full letter grid D_ij(phi) of a configuration."""
     tag = _require_divisible(config)
     r, d, s = tag.r, config.d, config.s
     if s <= r:
         raise CaseMismatchError(f"matrix_data needs s > r = {r}, got s = {s}")
-    phi = phi_left(config)
-    grid = tuple(
-        tuple(block_ratio(phi, i, j, d) for j in range(2, s - r + 1))
-        for i in range(2, r + 1)
-    )
-    return ReducedDivisible(d=d, r=r, s=s, grid=grid)
+    return _letter_grid(phi_left(config), r, d, s)
 
 
 def embed(rd: ReducedDivisible) -> Config:
@@ -172,42 +212,32 @@ def embed(rd: ReducedDivisible) -> Config:
     return Config(members)
 
 
-def check_general_position(config: Config) -> None:
-    """Raise :class:`DegenerateConfigError` unless the reduction is defined.
-
-    For s > r this means: the first r members span, and every d x d block of
-    phi is invertible.  For s == r: the members span.  For s < r: the
-    members are in direct sum.
-    """
-    tag = _require_divisible(config)
-    r, d, s = tag.r, config.d, config.s
-    if s < r:
-        if config.matrix().rank() != s * d:
-            raise DegenerateConfigError("members are not in direct sum")
-        return
-    if s == r:
-        if config.matrix().rank() != r * d:
-            raise DegenerateConfigError("members do not span the ambient space")
-        return
-    phi = phi_left(config)
-    for i in range(1, r + 1):
-        for j in range(1, s - r + 1):
-            blk = phi.block((i - 1) * d, i * d, (j - 1) * d, j * d)
-            if blk.rank() != d:
-                raise DegenerateConfigError(
-                    f"phi block ({i}, {j}) is singular", block=r + j
-                )
-
-
 def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
-    """Trace-invariant vector of a divisible-case configuration.
+    """Trace-invariant vector of a divisible-case configuration, in one pass.
 
     Empty (no letters, no entries) in the almost-homogeneous range
     s <= r + 1, where all general-position configurations are equivalent.
+    The pass also decides general position and records the first failed
+    condition on the vector: for s <= r the members must be in direct sum;
+    for s > r the first r members must span and every d x d block of phi
+    must be invertible.  A failure that leaves the letters undefined raises
+    :class:`DegenerateConfigError` instead, except in the empty range, where
+    every failure is recorded.
     """
     tag = _require_divisible(config)
     r, d, s = tag.r, config.d, config.s
-    if s <= r + 1:
-        return build_vector(tag, config.n, d, s, [], [], d, max_len)
-    rd = matrix_data(config)
-    return build_vector(tag, config.n, d, s, rd.letter_ids(), rd.letters(), d, max_len)
+    ids, letters, degeneracy = (), (), None
+    if s <= r:
+        if config.matrix().rank() != s * d:
+            degeneracy = Degeneracy("members are not in direct sum")
+    else:
+        try:
+            phi = phi_left(config)
+            degeneracy = _singular_block(phi, r, d, s)
+            rd = _letter_grid(phi, r, d, s)
+            ids, letters = rd.letter_ids(), rd.letters()
+        except DegenerateConfigError as exc:
+            if s > r + 1:
+                raise
+            degeneracy = Degeneracy.of(exc)
+    return trace_vector(config, tag, ids, letters, max_len, degeneracy)

@@ -7,7 +7,14 @@ The hierarchy mirrors how callers need to react:
   dimension, ...)                                    -> ``DegenerateConfigError`` family
 * internal structure violated (a provably-zero entry came out nonzero)
   -> ``ZeroPatternViolation``
+
+:class:`Degeneracy` is the non-raising record of a failed genericity
+condition, kept on an invariant vector whose letters could still be built.
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class DimensionMismatchError(ValueError):
@@ -44,6 +51,25 @@ class DegenerateConfigError(ArithmeticError):
     def __init__(self, message: str, block: int | None = None):
         super().__init__(message)
         self.block = block
+
+
+@dataclass(frozen=True)
+class Degeneracy:
+    """The first genericity condition a configuration fails.
+
+    ``reason`` says what failed; ``block`` is the 1-based index of the
+    offending subspace when one can be identified, else ``None``.
+    """
+
+    reason: str
+    block: int | None = None
+
+    @classmethod
+    def of(cls, exc: DegenerateConfigError) -> "Degeneracy":
+        return cls(str(exc), exc.block)
+
+    def error(self) -> DegenerateConfigError:
+        return DegenerateConfigError(self.reason, block=self.block)
 
 
 class WrongKernelDimension(DegenerateConfigError):

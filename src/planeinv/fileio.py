@@ -111,20 +111,6 @@ def invariants_to_obj(vec: InvariantVector) -> dict:
     return obj
 
 
-def letters_to_obj(rd: ReducedDivisible) -> dict:
-    return {
-        "kind": "divisible",
-        "d": rd.d,
-        "r": rd.r,
-        "s": rd.s,
-        "letters": {
-            f"G_{i}_{j}": _format_matrix(rd.letter(i, j))
-            for i in range(2, rd.r + 1)
-            for j in range(2, rd.s - rd.r + 1)
-        },
-    }
-
-
 def letters_from_obj(obj) -> ReducedDivisible:
     if not isinstance(obj, dict):
         raise ValueError("letters file must contain a JSON object")

@@ -265,9 +265,10 @@ def general_position(config: Config, tag: CaseTag | None = None) -> bool:
     """Whether every genericity condition of the applicable reduction holds.
 
     This is exactly the set of conditions under which the invariant letters
-    of the configuration are defined, checked constructively by running the
-    reduction and catching degeneracies.  ``tag``, when given, must match
-    ``classify_case(config.n, config.d)``.  Unsupported (n, d) raises
+    of the configuration are defined.  The reduction pass of the case's
+    ``invariants`` decides it constructively; it runs here with
+    ``max_len=0``, so no word trace is evaluated.  ``tag``, when given, must
+    match ``classify_case(config.n, config.d)``.  Unsupported (n, d) raises
     :class:`UnsupportedCaseError`.
     """
     actual = classify_case(config.n, config.d)
@@ -280,10 +281,9 @@ def general_position(config: Config, tag: CaseTag | None = None) -> bool:
     else:
         raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({config.n}, {config.d})")
     try:
-        mod.check_general_position(config)
+        return mod.invariants(config, max_len=0).degeneracy is None
     except DegenerateConfigError:
         return False
-    return True
 
 
 def sample_invertible(rng: SplitMix64, size: int, bound: int = 10) -> Mat:

@@ -6,18 +6,17 @@ point anywhere: scalars are ``fractions.Fraction`` (gcd-reduced arbitrary
 precision rationals from the stdlib, exposed as :data:`Rat`) or
 :class:`Jet` dual numbers over them.
 
-The two hot loops (``mat_mul``, ``rref_in_place``) live in a kernel module
-with a compiled Cython build and a pure-Python fallback; whichever is
-importable is selected once at import time.  Set ``PLANEINV_KERNEL=py`` or
-``=cy`` to force a backend (``cy`` raises if the extension is missing).
+The two hot loops (``mat_mul``, ``rref_in_place``) live in
+:mod:`planeinv._kernels_py`.  Loop overhead is not the cost over
+``Fraction``; the rational arithmetic and the growth of entry bit-size are.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from ._kernels_py import mat_mul as _mat_mul, rref_in_place as _rref_in_place
 from .errors import DimensionMismatchError, RankDeficientError, SingularMatrixError
 
 Rat = Fraction
@@ -25,36 +24,6 @@ Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _load_kernels():
-    forced = os.environ.get("PLANEINV_KERNEL", "").strip().lower()
-    if forced == "py":
-        from . import _kernels_py
-
-        return _kernels_py
-    if forced == "cy":
-        from . import _kernels_cy
-
-        return _kernels_cy
-    try:
-        from . import _kernels_cy
-
-        return _kernels_cy
-    except ImportError:
-        from . import _kernels_py
-
-        return _kernels_py
-
-
-_kernels = _load_kernels()
-_mat_mul = _kernels.mat_mul
-_rref_in_place = _kernels.rref_in_place
-
-
-def kernel_backend() -> str:
-    """Name of the active kernel backend: ``"compiled"`` or ``"pure-python"``."""
-    return "compiled" if _kernels.__name__.endswith("_kernels_cy") else "pure-python"
 
 
 class Jet:

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from .errors import (
     CaseMismatchError,
+    Degeneracy,
     DegenerateConfigError,
     RankDeficientError,
     SingularMatrixError,
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .grassmann import CaseTag, Config, classify_case
 from .linalg import Mat, hstack, vstack
-from .words import InvariantVector, build_vector
+from .words import InvariantVector, trace_vector
 
 
 def _require_odd(config: Config) -> CaseTag:
@@ -199,7 +200,10 @@ def _alpha_pairs(nc: NormalizedColumns, frame: Frame3e) -> dict[int, Mat]:
     leaves (E; 0 / 0; E / alpha_{2i-1} alpha_{2i}).
     """
     e, d, n = nc.e, nc.d, nc.n
-    h_inv = frame.h.inverse()
+    try:
+        h_inv = frame.h.inverse()
+    except SingularMatrixError:
+        raise DegenerateConfigError("intersection frame is singular") from None
     alphas: dict[int, Mat] = {}
     for i in range(4, nc.s + 1):
         t = h_inv @ nc.block(i)
@@ -344,26 +348,25 @@ def _row_block(m: Mat, k: int, e: int) -> Mat:
     return m.block((k - 1) * e, k * e, 0, m.cols)
 
 
-def reduce_odd(config: Config, frame: FrameOdd) -> ReducedOdd:
+def reduce_odd(nc: NormalizedColumns, frame: FrameOdd) -> ReducedOdd:
     """Express members r+1..s in frame coordinates and normalize columns.
 
-    Member j in H-coordinates is N_j = H^-1 (E; C_j).  Right-normalization
-    picks canonical column combinations: for member r+1, the e columns
-    killed at row block 2r+1 (the a-column; the complementary e columns
-    land on the identity at row block 2r+1, which is possible exactly
-    because that row block has full rank e -- implied by the kernel having
-    dimension e); for members j >= r+2, the columns killed at row block
-    2r+1 (the b-column, spanning the X-type intersection) and at row block
-    2r (the c-column).
+    ``nc`` is the configuration's :func:`column_normalize` output, the one
+    ``frame`` was built from.  Member j in H-coordinates is
+    N_j = H^-1 (E; C_j).  Right-normalization picks canonical column
+    combinations: for member r+1, the e columns killed at row block 2r+1
+    (the a-column; the complementary e columns land on the identity at row
+    block 2r+1, which is possible exactly because that row block has full
+    rank e -- implied by the kernel having dimension e); for members
+    j >= r+2, the columns killed at row block 2r+1 (the b-column, spanning
+    the X-type intersection) and at row block 2r (the c-column).
 
     The provable vanishing is asserted exactly: a-blocks vanish at the even
     positions and at 2r+1, and the b-column of member r+2 vanishes at all
     odd positions; a violation raises :class:`ZeroPatternViolation`.
     """
-    tag = _require_odd(config)
-    nc = column_normalize(config)
     e, r, s = nc.e, nc.r, nc.s
-    if (tag.r, tag.e) != (r, e) or frame.r != r or frame.e != e:
+    if frame.r != r or frame.e != e:
         raise CaseMismatchError("frame does not match the configuration")
     try:
         h_inv = frame.h.inverse()
@@ -430,8 +433,6 @@ def letters_odd(reduced: ReducedOdd) -> LetterSetOdd:
     e, r, s = reduced.e, reduced.r, reduced.s
     if r < 2:
         raise CaseMismatchError(f"letters_odd needs r >= 2, got r = {r}")
-    if s == r + 2 and r == 2:
-        return LetterSetOdd(e=e, r=r, s=s)
 
     c1 = reduced.c_block(r + 2, 1)
     c2 = reduced.c_block(r + 2, 2)
@@ -475,75 +476,71 @@ def letters_odd(reduced: ReducedOdd) -> LetterSetOdd:
     return LetterSetOdd(e=e, r=r, s=s, zed=tuple(zed), thetas=tuple(thetas))
 
 
-def check_general_position(config: Config) -> None:
-    """Raise :class:`DegenerateConfigError` unless the reduction is defined.
+def _singular(m: Mat, what: str, block: int) -> Degeneracy | None:
+    """The record of a singular square block ``m``; ``None`` when it is invertible."""
+    return Degeneracy(f"{what} is singular", block=block) if m.rank() != m.rows else None
 
-    Runs the widest frame construction the member count allows, so this is
-    the constructive reading of general position: every kernel has
-    dimension e and every matrix the pipeline inverts is invertible.
+
+def _reduce(config: Config, tag: CaseTag) -> tuple[LetterSetOdd, Degeneracy | None]:
+    """The letters of the widest reduction the member count allows, checked.
+
+    This is the constructive reading of general position: every kernel has
+    dimension e and every matrix the reduction inverts is invertible.  A
+    failure that leaves the letters undefined raises
+    :class:`DegenerateConfigError`; a failed condition the letters do not
+    need is returned, the first one found, next to them.
     """
-    tag = _require_odd(config)
-    r, s = tag.r, config.s
+    r, e, s = tag.r, tag.e, config.s
+    empty = LetterSetOdd(e=e, r=r, s=s)
     nc = column_normalize(config)
-    n, d = config.n, config.d
+    if s <= (2 if r == 1 else r):
+        if config.matrix().rank() != min(config.n, s * config.d):
+            return empty, Degeneracy("members are not in general position")
+        return empty, None
     if r == 1:
-        if s <= 2:
-            if config.matrix().rank() != min(n, s * d):
-                raise DegenerateConfigError("members are not in general position")
-            return
         frame = frame_3e(nc)
         if s == 3:
-            return
+            return empty, None
         if s == 4:
             alphas = _alpha_pairs(nc, frame)
-            for k in (7, 8):
-                if alphas[k].rank() != tag.e:
-                    raise DegenerateConfigError(
-                        "block 4 normalization blocks are singular", block=4
-                    )
-            return
-        sigma_data(nc, frame)
-        return
-    # r >= 2
-    if s <= r:
-        if config.matrix().rank() != s * d:
-            raise DegenerateConfigError("members are not in direct sum")
-        return
+            return empty, (
+                _singular(alphas[7], "alpha_7 of block 4", 4)
+                or _singular(alphas[8], "alpha_8 of block 4", 4)
+            )
+        return sigma_data(nc, frame), None
     if s == r + 1:
         first = hstack([sub.basis for sub in config.subspaces[:r]])
-        if first.rank() != r * d:
-            raise DegenerateConfigError("the first r members are not in direct sum")
+        if first.rank() != r * config.d:
+            return empty, Degeneracy("the first r members are not in direct sum")
         nullspace_component(nc, list(range(1, r + 1)), r + 1)
-        return
-    frame = frame_odd(nc)
-    red = reduce_odd(config, frame)
-    if red.a_block(1).rank() != tag.e:
-        raise DegenerateConfigError("a-block 1 is singular", block=r + 1)
-    for k, name in ((1, "c-block (1, r+2)"), (2, "c-block (2, r+2)"), (2 * r + 1, f"c-block ({2 * r + 1}, r+2)")):
-        if red.c_block(r + 2, k).rank() != tag.e:
-            raise DegenerateConfigError(f"{name} is singular", block=r + 2)
-    letters_odd(red)
+        return empty, None
+    red = reduce_odd(nc, frame_odd(nc))
+    letters = letters_odd(red)
+    # letters_odd inverts c-block (2r+1, r+2) only when s >= r + 3
+    return letters, (
+        _singular(red.a_block(1), "a-block 1", r + 1)
+        or _singular(red.c_block(r + 2, 2 * r + 1), f"c-block ({2 * r + 1}, r+2)", r + 2)
+    )
 
 
 def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
-    """Trace-invariant vector of an odd-multiple configuration.
+    """Trace-invariant vector of an odd-multiple configuration, in one pass.
 
     Empty in the almost-homogeneous ranges: s <= 4 for r = 1; s <= r+1
-    always; and s = r+2 when r = 2.  Otherwise dispatches to the r = 1 or
-    r >= 2 letter pipeline; letters are e x e, so words run up to length
-    min(max_len, 2**e - 1).
+    always; and s = r+2 when r = 2.  Otherwise the r = 1 or r >= 2 letter
+    pipeline runs; letters are e x e, so words run up to length
+    min(max_len, 2**e - 1).  The same pass decides general position and
+    records the first failed condition on the vector; a failure that leaves
+    the letters undefined raises :class:`DegenerateConfigError` instead,
+    except in the empty ranges, where every failure is recorded.
     """
     tag = _require_odd(config)
-    r, e, s = tag.r, tag.e, config.s
+    r, s = tag.r, config.s
     trivial = (r == 1 and s <= 4) or s <= r + 1 or (r == 2 and s == r + 2)
-    if trivial:
-        return build_vector(tag, config.n, config.d, s, [], [], e, max_len)
-    if r == 1:
-        nc = column_normalize(config)
-        letters = sigma_data(nc, frame_3e(nc))
-    else:
-        nc = column_normalize(config)
-        letters = letters_odd(reduce_odd(config, frame_odd(nc)))
-    return build_vector(
-        tag, config.n, config.d, s, letters.ids(), letters.mats(), e, max_len
-    )
+    try:
+        letters, degeneracy = _reduce(config, tag)
+    except DegenerateConfigError as exc:
+        if not trivial:
+            raise
+        letters, degeneracy = LetterSetOdd(e=tag.e, r=r, s=s), Degeneracy.of(exc)
+    return trace_vector(config, tag, letters.ids(), letters.mats(), max_len, degeneracy)

@@ -22,9 +22,9 @@ from .errors import (
     UnsupportedCaseError,
 )
 from . import divisible, odd
-from .grassmann import Config, Subspace, classify_case, general_position
+from .grassmann import Config, Subspace, classify_case
 from .linalg import Jet, Mat
-from .words import InvariantVector, enumerate_words, max_word_len_for
+from .words import InvariantVector, enumerate_words, letter_size
 
 __all__ = [
     "Verdict",
@@ -92,7 +92,7 @@ def expected_quotient_dim(n: int, d: int, s: int) -> int:
     k = letter_count(n, d, s)
     if k < 1:
         return 0
-    m = d if tag.kind == "divisible" else tag.e
+    m = letter_size(tag, d)
     if k == 1:
         return m
     return k * m * m - (m * m - 1)
@@ -115,10 +115,13 @@ def naive_quotient_dim(n: int, d: int, s: int) -> int:
 def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict:
     """Compare two configurations by their invariant vectors.
 
-    Distinct is a certificate (the invariants are constant on orbits);
+    Distinct is a certificate (the invariants are constant on orbits).
     Equivalent is asserted only when both configurations are in general
-    position, since the letters generate the invariant field and therefore
-    separate generic orbits; anything degenerate is Inconclusive.
+    position, as recorded by the reduction pass that built each vector, and
+    the words reach the generating length 2**m - 1: then the letters
+    generate the invariant field and separate generic orbits.  Anything
+    degenerate, or agreement on a vector that ``max_len`` truncated, is
+    Inconclusive.
     """
     if (a.n, a.d, a.s) != (b.n, b.d, b.s):
         raise ShapeMismatchError(
@@ -136,9 +139,9 @@ def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict
         return Verdict.INCONCLUSIVE
     if va.values != vb.values:
         return Verdict.DISTINCT
-    if general_position(a) and general_position(b):
-        return Verdict.EQUIVALENT
-    return Verdict.INCONCLUSIVE
+    if va.degeneracy or vb.degeneracy or va.truncated:
+        return Verdict.INCONCLUSIVE
+    return Verdict.EQUIVALENT
 
 
 def jacobian_rank(config: Config, max_len: int | None = None) -> int:
@@ -148,16 +151,17 @@ def jacobian_rank(config: Config, max_len: int | None = None) -> int:
     the differentiation variable in turn (n*d*s passes), the full pipeline
     runs over jets, and the derivative parts of all word values form one row
     of the Jacobian.  The rank is computed by exact elimination.  Requires
-    general position (:class:`DegenerateConfigError` otherwise).
+    general position (:class:`DegenerateConfigError` otherwise, naming the
+    failed condition the base pass recorded).
     """
     tag = classify_case(config.n, config.d)
     if not tag.supported:
         raise UnsupportedCaseError(
             f"no reduction applies to (n, d) = ({config.n}, {config.d})"
         )
-    if not general_position(config):
-        raise DegenerateConfigError("configuration is not in general position")
     base = invariant_vector(config, max_len)
+    if base.degeneracy is not None:
+        raise base.degeneracy.error()
     if not len(base):
         return 0
     rows = []

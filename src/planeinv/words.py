@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .grassmann import CaseTag
+from .errors import Degeneracy
+from .grassmann import CaseTag, Config
 from .linalg import Mat
 
 
@@ -57,6 +58,11 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     return [product(w).trace() for w in words]
 
 
+def letter_size(tag: CaseTag, d: int) -> int:
+    """The letter size m of a case: d when divisible, e in the odd case."""
+    return tag.e if tag.kind == "odd_multiple" else d
+
+
 @dataclass(frozen=True)
 class InvariantVector:
     """The ordered trace-invariant vector of a configuration.
@@ -64,7 +70,9 @@ class InvariantVector:
     ``entries`` pairs each word (tuple of 0-based indices into
     ``letter_ids``) with its exact trace value.  Two vectors are comparable
     entry-for-entry iff they share (n, d, s) and ``max_word_len``; the word
-    list is then identical by construction.
+    list is then identical by construction.  ``degeneracy`` is the first
+    genericity condition the configuration fails (``None`` in general
+    position): the reduction pass that built the letters also checked it.
     """
 
     case: CaseTag
@@ -74,40 +82,46 @@ class InvariantVector:
     letter_ids: tuple[str, ...]
     max_word_len: int
     entries: tuple[tuple[tuple[int, ...], object], ...]
+    degeneracy: Degeneracy | None = None
 
     @property
     def values(self) -> tuple:
         return tuple(v for _, v in self.entries)
 
+    @property
+    def truncated(self) -> bool:
+        """Whether the words stop short of the generating length 2**m - 1."""
+        bound = max_word_len_for(letter_size(self.case, self.d))
+        return bool(self.letter_ids) and self.max_word_len < bound
+
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def build_vector(
+def trace_vector(
+    config: Config,
     tag: CaseTag,
-    n: int,
-    d: int,
-    s: int,
     letter_ids: Sequence[str],
     letters: Sequence[Mat],
-    letter_size: int,
     max_len: int | None,
+    degeneracy: Degeneracy | None,
 ) -> InvariantVector:
-    """Assemble an :class:`InvariantVector` from a letter system.
+    """Assemble the :class:`InvariantVector` of one reduction pass.
 
     ``max_len=None`` means the full default truncation; an explicit value is
     clamped to the default since longer words add no information.
     """
-    bound = max_word_len_for(letter_size)
+    bound = max_word_len_for(letter_size(tag, config.d))
     effective = bound if max_len is None else max(0, min(max_len, bound))
     words = enumerate_words(len(letters), effective)
     values = evaluate_traces(letters, words)
     return InvariantVector(
         case=tag,
-        n=n,
-        d=d,
-        s=s,
+        n=config.n,
+        d=config.d,
+        s=config.s,
         letter_ids=tuple(letter_ids),
         max_word_len=effective,
         entries=tuple(zip(words, values)),
+        degeneracy=degeneracy,
     )

@@ -189,7 +189,8 @@ def test_criterion_4_zero_patterns():
     checked = 0
     for trial in range(50):
         c = sample_config(n, d, s, seed=trial)
-        red = reduce_odd(c, frame_odd(column_normalize(c)))
+        nc = column_normalize(c)
+        red = reduce_odd(nc, frame_odd(nc))
         r = red.r
         for pos in range(2, 2 * r + 2, 2):
             assert red.a_block(pos).is_zero(), (trial, "a", pos)

@@ -7,7 +7,9 @@ import pytest
 
 from planeinv import fileio
 from planeinv.cli import main
+from planeinv.divisible import ReducedDivisible, embed
 from planeinv.grassmann import Config, sample_config
+from planeinv.linalg import Mat
 
 # ---------------------------------------------------------------------------
 # rational serialization
@@ -95,6 +97,13 @@ class TestGen:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_singular_frame_draw_skipped(self, tmp_path):
+        # the seed's first draw has a singular intersection frame
+        out = tmp_path / "c.json"
+        assert run("gen", "--n", 3, "--d", 2, "--s", 6, "--seed", 3871074876,
+                   "--out", out) == 0
+        assert fileio.config_from_obj(fileio.load_json(out)).s == 6
+
     def test_bound_flag(self, tmp_path):
         out = tmp_path / "c.json"
         assert run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1,
@@ -130,6 +139,20 @@ class TestInvariantsCmd:
         assert obj["invariants"] == []
         assert "note" in obj
 
+    @pytest.mark.parametrize("command", ["invariants", "orbit-test", "rank"])
+    def test_negative_max_len_exits_2(self, tmp_path, capsys, command):
+        cfg, vec = tmp_path / "c.json", tmp_path / "v.json"
+        run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg)
+        files = {
+            "invariants": ("--in", cfg, "--out", vec),
+            "orbit-test": ("--a", cfg, "--b", cfg),
+            "rank": ("--in", cfg),
+        }[command]
+        capsys.readouterr()
+        assert run(command, *files, "--max-len", -3) == 2
+        assert "--max-len: must be a nonnegative integer" in capsys.readouterr().err
+        assert not vec.exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = run("invariants", "--in", tmp_path / "nope.json",
                    "--out", tmp_path / "v.json")
@@ -162,6 +185,20 @@ class TestOrbitTestCmd:
         subs[1] = subs[0]
         fileio.write_json(deg, fileio.config_to_obj(Config(tuple(subs))))
         assert run("orbit-test", "--a", deg, "--b", b) == 5
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "Inconclusive"
+
+    def test_truncated_agreement_exits_5(self, tmp_path, capsys):
+        # these letter pairs agree on every word of length 1 and differ at 2
+        paths = []
+        for name, second in (("a", [[2, 0], [0, 1]]), ("b", [[1, 0], [0, 2]])):
+            grid = ((Mat([[1, 0], [0, 2]]), Mat(second)),)
+            config = embed(ReducedDivisible(d=2, r=2, s=5, grid=grid))
+            path = tmp_path / f"{name}.json"
+            fileio.write_json(path, fileio.config_to_obj(config))
+            paths.append(path)
+        a, b = paths
+        assert run("orbit-test", "--a", a, "--b", b) == 3
+        assert run("orbit-test", "--a", a, "--b", b, "--max-len", 0) == 5
         assert capsys.readouterr().out.strip().splitlines()[-1] == "Inconclusive"
 
     def test_shape_mismatch_exits_2(self, tmp_path):

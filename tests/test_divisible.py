@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from planeinv.divisible import (
     ReducedDivisible,
     block_ratio,
-    check_general_position,
     double_ratio,
     embed,
     invariants,
@@ -23,6 +22,7 @@ from planeinv.grassmann import (
     Subspace,
     act_left,
     act_right,
+    general_position,
     sample_config,
     sample_invertible,
 )
@@ -188,7 +188,9 @@ class TestEmbed:
 class TestGeneralPositionDivisible:
     def test_sampled_pass(self):
         for seed in range(8):
-            check_general_position(sample_config(4, 2, 5, seed=seed))
+            c = sample_config(4, 2, 5, seed=seed)
+            assert general_position(c)
+            assert invariants(c).degeneracy is None
 
     def test_repeated_member_fails(self):
         # member 3 equal to member 1 zeroes the (2, 1) block of the ratio
@@ -196,12 +198,41 @@ class TestGeneralPositionDivisible:
         c = sample_config(4, 2, 5, seed=1)
         subs = list(c.subspaces)
         subs[2] = subs[0]
-        with pytest.raises(DegenerateConfigError):
-            check_general_position(Config(tuple(subs)))
+        deg = Config(tuple(subs))
+        assert not general_position(deg)
+        with pytest.raises(DegenerateConfigError, match=r"block \(2, 1\)") as exc:
+            invariants(deg)
+        assert exc.value.block == 3
 
     def test_few_members_rank_condition(self):
         # s <= r: only demands the stacked columns be independent
-        check_general_position(sample_config(6, 2, 2, seed=4))
+        c = sample_config(6, 2, 2, seed=4)
+        assert general_position(c)
+        subs = list(c.subspaces)
+        subs[1] = subs[0]
+        v = invariants(Config(tuple(subs)))
+        assert len(v) == 0
+        assert v.degeneracy.reason == "members are not in direct sum"
+        assert not general_position(Config(tuple(subs)))
+
+    def test_singular_letter_recorded_not_raised(self):
+        # a singular letter leaves every letter defined, so the pass returns
+        # the full vector and records the singular phi block with its member
+        sing = Mat([[1, 0], [0, 0]])
+        c = embed(ReducedDivisible(d=2, r=2, s=5, grid=((sing, Mat.identity(2)),)))
+        v = invariants(c)
+        assert len(v) == 9
+        assert v.degeneracy.reason == "phi block (2, 2) is singular"
+        assert v.degeneracy.block == 4
+        assert not general_position(c)
+
+    def test_trivial_range_failure_recorded(self):
+        # s = r + 1 has no letters, so a spanning failure is recorded
+        c = sample_config(4, 2, 3, seed=1)
+        subs = list(c.subspaces)
+        subs[1] = subs[0]
+        v = invariants(Config(tuple(subs)))
+        assert len(v) == 0 and v.degeneracy is not None
 
 
 class TestInvariantsDivisible:

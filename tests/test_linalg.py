@@ -1,4 +1,4 @@
-"""Exact linear algebra: Mat, Jet dual numbers, and the swappable kernels."""
+"""Exact linear algebra: Mat, Jet dual numbers, and the kernels."""
 
 from fractions import Fraction
 
@@ -11,7 +11,8 @@ from planeinv.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from planeinv.linalg import Jet, Mat, hstack, kernel_backend, trace_word, vstack
+from planeinv._kernels_py import mat_mul, rref_in_place
+from planeinv.linalg import Jet, Mat, hstack, trace_word, vstack
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -253,63 +254,27 @@ class TestTraceWord:
 
 
 # ---------------------------------------------------------------------------
-# swappable kernels: both implementations agree
+# the kernels
 # ---------------------------------------------------------------------------
 
 
-def _load_backends():
-    from planeinv import _kernels_py
-
-    backends = [("pure-python", _kernels_py)]
-    try:
-        from planeinv import _kernels_cy
-
-        backends.append(("compiled", _kernels_cy))
-    except ImportError:
-        pass
-    return backends
-
-
-BACKENDS = _load_backends()
-
-
-@pytest.mark.parametrize("name,mod", BACKENDS, ids=[n for n, _ in BACKENDS])
-class TestKernelBackends:
-    def test_mat_mul(self, name, mod):
+class TestKernels:
+    def test_mat_mul(self):
         a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
         b = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
-        assert mod.mat_mul(a, b) == [
+        assert mat_mul(a, b) == [
             [Fraction(2), Fraction(3)],
             [Fraction(4), Fraction(7)],
         ]
 
-    def test_rref(self, name, mod):
+    def test_rref(self):
         rows = [
             [Fraction(0), Fraction(2), Fraction(4)],
             [Fraction(1), Fraction(1), Fraction(1)],
         ]
-        pivots = mod.rref_in_place(rows)
+        pivots = rref_in_place(rows)
         assert tuple(pivots) == (0, 1)
         assert rows == [
             [Fraction(1), Fraction(0), Fraction(-1)],
             [Fraction(0), Fraction(1), Fraction(2)],
         ]
-
-    @given(
-        st.lists(
-            st.lists(rationals, min_size=3, max_size=3), min_size=2, max_size=4
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_backends_agree_on_rref(self, name, mod, rows):
-        mine = [list(r) for r in rows]
-        ref = [list(r) for r in rows]
-        from planeinv import _kernels_py
-
-        p1 = mod.rref_in_place(mine)
-        p2 = _kernels_py.rref_in_place(ref)
-        assert mine == ref and tuple(p1) == tuple(p2)
-
-
-def test_backend_reported():
-    assert kernel_backend() in ("compiled", "pure-python")

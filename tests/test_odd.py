@@ -10,6 +10,7 @@ from planeinv.grassmann import (
     act_left,
     act_right,
     canonicalize,
+    general_position,
     intersect,
     sample_config,
     sample_invertible,
@@ -17,7 +18,6 @@ from planeinv.grassmann import (
 from planeinv.linalg import Mat, hstack, vstack
 from planeinv.odd import (
     NormalizedColumns,
-    check_general_position,
     column_normalize,
     frame_3e,
     frame_odd,
@@ -174,7 +174,7 @@ class TestReduceOdd:
         c = sample_config(5, 2, 5, seed=31)
         nc = column_normalize(c)
         fr = frame_odd(nc)
-        red = reduce_odd(c, fr)
+        red = reduce_odd(nc, fr)
         r, e = red.r, red.e
         # a-column: even block rows and row 2r+1 vanish
         for pos in range(2, 2 * r + 2, 2):
@@ -186,7 +186,8 @@ class TestReduceOdd:
 
     def test_block_shapes(self):
         c = sample_config(5, 2, 6, seed=32)
-        red = reduce_odd(c, frame_odd(column_normalize(c)))
+        nc = column_normalize(c)
+        red = reduce_odd(nc, frame_odd(nc))
         assert red.a_block(1).rows == red.e and red.a_block(1).cols == red.e
         for j in (4, 5, 6):
             assert red.b_block(j, 1).rows == red.e
@@ -233,14 +234,16 @@ class TestOddLetters:
     )
     def test_letter_counts(self, n, d, s, count, first_ids):
         c = sample_config(n, d, s, seed=44)
-        red = reduce_odd(c, frame_odd(column_normalize(c)))
+        nc = column_normalize(c)
+        red = reduce_odd(nc, frame_odd(nc))
         ls = letters_odd(red)
         assert len(ls) == count
         assert ls.ids()[: len(first_ids)] == first_ids
 
     def test_structured_fields(self):
         c = sample_config(7, 2, 6, seed=45)
-        red = reduce_odd(c, frame_odd(column_normalize(c)))
+        nc = column_normalize(c)
+        red = reduce_odd(nc, frame_odd(nc))
         ls = letters_odd(red)
         assert len(ls.zed) == 2 * ls.r - 4
         assert len(ls.thetas) == 1
@@ -263,14 +266,45 @@ class TestGeneralPositionOdd:
     )
     def test_sampled_pass(self, n, d, s):
         for seed in range(5):
-            check_general_position(sample_config(n, d, s, seed=seed))
+            c = sample_config(n, d, s, seed=seed)
+            assert general_position(c)
+            assert invariants(c).degeneracy is None
 
     def test_duplicate_member_fails(self):
         c = sample_config(3, 2, 5, seed=47)
         subs = list(c.subspaces)
         subs[1] = subs[0]
+        deg = Config(tuple(subs))
+        assert not general_position(deg)
         with pytest.raises(DegenerateConfigError):
-            check_general_position(Config(tuple(subs)))
+            invariants(deg)
+
+    def test_trivial_range_failure_recorded(self):
+        # s = 4 with r = 1 has no letters: the pass records the failure
+        c = sample_config(3, 2, 4, seed=47)
+        subs = list(c.subspaces)
+        subs[1] = subs[0]
+        v = invariants(Config(tuple(subs)))
+        assert len(v) == 0 and v.degeneracy is not None
+        assert not general_position(Config(tuple(subs)))
+
+    def test_singular_frame_is_degenerate(self):
+        # the first draw of sample_config(3, 2, 6, seed=3871074876): the
+        # pairwise intersections of members 1..3 exist, but the frame they
+        # assemble is singular; that is a degeneracy, not SingularMatrixError
+        raw = [
+            [[-9, -2], [10, 3], [1, 1]],
+            [[9, -3], [8, 3], [8, 3]],
+            [[5, -10], [-1, -6], [-8, 8]],
+            [[-6, 4], [-1, 3], [-4, -8]],
+            [[2, -4], [10, 4], [-5, 4]],
+            [[9, 1], [8, 10], [6, 2]],
+        ]
+        c = Config(tuple(Subspace(Mat(b)) for b in raw))
+        with pytest.raises(DegenerateConfigError, match="intersection frame is singular"):
+            invariants(c)
+        assert not general_position(c)
+        assert general_position(sample_config(3, 2, 6, seed=3871074876))
 
 
 # ---------------------------------------------------------------------------

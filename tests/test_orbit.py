@@ -9,6 +9,7 @@ from planeinv.errors import (
     ShapeMismatchError,
     UnsupportedCaseError,
 )
+from planeinv.divisible import ReducedDivisible, embed
 from planeinv.grassmann import (
     Config,
     SplitMix64,
@@ -17,6 +18,7 @@ from planeinv.grassmann import (
     sample_config,
     sample_invertible,
 )
+from planeinv.linalg import Mat
 from planeinv.orbit import (
     Verdict,
     expected_quotient_dim,
@@ -152,6 +154,20 @@ class TestSameOrbit:
             Verdict.EQUIVALENT,
             Verdict.INCONCLUSIVE,
         )
+
+    def test_truncated_agreement_inconclusive(self):
+        # the two letter pairs share tr of each letter but not tr G_2_2 G_2_3,
+        # so only words of length >= 2 tell them apart
+        def pair(second):
+            grid = ((Mat([[1, 0], [0, 2]]), Mat(second)),)
+            return embed(ReducedDivisible(d=2, r=2, s=5, grid=grid))
+
+        a, b = pair([[2, 0], [0, 1]]), pair([[1, 0], [0, 2]])
+        assert same_orbit_test(a, b) is Verdict.DISTINCT
+        assert same_orbit_test(a, b, max_len=1) is Verdict.INCONCLUSIVE
+        assert same_orbit_test(a, b, max_len=0) is Verdict.INCONCLUSIVE
+        assert same_orbit_test(a, a, max_len=2) is Verdict.INCONCLUSIVE
+        assert same_orbit_test(a, a, max_len=3) is Verdict.EQUIVALENT
 
     def test_shape_mismatch(self):
         a = sample_config(4, 2, 5, seed=1)
