@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     config = sample_config(args.n, args.d, args.s, args.seed, args.bound)
-    fileio.write_json(args.out, fileio.config_to_obj(config))
+    fileio.write_json(args.out, fileio.config_to_obj(config, args.seed, args.bound))
     print(f"wrote {args.out} (n={args.n}, d={args.d}, s={args.s}, seed={args.seed})")
     return EXIT_OK
 

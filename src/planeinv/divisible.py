@@ -93,6 +93,10 @@ def phi_left(config: Config) -> Mat:
     return a_inv @ b
 
 
+def _letter_ids(r: int, s: int) -> tuple[str, ...]:
+    return tuple(f"G_{i}_{j}" for i in range(2, r + 1) for j in range(2, s - r + 1))
+
+
 @dataclass(frozen=True)
 class ReducedDivisible:
     """The letter grid of a divisible-case configuration.
@@ -130,36 +134,48 @@ class ReducedDivisible:
         return self.grid[i - 2][j - 2]
 
     def letter_ids(self) -> tuple[str, ...]:
-        return tuple(
-            f"G_{i}_{j}"
-            for i in range(2, self.r + 1)
-            for j in range(2, self.s - self.r + 1)
-        )
+        return _letter_ids(self.r, self.s)
 
     def letters(self) -> tuple[Mat, ...]:
         return tuple(m for row in self.grid for m in row)
 
 
-def _letter_grid(phi: Mat, r: int, d: int, s: int) -> ReducedDivisible:
-    """The letters D_ij(phi), inverting each block (i, 1) and (1, j) once."""
+def _block(phi: Mat, i: int, j: int, d: int) -> Mat:
+    return phi.block((i - 1) * d, i * d, (j - 1) * d, j * d)
 
-    def blk(i: int, j: int) -> Mat:
-        return phi.block((i - 1) * d, i * d, (j - 1) * d, j * d)
+
+def _block_inverses(phi: Mat, r: int, d: int, s: int) -> tuple[list[Mat], list[Mat]]:
+    """Inverses of the blocks (i, 1), i = 2..r, and (1, j), j = 2..s-r, of phi.
+
+    These are the blocks the letters invert, so inverting them is also the
+    general-position check on them; a singular one raises
+    :class:`DegenerateConfigError`.  Both lists are empty when s <= r + 1.
+    """
 
     def inv(i: int, j: int) -> Mat:
         try:
-            return blk(i, j).inverse()
+            return _block(phi, i, j, d).inverse()
         except SingularMatrixError:
             raise DegenerateConfigError(
                 f"block ({i}, {j}) of the translated matrix is singular", block=r + j
             ) from None
 
     cols = [inv(1, j) for j in range(2, s - r + 1)]
-    grid = []
-    for i in range(2, r + 1):
-        left = blk(1, 1) @ inv(i, 1) if cols else None
-        grid.append(tuple(left @ blk(i, j) @ col for j, col in enumerate(cols, start=2)))
-    return ReducedDivisible(d=d, r=r, s=s, grid=tuple(grid))
+    rows = [inv(i, 1) for i in range(2, r + 1)] if cols else []
+    return rows, cols
+
+
+def _letter_grid(phi: Mat, r: int, d: int, s: int) -> ReducedDivisible:
+    """The letters D_ij(phi), inverting each block (i, 1) and (1, j) once."""
+    rows, cols = _block_inverses(phi, r, d, s)
+    if not cols:
+        return ReducedDivisible(d=d, r=r, s=s, grid=((),) * (r - 1))
+    head = _block(phi, 1, 1, d)
+    grid = tuple(
+        tuple(left @ _block(phi, i, j, d) @ col for j, col in enumerate(cols, start=2))
+        for i, left in enumerate((head @ row for row in rows), start=2)
+    )
+    return ReducedDivisible(d=d, r=r, s=s, grid=grid)
 
 
 def _singular_block(phi: Mat, r: int, d: int, s: int) -> Degeneracy | None:
@@ -174,7 +190,7 @@ def _singular_block(phi: Mat, r: int, d: int, s: int) -> Degeneracy | None:
         for j in range(1, s - r + 1):
             if s > r + 1 and (i == 1) != (j == 1):
                 continue
-            if phi.block((i - 1) * d, i * d, (j - 1) * d, j * d).rank() != d:
+            if _block(phi, i, j, d).rank() != d:
                 return Degeneracy(f"phi block ({i}, {j}) is singular", block=r + j)
     return None
 
@@ -222,7 +238,9 @@ def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
     for s > r the first r members must span and every d x d block of phi
     must be invertible.  A failure that leaves the letters undefined raises
     :class:`DegenerateConfigError` instead, except in the empty range, where
-    every failure is recorded.
+    every failure is recorded.  When ``max_len < 1`` no word is evaluated, so
+    the blocks the letters invert are inverted, as that check, but the
+    letters are not multiplied out.
     """
     tag = _require_divisible(config)
     r, d, s = tag.r, config.d, config.s
@@ -234,8 +252,11 @@ def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
         try:
             phi = phi_left(config)
             degeneracy = _singular_block(phi, r, d, s)
-            rd = _letter_grid(phi, r, d, s)
-            ids, letters = rd.letter_ids(), rd.letters()
+            ids = _letter_ids(r, s)
+            if max_len is not None and max_len < 1:
+                _block_inverses(phi, r, d, s)  # the check; no word needs the products
+            else:
+                letters = _letter_grid(phi, r, d, s).letters()
         except DegenerateConfigError as exc:
             if s > r + 1:
                 raise

@@ -52,12 +52,19 @@ def _format_matrix(m: Mat) -> list[list[str]]:
     return [[format_rat(x) for x in row] for row in m.data]
 
 
-def config_to_obj(config: Config) -> dict:
-    return {
-        "n": config.n,
-        "d": config.d,
-        "subspaces": [_format_matrix(sub.basis) for sub in config],
-    }
+def config_to_obj(config: Config, seed: int | None = None, bound: int | None = None) -> dict:
+    """The configuration-file object; ``seed`` and ``bound`` are written when given."""
+    obj = {"n": config.n, "d": config.d, "s": config.s}
+    if seed is not None:
+        obj["seed"] = seed
+    if bound is not None:
+        obj["bound"] = bound
+    obj["subspaces"] = [_format_matrix(sub.basis) for sub in config]
+    return obj
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_from_obj(obj) -> Config:
@@ -71,6 +78,11 @@ def config_from_obj(obj) -> Config:
         raise ValueError(f"need integers 1 <= d < n, got n={n!r}, d={d!r}")
     if not isinstance(subs, list) or not subs:
         raise ValueError("'subspaces' must be a nonempty array")
+    if "s" in obj and not (_is_int(obj["s"]) and obj["s"] == len(subs)):
+        raise ValueError(f"'s' is {obj['s']!r} but the file lists {len(subs)} subspaces")
+    for key in ("seed", "bound"):
+        if key in obj and not _is_int(obj[key]):
+            raise ValueError(f"'{key}' must be an integer, got {obj[key]!r}")
     out = []
     for i, rows in enumerate(subs, start=1):
         basis = _parse_matrix(rows, n, d, f"subspace {i}")

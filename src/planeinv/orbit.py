@@ -10,11 +10,22 @@ characteristic polynomial, so the dimension is m.
 :func:`expected_quotient_dim` computes that count, and :func:`jacobian_rank`
 measures the actual number of independent invariants at a point by exact
 differentiation (jets), with no floating point and no thresholds.
+
+That count is also an upper bound on the Jacobian rank at *every* point:
+the invariants are traces of words in the letters, which are
+conjugation-invariant polynomials, so the Jacobian factors through the
+Jacobian of the trace map at the letters, whose rank nowhere exceeds its
+generic rank, the transcendence degree above.  :func:`jacobian_rank`
+therefore first takes derivatives along ``bound + 1`` pseudo-random integer
+directions only; their rank is a lower bound, and when it meets the upper
+bound it is the exact rank.  Any other outcome falls back to one derivative
+per coordinate.
 """
 
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 
 from .errors import (
     DegenerateConfigError,
@@ -22,7 +33,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from . import divisible, odd
-from .grassmann import Config, Subspace, classify_case
+from .grassmann import Config, SplitMix64, Subspace, classify_case
 from .linalg import Jet, Mat
 from .words import InvariantVector, enumerate_words, letter_size
 
@@ -144,15 +155,28 @@ def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict
     return Verdict.EQUIVALENT
 
 
-def jacobian_rank(config: Config, max_len: int | None = None) -> int:
-    """Exact rank of the invariant map's Jacobian at ``config``.
+# The directions of the rank sketch in :func:`jacobian_rank`: integer
+# entries in [-_SKETCH_BOUND, _SKETCH_BOUND] drawn from one splitmix64 stream
+# at a fixed seed, so every rank is reproducible.
+_SKETCH_SEED = 0x6A6163
+_SKETCH_BOUND = 9
 
-    One jet pass per coordinate: every entry of every basis matrix is made
-    the differentiation variable in turn (n*d*s passes), the full pipeline
-    runs over jets, and the derivative parts of all word values form one row
-    of the Jacobian.  The rank is computed by exact elimination.  Requires
-    general position (:class:`DegenerateConfigError` otherwise, naming the
-    failed condition the base pass recorded).
+
+def jacobian_rank(config: Config, max_len: int | None = None) -> int:
+    """Exact rank of the invariant map's Jacobian J at ``config``.
+
+    The full pipeline runs over jets, so one pass gives the exact
+    derivative of every word value along one direction in the n*d*s basis
+    entries.  With ``bound = min(expected_quotient_dim, len(vector),
+    n*d*s)``, which bounds rank(J) at every point (see the module
+    docstring), the first ``min(bound + 1, n*d*s)`` passes take fixed
+    pseudo-random integer directions R: rank(J R) <= rank(J), so a sketch
+    rank equal to ``bound`` is the exact rank.  A sketch that falls short (a
+    special point, or an unlucky draw) or exceeds ``bound`` (a wrong count)
+    is discarded, and the rank is that of one pass per coordinate (n*d*s
+    unit directions), by exact elimination either way.  Requires general
+    position (:class:`DegenerateConfigError` otherwise, naming the failed
+    condition the base pass recorded).
     """
     tag = classify_case(config.n, config.d)
     if not tag.supported:
@@ -164,24 +188,32 @@ def jacobian_rank(config: Config, max_len: int | None = None) -> int:
         raise base.degeneracy.error()
     if not len(base):
         return 0
+    coords = config.n * config.d * config.s
+    bound = min(expected_quotient_dim(config.n, config.d, config.s), len(base), coords)
+    rng = SplitMix64(_SKETCH_SEED)
+    sketch = [
+        [Fraction(rng.next_int(_SKETCH_BOUND)) for _ in range(coords)]
+        for _ in range(min(bound + 1, coords))
+    ]
+    if _jet_rank(config, sketch, max_len) == bound:
+        return bound
+    units = ([Fraction(int(c == k)) for c in range(coords)] for k in range(coords))
+    return _jet_rank(config, units, max_len)
+
+
+def _jet_rank(config: Config, directions, max_len: int | None) -> int:
+    """Exact rank of the invariant vector's derivatives along ``directions``.
+
+    Each direction holds one derivative per basis entry, in (member, row,
+    column) order; one jet pass turns it into one row of the matrix.
+    """
     rows = []
-    for target in range(config.s):
-        basis = config.subspaces[target].basis
-        for i in range(config.n):
-            for j in range(config.d):
-                jet_subs = []
-                for k, sub in enumerate(config.subspaces):
-                    if k == target:
-                        data = [
-                            [
-                                Jet.variable(x) if (a == i and b == j) else Jet.constant(x)
-                                for b, x in enumerate(row)
-                            ]
-                            for a, row in enumerate(basis.data)
-                        ]
-                    else:
-                        data = [[Jet.constant(x) for x in row] for row in sub.basis.data]
-                    jet_subs.append(Subspace(Mat._raw(data)))
-                jet_vec = invariant_vector(Config(jet_subs), max_len)
-                rows.append([v.deriv for v in jet_vec.values])
+    for direction in directions:
+        deriv = iter(direction)
+        jet_subs = [
+            Subspace(Mat._raw([[Jet(x, next(deriv)) for x in row] for row in sub.basis.data]))
+            for sub in config.subspaces
+        ]
+        jet_vec = invariant_vector(Config(jet_subs), max_len)
+        rows.append([v.deriv for v in jet_vec.values])
     return Mat(rows).rank()

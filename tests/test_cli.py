@@ -59,6 +59,29 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             fileio.config_from_obj(obj)
 
+    def test_writes_member_count(self):
+        obj = fileio.config_to_obj(sample_config(4, 2, 5, seed=17))
+        assert list(obj) == ["n", "d", "s", "subspaces"] and obj["s"] == 5
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("s", 4), ("s", "5"), ("s", True), ("seed", "1"), ("seed", 1.5),
+         ("bound", None), ("bound", True)],
+    )
+    def test_bad_provenance_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "c.json"
+        assert run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", path) == 0
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        assert run("rank", "--in", path) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_provenance_optional(self):
+        obj = fileio.config_to_obj(sample_config(4, 2, 5, seed=17))
+        del obj["s"]
+        assert fileio.config_from_obj(obj).s == 5
+
     def test_dependent_columns_rejected(self):
         obj = fileio.config_to_obj(sample_config(4, 2, 2, seed=17))
         col = obj["subspaces"][0]
@@ -103,6 +126,14 @@ class TestGen:
         assert run("gen", "--n", 3, "--d", 2, "--s", 6, "--seed", 3871074876,
                    "--out", out) == 0
         assert fileio.config_from_obj(fileio.load_json(out)).s == 6
+
+    def test_writes_provenance_in_readme_order(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1,
+                   "--bound", 7, "--out", out) == 0
+        obj = json.loads(out.read_text())
+        assert list(obj) == ["n", "d", "s", "seed", "bound", "subspaces"]
+        assert (obj["s"], obj["seed"], obj["bound"]) == (5, 1, 7)
 
     def test_bound_flag(self, tmp_path):
         out = tmp_path / "c.json"
@@ -222,6 +253,19 @@ class TestRankCmd:
         assert run("rank", "--in", cfg) == 0
         out = capsys.readouterr().out.strip().splitlines()[-1]
         assert out == "rank 2 / expected 2"
+
+    def test_special_point_prints_exact_rank(self, tmp_path, capsys):
+        # commuting letters diag(1,2), diag(2,1): the rank falls below the count
+        letters = tmp_path / "letters.json"
+        letters.write_text(json.dumps({
+            "kind": "divisible", "d": 2, "r": 2, "s": 5,
+            "letters": {"G_2_2": [[1, 0], [0, 2]], "G_2_3": [[2, 0], [0, 1]]},
+        }))
+        cfg = tmp_path / "c.json"
+        assert run("embed", "--in", letters, "--out", cfg) == 0
+        assert run("rank", "--in", cfg) == 0
+        out = capsys.readouterr().out.strip().splitlines()[-1]
+        assert out == "rank 4 / expected 5"
 
     def test_degenerate_exits_4(self, tmp_path, capsys):
         deg = tmp_path / "deg.json"

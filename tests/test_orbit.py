@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from test_acceptance import RANK_CELLS
 
+from planeinv import orbit
 from planeinv.errors import (
     DegenerateConfigError,
     ShapeMismatchError,
@@ -216,3 +218,60 @@ class TestVectorAndRank:
         c = sample_config(3, 2, 5, seed=7)
         r = jacobian_rank(c)
         assert 0 < r <= len(invariant_vector(c))
+
+
+# ---------------------------------------------------------------------------
+# the rank sketch: bound + 1 random directions, exhaustive fallback
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_rank(config):
+    """The rank from one jet pass per coordinate, the sketch's fallback."""
+    coords = config.n * config.d * config.s
+    units = ([Fraction(int(c == k)) for c in range(coords)] for k in range(coords))
+    return orbit._jet_rank(config, units, None)
+
+
+def diag_pair_config():
+    """A (4,2,5) point where two commuting letters make the rank fall to 4."""
+    grid = ((Mat([[1, 0], [0, 2]]), Mat([[2, 0], [0, 1]])),)
+    return embed(ReducedDivisible(d=2, r=2, s=5, grid=grid))
+
+
+class TestRankSketch:
+    def test_special_point_falls_back(self):
+        c = diag_pair_config()
+        assert expected_quotient_dim(4, 2, 5) == 5
+        assert jacobian_rank(c) == exhaustive_rank(c) == 4
+
+    def test_certified_rank_takes_bound_plus_one_passes(self, monkeypatch):
+        calls = []
+
+        def counted(config, max_len=None):
+            calls.append(config)
+            return invariant_vector(config, max_len)
+
+        monkeypatch.setattr(orbit, "invariant_vector", counted)
+        assert jacobian_rank(sample_config(4, 2, 5, seed=101)) == 5
+        assert len(calls) == 1 + 6  # the base pass and 5 + 1 directions
+
+    @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
+    def test_agrees_with_exhaustive_on_rank_cells(self, n, d, s, seed, pinned):
+        c = sample_config(n, d, s, seed=seed)
+        assert jacobian_rank(c) == exhaustive_rank(c)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 6), (4, 2, 5), (5, 2, 5)])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_agrees_with_exhaustive_on_sampled_points(self, shape, seed):
+        c = sample_config(*shape, seed=seed)
+        assert jacobian_rank(c) == exhaustive_rank(c)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize(
+        "n,d,s,seed,true_rank", [(4, 2, 5, 101, 5), (3, 2, 6, 303, 4), (5, 2, 5, 404, 6)]
+    )
+    def test_wrong_count_cannot_certify_itself(self, monkeypatch, n, d, s, seed, true_rank, shift):
+        monkeypatch.setattr(
+            orbit, "expected_quotient_dim", lambda *shape: expected_quotient_dim(*shape) + shift
+        )
+        assert jacobian_rank(sample_config(n, d, s, seed=seed)) == true_rank
