@@ -5,10 +5,11 @@ every inverse, nullspace, solve and word-trace ultimately bottoms out in
 ``mat_mul`` and ``rref_in_place``, which :mod:`planeinv.linalg` calls.
 
 Both kernels work on plain list-of-lists whose entries belong to any exact
-field type (``fractions.Fraction`` or :class:`planeinv.linalg.Jet`).  Pivot
-selection uses truthiness of entries, so a ``Jet`` pivots on its value part
-alone -- that is exactly what keeps differentiation consistent with the
-undifferentiated computation.
+field type (``fractions.Fraction`` or :class:`planeinv.linalg.Jet`);
+``mat_mul`` needs only a ring, and the word stage runs it over ``int`` and
+jets of ``int``.  Pivot selection uses truthiness of entries, so a ``Jet``
+pivots on its value part alone -- that is exactly what keeps
+differentiation consistent with the undifferentiated computation.
 """
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -25,17 +26,23 @@ def format_rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# The string form of a rational: "p" or "p/q" in ASCII decimal digits.  The
+# stdlib parser also takes decimals and exponents ("1e999999999" would build
+# a billion-digit integer), so strings are matched against this first.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rat(value) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"not a rational value: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational value: {value!r} ({exc})") from None
-    raise ValueError(f"not a rational value: {value!r}")
+            raise ValueError(f"not a rational value: {value[:40]!r} ({exc})") from None
+    raise ValueError(f"not a rational value: {value!r:.40}")
 
 
 def _parse_matrix(rows, nrows: int, ncols: int, what: str) -> Mat:
@@ -74,7 +81,7 @@ def config_from_obj(obj) -> Config:
         if key not in obj:
             raise ValueError(f"configuration file is missing the '{key}' field")
     n, d, subs = obj["n"], obj["d"], obj["subspaces"]
-    if not (isinstance(n, int) and isinstance(d, int) and 1 <= d < n):
+    if not (_is_int(n) and _is_int(d) and 1 <= d < n):
         raise ValueError(f"need integers 1 <= d < n, got n={n!r}, d={d!r}")
     if not isinstance(subs, list) or not subs:
         raise ValueError("'subspaces' must be a nonempty array")
@@ -132,12 +139,17 @@ def letters_from_obj(obj) -> ReducedDivisible:
         if key not in obj:
             raise ValueError(f"letters file is missing the '{key}' field")
     d, r, s, letters = obj["d"], obj["r"], obj["s"], obj["letters"]
-    if not (isinstance(d, int) and d >= 1 and isinstance(r, int) and r >= 2):
+    if not (_is_int(d) and d >= 1 and _is_int(r) and r >= 2):
         raise ValueError("need integers d >= 1 and r >= 2")
-    if not (isinstance(s, int) and s >= r + 1):
+    if not (_is_int(s) and s >= r + 1):
         raise ValueError("need an integer s >= r + 1")
     if not isinstance(letters, dict):
         raise ValueError("'letters' must be an object keyed by letter id")
+    if len(letters) != (r - 1) * (s - r - 1):  # before the id set is built
+        raise ValueError(
+            f"the (r, s) = ({r}, {s}) grid has {(r - 1) * (s - r - 1)} letters, "
+            f"the file lists {len(letters)}"
+        )
     expected = {
         f"G_{i}_{j}" for i in range(2, r + 1) for j in range(2, s - r + 1)
     }

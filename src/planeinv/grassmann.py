@@ -116,6 +116,14 @@ class Subspace:
         self.basis = basis
         self._canon = None
 
+    @classmethod
+    def _raw(cls, basis: Mat) -> "Subspace":
+        """Wrap a basis whose columns are already known to be independent."""
+        sub = object.__new__(cls)
+        sub.basis = basis
+        sub._canon = None
+        return sub
+
     @property
     def n(self) -> int:
         return self.basis.rows

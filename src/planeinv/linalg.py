@@ -9,6 +9,11 @@ precision rationals from the stdlib, exposed as :data:`Rat`) or
 The two hot loops (``mat_mul``, ``rref_in_place``) live in
 :mod:`planeinv._kernels_py`.  Loop overhead is not the cost over
 ``Fraction``; the rational arithmetic and the growth of entry bit-size are.
+Word traces (:mod:`planeinv.words`) do not multiply ``Fraction``
+matrices: each letter is scaled to integers once, so their ``mat_mul``
+calls run over ``int`` or jets of ``int``.  What runs over ``Fraction`` is
+the reduction that builds the letters (``rref_in_place`` under inverses,
+solves and kernels) and the exact rank of the Jacobian rows.
 """
 
 from __future__ import annotations

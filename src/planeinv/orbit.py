@@ -205,13 +205,15 @@ def _jet_rank(config: Config, directions, max_len: int | None) -> int:
     """Exact rank of the invariant vector's derivatives along ``directions``.
 
     Each direction holds one derivative per basis entry, in (member, row,
-    column) order; one jet pass turns it into one row of the matrix.
+    column) order; one jet pass turns it into one row of the matrix.  The
+    jet bases skip the independence check: their value parts are the
+    configuration's checked bases, and a jet pivots on its value alone.
     """
     rows = []
     for direction in directions:
         deriv = iter(direction)
         jet_subs = [
-            Subspace(Mat._raw([[Jet(x, next(deriv)) for x in row] for row in sub.basis.data]))
+            Subspace._raw(Mat._raw([[Jet(x, next(deriv)) for x in row] for row in sub.basis.data]))
             for sub in config.subspaces
         ]
         jet_vec = invariant_vector(Config(jet_subs), max_len)

@@ -3,26 +3,63 @@
 A full system of conjugation invariants for a tuple of m x m letters is
 given by traces of products along cyclic words.  Two words that differ by a
 rotation give the same trace, so only one representative per rotation class
-is evaluated: the lexicographically least rotation.  Words are enumerated in
-(length, lexicographic) order up to a truncation length; lengths beyond
-2**m - 1 are algebraically dependent on shorter ones, so that is the
-default and maximal truncation.
+is evaluated: the lexicographically least rotation, a necklace.  Necklaces
+are generated directly, one length at a time, by the FKM algorithm
+(Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang, *Generating necklaces*,
+1992), so the words come in (length, lexicographic) order up to a truncation
+length; lengths beyond 2**m - 1 are algebraically dependent on shorter ones,
+so that is the default and maximal truncation.
+
+Traces are evaluated over the integers: each letter is scaled once by the
+least common denominator of its entries, the products along word prefixes
+are integer matrix products, the last letter of each word is folded into
+its trace instead of multiplied out, and each trace is divided back by the
+product of its letters' denominators, so each value costs one gcd.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import add, mul
 from typing import Sequence
 
 from .errors import Degeneracy
 from .grassmann import CaseTag, Config
-from .linalg import Mat
+from .linalg import Jet, Mat
 
 
 def max_word_len_for(letter_size: int) -> int:
     """Default truncation: traces of words up to length 2**m - 1 generate."""
     return 2**letter_size - 1
+
+
+def _necklaces(alphabet_size: int, length: int) -> list[tuple[int, ...]]:
+    """Necklaces of one length in lexicographic order (iterative FKM).
+
+    Steps through the prenecklaces in lex order: raise the last entry below
+    ``alphabet_size - 1`` and repeat the prefix up to it periodically; the
+    result is a necklace iff its period divides ``length``.  Periodic words
+    such as ``(0, 0)`` are necklaces too.
+    """
+    top = alphabet_size - 1
+    a = [0] * length
+    out = [tuple(a)]
+    while True:
+        j = length - 1
+        while j >= 0 and a[j] == top:
+            j -= 1
+        if j < 0:
+            return out
+        a[j] += 1
+        period = j + 1
+        for t in range(period, length):
+            a[t] = a[t - period]
+        if length % period == 0:
+            out.append(tuple(a))
 
 
 def enumerate_words(alphabet_size: int, max_len: int) -> list[tuple[int, ...]]:
@@ -31,31 +68,79 @@ def enumerate_words(alphabet_size: int, max_len: int) -> list[tuple[int, ...]]:
     Returns 0-based letter-index tuples, sorted by (length, lex).  Empty for
     an empty alphabet or ``max_len < 1``.
     """
-    words: list[tuple[int, ...]] = []
-    for length in range(1, max_len + 1):
-        for w in itertools.product(range(alphabet_size), repeat=length):
-            if all(w <= w[i:] + w[:i] for i in range(1, length)):
-                words.append(w)
-    return words
+    if alphabet_size < 1:
+        return []
+    return [w for length in range(1, max_len + 1) for w in _necklaces(alphabet_size, length)]
+
+
+def _scaled(letter: Mat, jet: bool) -> tuple[Mat, int]:
+    """``letter`` times the least common denominator D of its entries, and D.
+
+    Over jets D covers the value and the derivative parts, so the scaled
+    jet is (D*value, D*deriv) with both parts integers.
+    """
+    if jet:
+        parts = [
+            (x.value, x.deriv) if isinstance(x, Jet) else (x, 0)
+            for row in letter.data
+            for x in row
+        ]
+        denom = math.lcm(*(p.denominator for pair in parts for p in pair))
+        ints = [
+            Jet(v.numerator * (denom // v.denominator), dv.numerator * (denom // dv.denominator))
+            for v, dv in parts
+        ]
+    else:
+        denom = math.lcm(*(x.denominator for row in letter.data for x in row))
+        ints = [x.numerator * (denom // x.denominator) for row in letter.data for x in row]
+    m = letter.cols
+    return Mat._raw([ints[i : i + m] for i in range(0, len(ints), m)]), denom
 
 
 def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list:
-    """Traces of the letter products along each word.
+    """Traces of the letter products along each word, as exact rationals.
 
-    Prefix products are cached across words, so evaluating the whole
-    (length, lex)-ordered family costs about one matrix product per distinct
-    prefix instead of one per letter of every word.
+    Each letter L_i is scaled once by the least common denominator D_i of
+    its entries (over jets, of the value and the derivative parts), which
+    makes it an integer matrix.  Products of these integer letters along
+    word prefixes are cached across words, so the (length, lex)-ordered
+    family costs about one m x m product per distinct proper prefix.  The
+    last factor is never multiplied out: tr(P L) = sum_ik P[i][k] L[k][i]
+    folds it into the trace at m**2 scalar products instead of m**3.  Each
+    value is ``Fraction(t, D_w)`` with D_w the product of the D_i along the
+    word -- or a ``Jet`` of two such fractions -- so it costs one gcd, and
+    no integer leaves this function.
     """
-    cache: dict[tuple[int, ...], Mat] = {}
+    if not words:
+        return []
+    jet = any(isinstance(x, Jet) for letter in letters for row in letter.data for x in row)
+    scaled = [_scaled(letter, jet) for letter in letters]
+    # Row-major transposes: the fold multiplies them entrywise with P.
+    flat_t = [[x for col in zip(*mat.data) for x in col] for mat, _ in scaled]
+    cache = {(i,): pair for i, pair in enumerate(scaled)}
 
-    def product(w: tuple[int, ...]) -> Mat:
+    def prefix(w: tuple[int, ...]) -> tuple[Mat, int]:
         got = cache.get(w)
         if got is None:
-            got = letters[w[0]] if len(w) == 1 else product(w[:-1]) @ letters[w[-1]]
-            cache[w] = got
+            head, denom = prefix(w[:-1])
+            last, d_last = scaled[w[-1]]
+            got = cache[w] = (head @ last, denom * d_last)
         return got
 
-    return [product(w).trace() for w in words]
+    values = []
+    for w in words:
+        if len(w) == 1:
+            mat, denom = scaled[w[0]]
+            t = mat.trace()
+        else:
+            head, denom = prefix(w[:-1])
+            denom *= scaled[w[-1]][1]
+            t = reduce(add, map(mul, chain.from_iterable(head.data), flat_t[w[-1]]))
+        if jet:
+            values.append(Jet(Fraction(t.value, denom), Fraction(t.deriv, denom)))
+        else:
+            values.append(Fraction(t, denom))
+    return values
 
 
 def letter_size(tag: CaseTag, d: int) -> int:

@@ -1,0 +1,103 @@
+"""The word stage: necklace enumeration and integer-scaled trace evaluation."""
+
+import hashlib
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planeinv.cli import main
+from planeinv.linalg import Jet, Mat, trace_word
+from planeinv.words import enumerate_words, evaluate_traces
+
+
+def rotation_filter_words(alphabet_size, max_len):
+    """The definition: every tuple that is <= each of its rotations."""
+    words = []
+    for length in range(1, max_len + 1):
+        for w in itertools.product(range(alphabet_size), repeat=length):
+            if all(w <= w[i:] + w[:i] for i in range(1, length)):
+                words.append(w)
+    return words
+
+
+class TestEnumerateWords:
+    @pytest.mark.parametrize("alphabet_size", range(6))
+    def test_matches_rotation_filter(self, alphabet_size):
+        for max_len in range(8):
+            assert enumerate_words(alphabet_size, max_len) == rotation_filter_words(
+                alphabet_size, max_len
+            )
+
+    def test_negative_length_is_empty(self):
+        assert enumerate_words(3, -1) == []
+
+
+# Entries with mixed and large denominators, negative values and zero.
+rationals = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(max_denominator=7),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+small_derivs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 11, 10**9 + 7]))
+
+
+def letter(size, entry):
+    """A size x size letter, sometimes the zero or the identity matrix."""
+    one = entry.map(lambda x: x * 0 + 1)
+    zero = entry.map(lambda x: x * 0)
+    square = lambda e: st.lists(  # noqa: E731
+        st.lists(e, min_size=size, max_size=size), min_size=size, max_size=size
+    )
+    identity = st.tuples(one, zero).map(
+        lambda oz: [[oz[0] if i == j else oz[1] for j in range(size)] for i in range(size)]
+    )
+    return st.one_of(square(entry), square(zero), identity).map(Mat._raw)
+
+
+def alphabets(entry):
+    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda km: st.lists(letter(km[1], entry), min_size=km[0], max_size=km[0])
+    )
+
+
+jets = st.builds(Jet, rationals, small_derivs)
+
+
+class TestEvaluateTraces:
+    """Each value equals the uncached product along the word, exactly."""
+
+    @given(alphabets(rationals))
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_letters(self, letters):
+        words = enumerate_words(len(letters), 5)
+        got = evaluate_traces(letters, words)
+        assert got == [trace_word(letters, w) for w in words]
+        assert all(type(v) is Fraction for v in got)
+
+    @given(alphabets(jets))
+    @settings(max_examples=40, deadline=None)
+    def test_jet_letters(self, letters):
+        words = enumerate_words(len(letters), 5)
+        got = evaluate_traces(letters, words)
+        want = [trace_word(letters, w) for w in words]
+        assert [(v.value, v.deriv) for v in got] == [(v.value, v.deriv) for v in want]
+        assert all(
+            type(v) is Jet and type(v.value) is Fraction and type(v.deriv) is Fraction
+            for v in got
+        )
+
+    def test_no_words(self):
+        assert evaluate_traces([Mat([[1]])], []) == []
+
+
+def test_invariants_file_pinned(tmp_path):
+    """The (6,3,6) invariants file at seed 1, byte for byte (540 words, 3x3 letters)."""
+    cfg, vec = tmp_path / "c.json", tmp_path / "v.json"
+    assert main(["gen", "--n", "6", "--d", "3", "--s", "6", "--seed", "1", "--out", str(cfg)]) == 0
+    assert main(["invariants", "--in", str(cfg), "--out", str(vec)]) == 0
+    assert hashlib.sha256(vec.read_bytes()).hexdigest() == (
+        "ea1e40bc7cc50edba2bbb883fa50ba52864e25d80694602595551276c448c00f"
+    )
