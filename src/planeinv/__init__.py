@@ -32,7 +32,7 @@ from .grassmann import (
     sample_config,
     sample_invertible,
 )
-from .linalg import Jet, Mat, Rat, trace_word
+from .linalg import Jet, Mat, Rat
 from .orbit import (
     Verdict,
     enumerate_words,
@@ -74,6 +74,5 @@ __all__ = [
     "sample_config",
     "sample_invertible",
     "same_orbit_test",
-    "trace_word",
     "__version__",
 ]

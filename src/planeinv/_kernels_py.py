@@ -1,15 +1,18 @@
 """Pure-Python matrix kernels.
 
-These two routines are the arithmetic inner loops of the whole package:
-every inverse, nullspace, solve and word-trace ultimately bottoms out in
-``mat_mul`` and ``rref_in_place``, which :mod:`planeinv.linalg` calls.
+These routines are the arithmetic inner loops of the whole package: every
+inverse, nullspace, solve and word-trace ultimately bottoms out in
+``mat_mul`` and ``rref_in_place``, which :mod:`planeinv.linalg` calls, and
+the Jacobian rank is certified first by ``rank_mod_p``.
 
-Both kernels work on plain list-of-lists whose entries belong to any exact
-field type (``fractions.Fraction`` or :class:`planeinv.linalg.Jet`);
-``mat_mul`` needs only a ring, and the word stage runs it over ``int`` and
-jets of ``int``.  Pivot selection uses truthiness of entries, so a ``Jet``
-pivots on its value part alone -- that is exactly what keeps
-differentiation consistent with the undifferentiated computation.
+``mat_mul`` and ``rref_in_place`` work on plain list-of-lists whose entries
+belong to any exact field type (``fractions.Fraction`` or
+:class:`planeinv.linalg.Jet`, whose derivative vectors ride along at no
+cost to the pivoting); ``mat_mul`` needs only a ring, and the word stage
+runs it over ``int`` and jets of ``int``.  Pivot selection uses truthiness
+of entries, so a ``Jet`` pivots on its value part alone -- that is exactly
+what keeps differentiation consistent with the undifferentiated
+computation.  ``rank_mod_p`` works over plain ``int`` modulo a prime.
 """
 
 
@@ -69,3 +72,26 @@ def rref_in_place(m):
         pivots.append(pc)
         pr += 1
     return tuple(pivots)
+
+
+def rank_mod_p(m, p):
+    """Rank of the integer matrix ``m`` (list of lists) over the field Z/p.
+
+    ``p`` must be prime.  Only the rank is kept: each nonzero row in turn
+    becomes a pivot row and its pivot column is cleared from the rows
+    still waiting, all over plain ``int``.  ``m`` is left unchanged.
+    """
+    rows = [[x % p for x in row] for row in m]
+    rank = 0
+    while rows:
+        prow = rows.pop()
+        pc = next((j for j, x in enumerate(prow) if x), -1)
+        if pc < 0:
+            continue
+        rank += 1
+        inv = pow(prow[pc], -1, p)
+        for i, row in enumerate(rows):
+            f = row[pc] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+    return rank

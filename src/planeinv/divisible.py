@@ -25,7 +25,6 @@ from .errors import (
     CaseMismatchError,
     Degeneracy,
     DegenerateConfigError,
-    DimensionMismatchError,
     SingularMatrixError,
 )
 from .grassmann import CaseTag, Config, Subspace, classify_case
@@ -40,36 +39,6 @@ def _require_divisible(config: Config) -> CaseTag:
             f"(n, d) = ({config.n}, {config.d}) is not in the divisible case"
         )
     return tag
-
-
-def double_ratio(m: Mat, block_size: int) -> Mat:
-    """The 2 x 2 block ratio of a 2d x 2d matrix: N11 N21^-1 N22 N12^-1."""
-    if m.rows != 2 * block_size or m.cols != 2 * block_size:
-        raise DimensionMismatchError("double_ratio needs a 2d x 2d matrix")
-    return block_ratio(m, 2, 2, block_size)
-
-
-def block_ratio(m: Mat, i: int, j: int, block_size: int) -> Mat:
-    """Block ratio D_ij = N11 * N_i1^-1 * N_ij * N_1j^-1 (1-based block indices)."""
-    d = block_size
-    if m.rows % d or m.cols % d:
-        raise DimensionMismatchError("matrix is not divided evenly into d x d blocks")
-    br, bc = m.rows // d, m.cols // d
-    if not (1 <= i <= br and 1 <= j <= bc):
-        raise IndexError(f"block ({i}, {j}) out of range for a {br} x {bc} block grid")
-
-    def blk(bi: int, bj: int) -> Mat:
-        return m.block((bi - 1) * d, bi * d, (bj - 1) * d, bj * d)
-
-    def inv(bi: int, bj: int) -> Mat:
-        try:
-            return blk(bi, bj).inverse()
-        except SingularMatrixError:
-            raise DegenerateConfigError(
-                f"block ({bi}, {bj}) of the translated matrix is singular"
-            ) from None
-
-    return blk(1, 1) @ inv(i, 1) @ blk(i, j) @ inv(1, j)
 
 
 def phi_left(config: Config) -> Mat:

@@ -157,16 +157,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(n={self.n}, d={self.d})"
 
-    def contains(self, other) -> bool:
-        """Whether ``other`` (a Subspace, or a matrix of column vectors,
-        possibly with zero columns) lies inside this span."""
-        basis = other.basis if isinstance(other, Subspace) else other
-        if basis.rows != self.n:
-            raise DimensionMismatchError("ambient dimensions differ")
-        if basis.cols == 0:
-            return True
-        return hstack([self.basis, basis]).rank() == self.basis.rank()
-
 
 def canonicalize(sub: Subspace) -> Subspace:
     """The subspace re-expressed in its unique column-RREF basis.

@@ -4,24 +4,28 @@ Everything downstream -- subspace normal forms, invariant letters, Jacobian
 ranks -- is built from the handful of operations here.  There is no floating
 point anywhere: scalars are ``fractions.Fraction`` (gcd-reduced arbitrary
 precision rationals from the stdlib, exposed as :data:`Rat`) or
-:class:`Jet` dual numbers over them.
+:class:`Jet` dual numbers over them.  A jet carries one value and a
+derivative vector, one entry per direction, as integer numerators over one
+common denominator, so a single pass differentiates along every direction.
 
-The two hot loops (``mat_mul``, ``rref_in_place``) live in
-:mod:`planeinv._kernels_py`.  Loop overhead is not the cost over
-``Fraction``; the rational arithmetic and the growth of entry bit-size are.
-Word traces (:mod:`planeinv.words`) do not multiply ``Fraction``
-matrices: each letter is scaled to integers once, so their ``mat_mul``
-calls run over ``int`` or jets of ``int``.  What runs over ``Fraction`` is
-the reduction that builds the letters (``rref_in_place`` under inverses,
-solves and kernels) and the exact rank of the Jacobian rows.
+The hot loops (``mat_mul``, ``rref_in_place``, and the rank-only
+elimination ``rank_mod_p``) live in :mod:`planeinv._kernels_py`.  Loop
+overhead is not the cost over ``Fraction``; the rational arithmetic and the
+growth of entry bit-size are.  Word traces (:mod:`planeinv.words`) do not
+multiply ``Fraction`` matrices: each letter is scaled to integers once, so
+their ``mat_mul`` calls run over ``int`` or jets of ``int``.  What runs over
+``Fraction`` is the reduction that builds the letters (``rref_in_place``
+under inverses, solves and kernels) and, when the certificate modulo a
+prime falls short, the exact rank of the Jacobian rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
-from ._kernels_py import mat_mul as _mat_mul, rref_in_place as _rref_in_place
+from ._kernels_py import mat_mul as _mat_mul, rank_mod_p, rref_in_place as _rref_in_place
 from .errors import DimensionMismatchError, RankDeficientError, SingularMatrixError
 
 Rat = Fraction
@@ -31,97 +35,191 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class Jet:
-    """Dual number ``value + deriv * eps`` with ``eps**2 == 0``.
+def _reduced(nums: list, den: int) -> tuple[tuple, int]:
+    """``nums / den`` with the common factor of all entries and ``den`` divided out."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple([x // g for x in nums]), den // g
+    return tuple(nums), den
 
-    Carrying a jet through an exact computation yields the exact partial
-    derivative of every output with respect to one input coordinate.
+
+def _scaled(c, nums: tuple, den: int) -> tuple[tuple, int]:
+    """``c * nums / den`` for a rational ``c``, reduced."""
+    if not c or not nums:
+        return (), 1
+    p = c.numerator
+    return _reduced([p * x for x in nums], c.denominator * den)
+
+
+def _combined(c1, n1: tuple, d1: int, c2, n2: tuple, d2: int) -> tuple[tuple, int]:
+    """``c1 * n1 / d1 + c2 * n2 / d2`` for rationals ``c1``, ``c2``, reduced."""
+    if not n2 or not c2:
+        return _scaled(c1, n1, d1)
+    if not n1 or not c1:
+        return _scaled(c2, n2, d2)
+    q1 = c1.denominator * d1
+    q2 = c2.denominator * d2
+    g = gcd(q1, q2)
+    f1 = c1.numerator * (q2 // g)
+    f2 = c2.numerator * (q1 // g)
+    return _reduced([f1 * x + f2 * y for x, y in zip(n1, n2)], q1 // g * q2)
+
+
+def _summed(n1: tuple, d1: int, n2: tuple, d2: int, sign: int) -> tuple[tuple, int]:
+    """``n1 / d1 + sign * n2 / d2`` for ``sign`` in {1, -1}, reduced."""
+    if not n2:
+        return n1, d1
+    if not n1:
+        return (n2 if sign > 0 else tuple([-y for y in n2])), d2
+    if d1 == d2:
+        if sign > 0:
+            return _reduced([x + y for x, y in zip(n1, n2)], d1)
+        return _reduced([x - y for x, y in zip(n1, n2)], d1)
+    g = gcd(d1, d2)
+    f1 = d2 // g
+    f2 = sign * (d1 // g)
+    return _reduced([f1 * x + f2 * y for x, y in zip(n1, n2)], d1 * f1)
+
+
+class JetDeriv:
+    """The derivative vector of a :class:`Jet`: one entry per direction.
+
+    Entry ``i`` is ``Fraction(nums[i], denominator)``; indexing and
+    iteration yield those ``Fraction`` entries, and an empty ``nums`` is
+    the zero vector.  ``numerator`` is the entry numerator of largest
+    magnitude, so ``numerator`` and ``denominator`` bound the bit size of
+    every entry, as they do for a ``Fraction``.
+    """
+
+    __slots__ = ("nums", "denominator")
+
+    def __init__(self, nums: tuple, denominator: int):
+        self.nums = nums
+        self.denominator = denominator
+
+    @property
+    def numerator(self) -> int:
+        return max(self.nums, key=abs, default=0)
+
+    def __getitem__(self, i) -> Fraction:
+        return Fraction(self.nums[i], self.denominator)
+
+    def __iter__(self):
+        den = self.denominator
+        return (Fraction(x, den) for x in self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, JetDeriv):
+            return NotImplemented
+        a, b = self.nums, other.nums
+        if len(a) != len(b):
+            return not any(a) and not any(b)
+        da, db = self.denominator, other.denominator
+        return all(x * db == y * da for x, y in zip(a, b))
+
+    def __hash__(self):
+        return hash(tuple(self) if any(self.nums) else ())
+
+    def __repr__(self):
+        return f"JetDeriv({self.nums!r}, {self.denominator!r})"
+
+
+class Jet:
+    """Dual number ``value + sum_i deriv[i] * eps_i`` with ``eps_i * eps_j == 0``.
+
+    Carrying jets through an exact computation yields the exact derivative
+    of every output along each of several input directions at once (vector
+    forward mode; Griewank-Walther, *Evaluating Derivatives*): the value is
+    computed once, and the derivatives are a vector of integer numerators
+    ``nums`` over one common positive denominator ``den``, reduced by one
+    gcd after each operation.  An empty ``nums`` is the zero derivative;
+    ``int`` and ``Fraction`` operands take fast paths that build none.
     Truthiness (hence every pivot decision in the kernels) looks only at
     ``value``, so a differentiated run takes the same elimination path as
     the plain run it shadows.
     """
 
-    __slots__ = ("value", "deriv")
+    __slots__ = ("value", "nums", "den")
 
-    def __init__(self, value, deriv=_ZERO):
+    def __init__(self, value, nums: tuple = (), den: int = 1):
         self.value = value
-        self.deriv = deriv
+        self.nums = nums
+        self.den = den
 
-    @classmethod
-    def variable(cls, value) -> "Jet":
-        return cls(value, _ONE)
-
-    @classmethod
-    def constant(cls, value) -> "Jet":
-        return cls(value, _ZERO)
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Jet(Fraction(other))
-        return None
+    @property
+    def deriv(self) -> JetDeriv:
+        return JetDeriv(self.nums, self.den)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value + o.value, self.deriv + o.deriv)
+        if type(other) is Jet:
+            return Jet(self.value + other.value, *_summed(self.nums, self.den, other.nums, other.den, 1))
+        if isinstance(other, (int, Fraction)):
+            return Jet(self.value + other, self.nums, self.den)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value - o.value, self.deriv - o.deriv)
+        if type(other) is Jet:
+            return Jet(self.value - other.value, *_summed(self.nums, self.den, other.nums, other.den, -1))
+        if isinstance(other, (int, Fraction)):
+            return Jet(self.value - other, self.nums, self.den)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(o.value - self.value, o.deriv - self.deriv)
+        if isinstance(other, (int, Fraction)):
+            return Jet(other - self.value, tuple([-x for x in self.nums]), self.den)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value * o.value, self.value * o.deriv + self.deriv * o.value)
+        if type(other) is Jet:
+            sv, ov = self.value, other.value
+            return Jet(sv * ov, *_combined(sv, other.nums, other.den, ov, self.nums, self.den))
+        if isinstance(other, (int, Fraction)):
+            return Jet(self.value * other, *_scaled(other, self.nums, self.den))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.value:
-            raise ZeroDivisionError("division by a jet with zero value")
-        v = self.value / o.value
-        return Jet(v, (self.deriv - v * o.deriv) / o.value)
+        if type(other) is Jet:
+            if not other.value:
+                raise ZeroDivisionError("division by a jet with zero value")
+            inv = _ONE / other.value
+            v = self.value * inv
+            return Jet(v, *_combined(inv, self.nums, self.den, -v * inv, other.nums, other.den))
+        if isinstance(other, (int, Fraction)):
+            return self * (_ONE / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, (int, Fraction)):
+            if not self.value:
+                raise ZeroDivisionError("division by a jet with zero value")
+            inv = _ONE / self.value
+            v = other * inv
+            return Jet(v, *_scaled(-v * inv, self.nums, self.den))
+        return NotImplemented
 
     def __neg__(self):
-        return Jet(-self.value, -self.deriv)
+        return Jet(-self.value, tuple([-x for x in self.nums]), self.den)
 
     def __bool__(self):
         return bool(self.value)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value and self.deriv == o.deriv
+        if type(other) is Jet:
+            return self.value == other.value and self.deriv == other.deriv
+        if isinstance(other, (int, Fraction)):
+            return self.value == other and not any(self.nums)
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.value, self.deriv))
 
     def __repr__(self):
-        return f"Jet({self.value!r}, {self.deriv!r})"
+        return f"Jet({self.value!r}, {self.nums!r}, {self.den!r})"
 
 
 def as_scalar(x):
@@ -232,13 +330,6 @@ class Mat:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-    def scale(self, c) -> "Mat":
-        c = as_scalar(c)
-        return Mat._raw([[c * a for a in row] for row in self.data])
-
-    def map(self, fn: Callable) -> "Mat":
-        return Mat._raw([[fn(a) for a in row] for row in self.data])
 
     def transpose(self) -> "Mat":
         if self.cols == 0:
@@ -356,18 +447,3 @@ def vstack(mats: Iterable[Mat]) -> Mat:
         raise DimensionMismatchError("vstack needs equal column counts")
     return Mat._raw([row[:] for m in mats for row in m.data])
 
-
-def trace_word(letters: Sequence[Mat], word: Sequence[int]):
-    """Trace of the product ``letters[word[0]] @ letters[word[1]] @ ...``.
-
-    Letter indices are 0-based; an out-of-range index raises ``IndexError``.
-    """
-    if not word:
-        raise IndexError("empty word")
-    for k in word:
-        if not 0 <= k < len(letters):
-            raise IndexError(f"letter index {k} out of range for alphabet of {len(letters)}")
-    acc = letters[word[0]]
-    for k in word[1:]:
-        acc = acc @ letters[k]
-    return acc.trace()

@@ -373,8 +373,12 @@ def reduce_odd(nc: NormalizedColumns, frame: FrameOdd) -> ReducedOdd:
     except SingularMatrixError:
         raise DegenerateConfigError("intersection frame is singular") from None
 
+    # Each member in H-coordinates, computed once: members j >= r+2 give
+    # both a b-column and a c-column.
+    in_frame = {j: h_inv @ nc.block(j) for j in range(r + 1, s + 1)}
+
     def normalized_column(j: int, kill_row_block: int) -> Mat:
-        n_j = h_inv @ nc.block(j)
+        n_j = in_frame[j]
         kernel = _row_block(n_j, kill_row_block, e).nullspace_basis()
         if kernel.cols != e:
             raise WrongKernelDimension(

@@ -16,17 +16,18 @@ the invariants are traces of words in the letters, which are
 conjugation-invariant polynomials, so the Jacobian factors through the
 Jacobian of the trace map at the letters, whose rank nowhere exceeds its
 generic rank, the transcendence degree above.  :func:`jacobian_rank`
-therefore first takes derivatives along ``bound + 1`` pseudo-random integer
-directions only; their rank is a lower bound, and when it meets the upper
-bound it is the exact rank.  Any other outcome falls back to one derivative
-per coordinate.
+therefore takes derivatives along ``bound + 1`` pseudo-random integer
+directions only, all in one pass over jets that carry a derivative vector;
+their rank is a lower bound, and when it meets the upper bound it is the
+exact rank.  That rank is computed modulo a prime first, which can only
+lower it, so a match there is already a proof.  Any other outcome falls back
+to the rational rank of the same rows, then to one more pass along every
+coordinate direction.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-
 from .errors import (
     DegenerateConfigError,
     ShapeMismatchError,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from . import divisible, odd
 from .grassmann import Config, SplitMix64, Subspace, classify_case
-from .linalg import Jet, Mat
+from .linalg import Jet, Mat, rank_mod_p
 from .words import InvariantVector, enumerate_words, letter_size
 
 __all__ = [
@@ -161,61 +162,81 @@ def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict
 _SKETCH_SEED = 0x6A6163
 _SKETCH_BOUND = 9
 
+# The prime of the first certification attempt: 2**61 - 1.
+_RANK_PRIME = (1 << 61) - 1
+
+
+def _sketch(coords: int, count: int) -> list[list[int]]:
+    """The first ``count`` sketch directions, each with ``coords`` entries."""
+    rng = SplitMix64(_SKETCH_SEED)
+    return [[rng.next_int(_SKETCH_BOUND) for _ in range(coords)] for _ in range(count)]
+
 
 def jacobian_rank(config: Config, max_len: int | None = None) -> int:
     """Exact rank of the invariant map's Jacobian J at ``config``.
 
-    The full pipeline runs over jets, so one pass gives the exact
-    derivative of every word value along one direction in the n*d*s basis
-    entries.  With ``bound = min(expected_quotient_dim, len(vector),
-    n*d*s)``, which bounds rank(J) at every point (see the module
-    docstring), the first ``min(bound + 1, n*d*s)`` passes take fixed
-    pseudo-random integer directions R: rank(J R) <= rank(J), so a sketch
-    rank equal to ``bound`` is the exact rank.  A sketch that falls short (a
-    special point, or an unlucky draw) or exceeds ``bound`` (a wrong count)
-    is discarded, and the rank is that of one pass per coordinate (n*d*s
-    unit directions), by exact elimination either way.  Requires general
-    position (:class:`DegenerateConfigError` otherwise, naming the failed
-    condition the base pass recorded).
+    One pass of the full pipeline over jets gives the exact derivative of
+    every word value along all directions at once (in the n*d*s basis
+    entries).  With ``expected = expected_quotient_dim``, that pass takes
+    the first ``min(expected + 1, n*d*s)`` fixed pseudo-random integer
+    directions R: rank(J R) <= rank(J) <= ``bound = min(expected,
+    len(vector), n*d*s)`` (see the module docstring), so a sketch rank equal
+    to ``bound`` is the exact rank.  Each word's derivatives share one
+    denominator, so scaling each word's column by it gives an integer
+    matrix of the same rank.  Its rank modulo the prime 2**61 - 1 is at
+    most its rank over the rationals, so that rank is tried first; if it
+    falls short of ``bound``, the exact rational rank of the same matrix
+    is.  A sketch that still falls short (a special point, or an unlucky
+    draw) or exceeds ``bound`` (a wrong count) is discarded, and the rank is
+    that of one more pass with the n*d*s unit directions, by exact
+    elimination.  The pass pivots on values, so it records the plain
+    pass's degeneracy; a configuration out of general position raises
+    :class:`DegenerateConfigError`, naming the failed condition.
     """
     tag = classify_case(config.n, config.d)
     if not tag.supported:
         raise UnsupportedCaseError(
             f"no reduction applies to (n, d) = ({config.n}, {config.d})"
         )
-    base = invariant_vector(config, max_len)
-    if base.degeneracy is not None:
-        raise base.degeneracy.error()
-    if not len(base):
-        return 0
     coords = config.n * config.d * config.s
-    bound = min(expected_quotient_dim(config.n, config.d, config.s), len(base), coords)
-    rng = SplitMix64(_SKETCH_SEED)
-    sketch = [
-        [Fraction(rng.next_int(_SKETCH_BOUND)) for _ in range(coords)]
-        for _ in range(min(bound + 1, coords))
-    ]
-    if _jet_rank(config, sketch, max_len) == bound:
+    expected = expected_quotient_dim(config.n, config.d, config.s)
+    rows = _derivative_rows(config, _sketch(coords, min(expected + 1, coords)), max_len)
+    if not rows:
+        return 0
+    bound = min(expected, len(rows[0]), coords)
+    if rank_mod_p(rows, _RANK_PRIME) == bound or Mat(rows).rank() == bound:
         return bound
-    units = ([Fraction(int(c == k)) for c in range(coords)] for k in range(coords))
-    return _jet_rank(config, units, max_len)
+    units = [[int(c == k) for c in range(coords)] for k in range(coords)]
+    return Mat(_derivative_rows(config, units, max_len)).rank()
 
 
-def _jet_rank(config: Config, directions, max_len: int | None) -> int:
-    """Exact rank of the invariant vector's derivatives along ``directions``.
+def _jet_pass(config: Config, directions: list[list[int]], max_len: int | None) -> tuple:
+    """The invariant values over jets that carry all ``directions`` at once.
 
     Each direction holds one derivative per basis entry, in (member, row,
-    column) order; one jet pass turns it into one row of the matrix.  The
-    jet bases skip the independence check: their value parts are the
-    configuration's checked bases, and a jet pivots on its value alone.
+    column) order, so basis entry c becomes a jet whose derivative vector is
+    ``(directions[0][c], ..., directions[-1][c])``.  The jet bases skip the
+    independence check: their value parts are the configuration's checked
+    bases, and a jet pivots on its value alone.  Raises the pass's
+    degeneracy, which is the plain pass's.
     """
-    rows = []
-    for direction in directions:
-        deriv = iter(direction)
-        jet_subs = [
-            Subspace._raw(Mat._raw([[Jet(x, next(deriv)) for x in row] for row in sub.basis.data]))
-            for sub in config.subspaces
-        ]
-        jet_vec = invariant_vector(Config(jet_subs), max_len)
-        rows.append([v.deriv for v in jet_vec.values])
-    return Mat(rows).rank()
+    per_entry = zip(*directions)
+    jet_subs = [
+        Subspace._raw(Mat._raw([[Jet(x, next(per_entry)) for x in row] for row in sub.basis.data]))
+        for sub in config.subspaces
+    ]
+    vec = invariant_vector(Config(jet_subs), max_len)
+    if vec.degeneracy is not None:
+        raise vec.degeneracy.error()
+    return vec.values
+
+
+def _derivative_rows(config: Config, directions: list[list[int]], max_len: int | None) -> list:
+    """The rows of J R, one per direction, as integers; empty when there are no words.
+
+    Each word's column is scaled by the common denominator of its
+    derivatives, which leaves the rank unchanged.
+    """
+    zeros = (0,) * len(directions)
+    columns = [v.nums or zeros for v in _jet_pass(config, directions, max_len)]
+    return [list(row) for row in zip(*columns)]

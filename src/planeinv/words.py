@@ -76,19 +76,19 @@ def enumerate_words(alphabet_size: int, max_len: int) -> list[tuple[int, ...]]:
 def _scaled(letter: Mat, jet: bool) -> tuple[Mat, int]:
     """``letter`` times the least common denominator D of its entries, and D.
 
-    Over jets D covers the value and the derivative parts, so the scaled
-    jet is (D*value, D*deriv) with both parts integers.
+    Over jets D covers the values and the derivative vectors' common
+    denominators, so each scaled jet has an integer value and integer
+    derivatives over the denominator 1.
     """
     if jet:
-        parts = [
-            (x.value, x.deriv) if isinstance(x, Jet) else (x, 0)
-            for row in letter.data
-            for x in row
-        ]
-        denom = math.lcm(*(p.denominator for pair in parts for p in pair))
+        entries = [x if isinstance(x, Jet) else Jet(x) for row in letter.data for x in row]
+        denom = math.lcm(*(x.value.denominator for x in entries), *(x.den for x in entries))
         ints = [
-            Jet(v.numerator * (denom // v.denominator), dv.numerator * (denom // dv.denominator))
-            for v, dv in parts
+            Jet(
+                x.value.numerator * (denom // x.value.denominator),
+                tuple([denom // x.den * n for n in x.nums]),
+            )
+            for x in entries
         ]
     else:
         denom = math.lcm(*(x.denominator for row in letter.data for x in row))
@@ -101,15 +101,15 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     """Traces of the letter products along each word, as exact rationals.
 
     Each letter L_i is scaled once by the least common denominator D_i of
-    its entries (over jets, of the value and the derivative parts), which
-    makes it an integer matrix.  Products of these integer letters along
+    its entries (over jets, of the values and the derivative vectors' common
+    denominators), which makes it an integer matrix.  Products of these integer letters along
     word prefixes are cached across words, so the (length, lex)-ordered
     family costs about one m x m product per distinct proper prefix.  The
     last factor is never multiplied out: tr(P L) = sum_ik P[i][k] L[k][i]
     folds it into the trace at m**2 scalar products instead of m**3.  Each
     value is ``Fraction(t, D_w)`` with D_w the product of the D_i along the
-    word -- or a ``Jet`` of two such fractions -- so it costs one gcd, and
-    no integer leaves this function.
+    word -- or a ``Jet`` with that value and its derivative vector over
+    D_w, reduced by one gcd -- and no integer leaves this function.
     """
     if not words:
         return []
@@ -136,10 +136,7 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
             head, denom = prefix(w[:-1])
             denom *= scaled[w[-1]][1]
             t = reduce(add, map(mul, chain.from_iterable(head.data), flat_t[w[-1]]))
-        if jet:
-            values.append(Jet(Fraction(t.value, denom), Fraction(t.deriv, denom)))
-        else:
-            values.append(Fraction(t, denom))
+        values.append(t / denom if jet else Fraction(t, denom))
     return values
 
 

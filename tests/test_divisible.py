@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from planeinv.divisible import (
     ReducedDivisible,
-    block_ratio,
-    double_ratio,
     embed,
     invariants,
     matrix_data,
     phi_left,
 )
-from planeinv.errors import CaseMismatchError, DegenerateConfigError
+from planeinv.errors import (
+    CaseMismatchError,
+    DegenerateConfigError,
+    DimensionMismatchError,
+    SingularMatrixError,
+)
 from planeinv.grassmann import (
     Config,
     SplitMix64,
@@ -31,6 +34,40 @@ from planeinv.linalg import Mat
 # ---------------------------------------------------------------------------
 # ratio maps
 # ---------------------------------------------------------------------------
+
+
+def block_ratio(m: Mat, i: int, j: int, block_size: int) -> Mat:
+    """Block ratio D_ij = N11 * N_i1^-1 * N_ij * N_1j^-1 (1-based block indices).
+
+    The letter formula written out block by block, as the oracle for the
+    letter grid, which inverts each block once instead.
+    """
+    d = block_size
+    if m.rows % d or m.cols % d:
+        raise DimensionMismatchError("matrix is not divided evenly into d x d blocks")
+    br, bc = m.rows // d, m.cols // d
+    if not (1 <= i <= br and 1 <= j <= bc):
+        raise IndexError(f"block ({i}, {j}) out of range for a {br} x {bc} block grid")
+
+    def blk(bi: int, bj: int) -> Mat:
+        return m.block((bi - 1) * d, bi * d, (bj - 1) * d, bj * d)
+
+    def inv(bi: int, bj: int) -> Mat:
+        try:
+            return blk(bi, bj).inverse()
+        except SingularMatrixError:
+            raise DegenerateConfigError(
+                f"block ({bi}, {bj}) of the translated matrix is singular"
+            ) from None
+
+    return blk(1, 1) @ inv(i, 1) @ blk(i, j) @ inv(1, j)
+
+
+def double_ratio(m: Mat, block_size: int) -> Mat:
+    """The 2 x 2 block ratio of a 2d x 2d matrix: N11 N21^-1 N22 N12^-1."""
+    if m.rows != 2 * block_size or m.cols != 2 * block_size:
+        raise DimensionMismatchError("double_ratio needs a 2d x 2d matrix")
+    return block_ratio(m, 2, 2, block_size)
 
 
 def _phi_of_points(*zs):

@@ -1,5 +1,6 @@
 """Exact linear algebra: Mat, Jet dual numbers, and the kernels."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from planeinv.errors import (
     SingularMatrixError,
 )
 from planeinv._kernels_py import mat_mul, rref_in_place
-from planeinv.linalg import Jet, Mat, hstack, trace_word, vstack
+from planeinv.linalg import Jet, Mat, hstack, vstack
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -189,52 +190,151 @@ class TestRrefAndNullspace:
 # ---------------------------------------------------------------------------
 
 
+def jet(value, derivs=()):
+    """A jet from its value and a list of rational derivatives."""
+    den = math.lcm(*(Fraction(x).denominator for x in derivs))
+    return Jet(value, tuple(int(x * den) for x in derivs), den)
+
+
 class TestJet:
     def test_product_rule_golden(self):
         # (2 + eps)(3 + eps) = 6 + 5 eps
-        a = Jet(Fraction(2), Fraction(1))
-        b = Jet(Fraction(3), Fraction(1))
+        a = jet(Fraction(2), [1])
+        b = jet(Fraction(3), [1])
         p = a * b
-        assert p.value == 6 and p.deriv == 5
+        assert p.value == 6 and list(p.deriv) == [5]
 
     def test_quotient_rule(self):
         # d/dx (x / (x + 1)) at x = 1 is 1/4
-        x = Jet.variable(Fraction(1))
-        q = x / (x + Jet.constant(Fraction(1)))
+        x = jet(Fraction(1), [1])
+        q = x / (x + Jet(Fraction(1)))
         assert q.value == Fraction(1, 2)
-        assert q.deriv == Fraction(1, 4)
+        assert list(q.deriv) == [Fraction(1, 4)]
 
     def test_bool_follows_value(self):
-        assert not Jet(Fraction(0), Fraction(5))
-        assert Jet(Fraction(1), Fraction(0))
+        assert not jet(Fraction(0), [5])
+        assert jet(Fraction(1), [0])
 
     def test_mixed_arithmetic_with_ints(self):
-        x = Jet.variable(Fraction(3))
+        x = jet(Fraction(3), [1])
         y = 2 * x + 1 - x / 3
         assert y.value == 6
-        assert y.deriv == Fraction(5, 3)
+        assert list(y.deriv) == [Fraction(5, 3)]
 
     def test_epsilon_squared_vanishes(self):
-        eps = Jet(Fraction(0), Fraction(1))
+        eps = jet(Fraction(0), [1, 2])
         sq = eps * eps
-        assert sq.value == 0 and sq.deriv == 0
+        assert sq.value == 0 and not any(sq.deriv)
 
     @given(rationals, rationals, rationals, rationals)
     def test_addition_componentwise(self, a, b, da, db):
-        s = Jet(a, da) + Jet(b, db)
-        assert s.value == a + b and s.deriv == da + db
+        s = jet(a, [da, 2 * da]) + jet(b, [db, -db])
+        assert s.value == a + b and list(s.deriv) == [da + db, 2 * da - db]
 
     def test_matrix_inverse_derivative(self):
         # d/dt inv(1 + t) at t = 1 is -1/4; embed as a 1x1 matrix of Jets
-        m = Mat([[Jet(Fraction(2), Fraction(1))]])
+        m = Mat([[jet(Fraction(2), [1, 2])]])
         inv = m.inverse()
         assert inv.data[0][0].value == Fraction(1, 2)
-        assert inv.data[0][0].deriv == Fraction(-1, 4)
+        assert list(inv.data[0][0].deriv) == [Fraction(-1, 4), Fraction(-1, 2)]
+
+    def test_deriv_exposes_numerator_and_denominator(self):
+        d = jet(Fraction(1), [Fraction(-7, 6), Fraction(1, 4)]).deriv
+        assert (d.numerator, d.denominator) == (-14, 12)
+        assert (Jet(Fraction(1)).deriv.numerator, Jet(Fraction(1)).deriv.denominator) == (0, 1)
+
+
+# Scalar dual numbers (value, derivative) as pairs of Fractions: the oracle
+# for one direction of a k-direction jet.
+DUAL_OPS = {
+    "add": (lambda a, b: a + b, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+    "sub": (lambda a, b: a - b, lambda a, b: (a[0] - b[0], a[1] - b[1])),
+    "mul": (lambda a, b: a * b, lambda a, b: (a[0] * b[0], a[0] * b[1] + a[1] * b[0])),
+    "div": (
+        lambda a, b: a / b,
+        lambda a, b: (a[0] / b[0], (a[1] * b[0] - a[0] * b[1]) / (b[0] * b[0])),
+    ),
+}
+
+small_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12)),
+)
+
+
+def operands(k):
+    """A k-direction jet (as a Jet and as k scalar duals), an int or a Fraction."""
+    value = small_rationals.map(Fraction)
+    derivs = st.one_of(st.just([]), st.lists(small_rationals, min_size=k, max_size=k))
+    as_jet = st.tuples(value, derivs).map(
+        lambda vd: (jet(*vd), [(vd[0], Fraction(x)) for x in vd[1] or [0] * k])
+    )
+    as_const = small_rationals.map(lambda c: (c, [(Fraction(c), Fraction(0))] * k))
+    return st.one_of(as_jet, as_jet, as_const)
+
+
+class TestJetVector:
+    """k-direction jet arithmetic equals k one-direction computations."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                operands(k),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(sorted(DUAL_OPS)), st.booleans(), st.booleans(), operands(k)
+                    ),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_chain_matches_scalar_duals(self, case):
+        k, (acc, duals), steps = case
+        for name, reflected, negate, (operand, operand_duals) in steps:
+            jet_op, dual_op = DUAL_OPS[name]
+            left, right = (operand, acc) if reflected else (acc, operand)
+            dl, dr = (operand_duals, duals) if reflected else (duals, operand_duals)
+            if name == "div" and not dr[0][0]:
+                with pytest.raises(ZeroDivisionError):
+                    jet_op(left, right)
+                continue
+            if not isinstance(left, Jet) and not isinstance(right, Jet):
+                continue  # two constants: no jet arithmetic to check
+            acc = jet_op(left, right)
+            duals = [dual_op(a, b) for a, b in zip(dl, dr)]
+            if negate:
+                acc, duals = -acc, [(-v, -dv) for v, dv in duals]
+            assert isinstance(acc, Jet)
+            assert acc.value == duals[0][0]
+            got = list(acc.deriv) or [Fraction(0)] * k
+            assert got == [dv for _, dv in duals]
+            assert acc.den > 0 and math.gcd(acc.den, *acc.nums) == 1
 
 
 # ---------------------------------------------------------------------------
 # word traces
 # ---------------------------------------------------------------------------
+
+
+def trace_word(letters, word):
+    """Trace of the product ``letters[word[0]] @ letters[word[1]] @ ...``.
+
+    The uncached oracle for :func:`planeinv.words.evaluate_traces`.  Letter
+    indices are 0-based; an out-of-range index raises ``IndexError``.
+    """
+    if not word:
+        raise IndexError("empty word")
+    for k in word:
+        if not 0 <= k < len(letters):
+            raise IndexError(f"letter index {k} out of range for alphabet of {len(letters)}")
+    acc = letters[word[0]]
+    for k in word[1:]:
+        acc = acc @ letters[k]
+    return acc.trace()
 
 
 class TestTraceWord:

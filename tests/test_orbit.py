@@ -1,5 +1,6 @@
 """Word enumeration, orbit comparison, and quotient-dimension counting."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from planeinv.grassmann import (
     sample_config,
     sample_invertible,
 )
-from planeinv.linalg import Mat
+from planeinv.linalg import Jet, Mat
 from planeinv.orbit import (
     Verdict,
     expected_quotient_dim,
@@ -226,10 +227,13 @@ class TestVectorAndRank:
 
 
 def exhaustive_rank(config):
-    """The rank from one jet pass per coordinate, the sketch's fallback."""
+    """The rank from one one-direction jet pass per coordinate."""
     coords = config.n * config.d * config.s
-    units = ([Fraction(int(c == k)) for c in range(coords)] for k in range(coords))
-    return orbit._jet_rank(config, units, None)
+    rows = []
+    for k in range(coords):
+        unit = [[int(c == k) for c in range(coords)]]
+        rows.append([v.deriv[0] if v.nums else 0 for v in orbit._jet_pass(config, unit, None)])
+    return Mat(rows).rank()
 
 
 def diag_pair_config():
@@ -253,7 +257,7 @@ class TestRankSketch:
 
         monkeypatch.setattr(orbit, "invariant_vector", counted)
         assert jacobian_rank(sample_config(4, 2, 5, seed=101)) == 5
-        assert len(calls) == 1 + 6  # the base pass and 5 + 1 directions
+        assert len(calls) == 1  # one jet pass carries all 5 + 1 directions
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_agrees_with_exhaustive_on_rank_cells(self, n, d, s, seed, pinned):
@@ -275,3 +279,64 @@ class TestRankSketch:
             orbit, "expected_quotient_dim", lambda *shape: expected_quotient_dim(*shape) + shift
         )
         assert jacobian_rank(sample_config(n, d, s, seed=seed)) == true_rank
+
+
+# sha256 of the exact sketch rows (one row per direction, one entry per word)
+# at each point, computed by one one-direction jet pass per sketch direction.
+SKETCH_ROWS_SHA256 = {
+    (4, 2, 4, 505): "52f64069f07cd4aa6d5908347ba1659af8d94c26fb595ca478825a723967b907",
+    (4, 2, 5, 101): "5624771eed7f52566467ff1992d45288f33199f8c9f785713e7f70927073dd80",
+    (3, 2, 5, 202): "c1dce485a4b1a6a5ee1ba6add1ae5f7a344e8a0ec45d8e36c44346c8f6b19367",
+    (3, 2, 6, 303): "25d9b2a0b3eace20e1d90f01e64134ed8cb3d86c846c1321a7cc09f657007bda",
+    (5, 2, 5, 404): "5fdc3c4fca94c591ff40c6e6c3cee3477c5349c634b3ffd02315ae85468d80cc",
+    (6, 3, 5, 606): "b8e43c10ee10d42e4eedac92b437fb54a39d1f6f018bd0c70f95b19cb5f7481b",
+    (3, 2, 6, 11): "10bb4d3e8ef73d5734448bd9fcfe61668019015fe66adb89e976710a5bf2edc1",
+    (3, 2, 6, 12): "3cdce4d90fe1fe19c7c4052f3b4f7b3a516fbd1c22af771752ea53517ac9da5c",
+    (3, 2, 6, 13): "7b1d81fa42aaa1c3fc7fe4f0625e5cd32a461491024a19ac1620a06f9316d49e",
+    (4, 2, 5, 11): "fa46588e271a96ddadf0ba9ab6f509cd61c977747af240d8662eeca5afc14fac",
+    (4, 2, 5, 12): "b943d76603e2e63cac0f9f1d5a8823d96d1e9c562bd804f49ce5544f81f895b8",
+    (4, 2, 5, 13): "9e99589b409b01123223c909f5d8e41659af8d73de96b0f75b8c0e60e1e8c82b",
+    (5, 2, 5, 11): "e438a3528f75af0fdd6138b86d0dda4ff2f3d88f742724520125e70d166528d6",
+    (5, 2, 5, 12): "93aa1c8ca40b4f47aa3e07464d4ae4173c623830e46fa87b4772d5d31b101d5b",
+    (5, 2, 5, 13): "d9186deed674d799b94ecd776f54b87c18b99401ce8b6e456c0dd25b0c27480b",
+}
+
+
+class TestBatchedSketch:
+    @pytest.mark.parametrize("point", sorted(SKETCH_ROWS_SHA256))
+    def test_sketch_rows_pinned(self, point):
+        n, d, s, seed = point
+        coords = n * d * s
+        directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
+        values = orbit._jet_pass(sample_config(n, d, s, seed=seed), directions, None)
+        rows = [
+            [v.deriv[t] if v.nums else Fraction(0) for v in values]
+            for t in range(len(directions))
+        ]
+        text = ";".join(",".join(str(x) for x in row) for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == SKETCH_ROWS_SHA256[point]
+
+    def test_rank_drop_mod_p_reaches_rational_rank(self, monkeypatch):
+        """A sketch whose integer rows lose rank mod 2**61 - 1 is certified over Q."""
+        p = orbit._RANK_PRIME
+        assert p == 2**61 - 1
+        assert orbit.rank_mod_p([[p, 0], [0, 1]], p) == 1
+        assert Mat([[p, 0], [0, 1]]).rank() == 2
+
+        passes = []
+
+        def crafted(config, directions, max_len):
+            passes.append(len(directions))
+            return (Jet(Fraction(1), (p, 0, 0)), Jet(Fraction(1), (0, 1, 0)))
+
+        monkeypatch.setattr(orbit, "expected_quotient_dim", lambda *shape: 2)
+        monkeypatch.setattr(orbit, "_jet_pass", crafted)
+        assert jacobian_rank(sample_config(4, 2, 5, seed=101)) == 2
+        assert passes == [3]  # the sketch pass only: no unit-direction fallback
+
+    @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
+    def test_mod_p_rank_agrees_with_rational_rank(self, n, d, s, seed, pinned):
+        coords = n * d * s
+        directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
+        rows = orbit._derivative_rows(sample_config(n, d, s, seed=seed), directions, None)
+        assert orbit.rank_mod_p(rows, orbit._RANK_PRIME) == Mat(rows).rank() == pinned
