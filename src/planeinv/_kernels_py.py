@@ -9,7 +9,7 @@ the Jacobian rank is certified first by ``rank_mod_p``.
 belong to any exact field type (``fractions.Fraction`` or
 :class:`planeinv.linalg.Jet`, whose derivative vectors ride along at no
 cost to the pivoting); ``mat_mul`` needs only a ring, and the word stage
-runs it over ``int`` and jets of ``int``.  Pivot selection uses truthiness
+runs it over ``int``.  Pivot selection uses truthiness
 of entries, so a ``Jet`` pivots on its value part alone -- that is exactly
 what keeps differentiation consistent with the undifferentiated
 computation.  ``rank_mod_p`` works over plain ``int`` modulo a prime.

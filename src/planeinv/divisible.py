@@ -197,23 +197,23 @@ def embed(rd: ReducedDivisible) -> Config:
     return Config(members)
 
 
-def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
-    """Trace-invariant vector of a divisible-case configuration, in one pass.
+def letters(config: Config, max_len: int | None = None) -> tuple:
+    """(tag, letter ids, letters, degeneracy) of a divisible-case configuration, in one pass.
 
-    Empty (no letters, no entries) in the almost-homogeneous range
-    s <= r + 1, where all general-position configurations are equivalent.
-    The pass also decides general position and records the first failed
-    condition on the vector: for s <= r the members must be in direct sum;
-    for s > r the first r members must span and every d x d block of phi
-    must be invertible.  A failure that leaves the letters undefined raises
+    No letters in the almost-homogeneous range s <= r + 1, where all
+    general-position configurations are equivalent.  The pass also decides
+    general position and returns the first failed condition (``None`` if
+    none): for s <= r the members must be in direct sum; for s > r the
+    first r members must span and every d x d block of phi must be
+    invertible.  A failure that leaves the letters undefined raises
     :class:`DegenerateConfigError` instead, except in the empty range, where
-    every failure is recorded.  When ``max_len < 1`` no word is evaluated, so
-    the blocks the letters invert are inverted, as that check, but the
+    every failure is recorded.  When ``max_len < 1`` no word needs the
+    letters, so the blocks they invert are inverted, as that check, but the
     letters are not multiplied out.
     """
     tag = _require_divisible(config)
     r, d, s = tag.r, config.d, config.s
-    ids, letters, degeneracy = (), (), None
+    ids, mats, degeneracy = (), (), None
     if s <= r:
         if config.matrix().rank() != s * d:
             degeneracy = Degeneracy("members are not in direct sum")
@@ -225,9 +225,14 @@ def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
             if max_len is not None and max_len < 1:
                 _block_inverses(phi, r, d, s)  # the check; no word needs the products
             else:
-                letters = _letter_grid(phi, r, d, s).letters()
+                mats = _letter_grid(phi, r, d, s).letters()
         except DegenerateConfigError as exc:
             if s > r + 1:
                 raise
             degeneracy = Degeneracy.of(exc)
-    return trace_vector(config, tag, ids, letters, max_len, degeneracy)
+    return tag, ids, mats, degeneracy
+
+
+def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
+    """Trace-invariant vector of a divisible-case configuration, in one pass of :func:`letters`."""
+    return trace_vector(config, *letters(config, max_len), max_len)

@@ -264,22 +264,17 @@ def general_position(config: Config, tag: CaseTag | None = None) -> bool:
 
     This is exactly the set of conditions under which the invariant letters
     of the configuration are defined.  The reduction pass of the case's
-    ``invariants`` decides it constructively; it runs here with
-    ``max_len=0``, so no word trace is evaluated.  ``tag``, when given, must
-    match ``classify_case(config.n, config.d)``.  Unsupported (n, d) raises
+    ``letters`` decides it constructively; it runs here with ``max_len=0``,
+    so no trace vector is built.  ``tag``, when given, must match
+    ``classify_case(config.n, config.d)``.  Unsupported (n, d) raises
     :class:`UnsupportedCaseError`.
     """
     actual = classify_case(config.n, config.d)
     if tag is not None and tag != actual:
         raise CaseMismatchError(f"tag {tag} does not match the configuration's case {actual}")
-    if actual.kind == "divisible":
-        from . import divisible as mod
-    elif actual.kind == "odd_multiple":
-        from . import odd as mod
-    else:
-        raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({config.n}, {config.d})")
+    from .orbit import _reduction
     try:
-        return mod.invariants(config, max_len=0).degeneracy is None
+        return _reduction(config).letters(config, max_len=0)[3] is None
     except DegenerateConfigError:
         return False
 

@@ -13,10 +13,10 @@ elimination ``rank_mod_p``) live in :mod:`planeinv._kernels_py`.  Loop
 overhead is not the cost over ``Fraction``; the rational arithmetic and the
 growth of entry bit-size are.  Word traces (:mod:`planeinv.words`) do not
 multiply ``Fraction`` matrices: each letter is scaled to integers once, so
-their ``mat_mul`` calls run over ``int`` or jets of ``int``.  What runs over
-``Fraction`` is the reduction that builds the letters (``rref_in_place``
-under inverses, solves and kernels) and, when the certificate modulo a
-prime falls short, the exact rank of the Jacobian rows.
+their ``mat_mul`` calls, and their derivatives, run over ``int``.  What
+runs over ``Fraction`` or jets is the reduction that builds the letters
+(``rref_in_place`` under inverses, solves and kernels) and, when the
+certificate modulo a prime falls short, the exact rank of the Jacobian rows.
 """
 
 from __future__ import annotations
@@ -82,49 +82,6 @@ def _summed(n1: tuple, d1: int, n2: tuple, d2: int, sign: int) -> tuple[tuple, i
     return _reduced([f1 * x + f2 * y for x, y in zip(n1, n2)], d1 * f1)
 
 
-class JetDeriv:
-    """The derivative vector of a :class:`Jet`: one entry per direction.
-
-    Entry ``i`` is ``Fraction(nums[i], denominator)``; indexing and
-    iteration yield those ``Fraction`` entries, and an empty ``nums`` is
-    the zero vector.  ``numerator`` is the entry numerator of largest
-    magnitude, so ``numerator`` and ``denominator`` bound the bit size of
-    every entry, as they do for a ``Fraction``.
-    """
-
-    __slots__ = ("nums", "denominator")
-
-    def __init__(self, nums: tuple, denominator: int):
-        self.nums = nums
-        self.denominator = denominator
-
-    @property
-    def numerator(self) -> int:
-        return max(self.nums, key=abs, default=0)
-
-    def __getitem__(self, i) -> Fraction:
-        return Fraction(self.nums[i], self.denominator)
-
-    def __iter__(self):
-        den = self.denominator
-        return (Fraction(x, den) for x in self.nums)
-
-    def __eq__(self, other):
-        if not isinstance(other, JetDeriv):
-            return NotImplemented
-        a, b = self.nums, other.nums
-        if len(a) != len(b):
-            return not any(a) and not any(b)
-        da, db = self.denominator, other.denominator
-        return all(x * db == y * da for x, y in zip(a, b))
-
-    def __hash__(self):
-        return hash(tuple(self) if any(self.nums) else ())
-
-    def __repr__(self):
-        return f"JetDeriv({self.nums!r}, {self.denominator!r})"
-
-
 class Jet:
     """Dual number ``value + sum_i deriv[i] * eps_i`` with ``eps_i * eps_j == 0``.
 
@@ -146,10 +103,6 @@ class Jet:
         self.value = value
         self.nums = nums
         self.den = den
-
-    @property
-    def deriv(self) -> JetDeriv:
-        return JetDeriv(self.nums, self.den)
 
     def __add__(self, other):
         if type(other) is Jet:
@@ -209,14 +162,21 @@ class Jet:
         return bool(self.value)
 
     def __eq__(self, other):
-        if type(other) is Jet:
-            return self.value == other.value and self.deriv == other.deriv
         if isinstance(other, (int, Fraction)):
             return self.value == other and not any(self.nums)
-        return NotImplemented
+        if type(other) is not Jet:
+            return NotImplemented
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        if self.value != other.value or any(a) != any(b):
+            return False
+        return not any(a) or len(a) == len(b) and all(x * db == y * da for x, y in zip(a, b))
 
     def __hash__(self):
-        return hash((self.value, self.deriv))
+        # A zero derivative hashes as the value, which the jet then equals.
+        if not any(self.nums):
+            return hash(self.value)
+        g = gcd(self.den, *self.nums)
+        return hash((self.value, tuple([x // g for x in self.nums]), self.den // g))
 
     def __repr__(self):
         return f"Jet({self.value!r}, {self.nums!r}, {self.den!r})"

@@ -519,32 +519,37 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[LetterSetOdd, Degeneracy | No
         nullspace_component(nc, list(range(1, r + 1)), r + 1)
         return empty, None
     red = reduce_odd(nc, frame_odd(nc))
-    letters = letters_odd(red)
+    found = letters_odd(red)
     # letters_odd inverts c-block (2r+1, r+2) only when s >= r + 3
-    return letters, (
+    return found, (
         _singular(red.a_block(1), "a-block 1", r + 1)
         or _singular(red.c_block(r + 2, 2 * r + 1), f"c-block ({2 * r + 1}, r+2)", r + 2)
     )
 
 
-def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
-    """Trace-invariant vector of an odd-multiple configuration, in one pass.
+def letters(config: Config, max_len: int | None = None) -> tuple:
+    """(tag, letter ids, letters, degeneracy) of an odd-multiple configuration, in one pass.
 
-    Empty in the almost-homogeneous ranges: s <= 4 for r = 1; s <= r+1
+    No letters in the almost-homogeneous ranges: s <= 4 for r = 1; s <= r+1
     always; and s = r+2 when r = 2.  Otherwise the r = 1 or r >= 2 letter
-    pipeline runs; letters are e x e, so words run up to length
-    min(max_len, 2**e - 1).  The same pass decides general position and
-    records the first failed condition on the vector; a failure that leaves
-    the letters undefined raises :class:`DegenerateConfigError` instead,
-    except in the empty ranges, where every failure is recorded.
+    pipeline runs, to e x e letters.  The same pass decides general position
+    and returns the first failed condition (``None`` if none); a failure
+    that leaves the letters undefined raises :class:`DegenerateConfigError`
+    instead, except in the empty ranges, where every failure is recorded.
+    ``max_len`` is unused: it keeps the signature of the divisible case.
     """
     tag = _require_odd(config)
     r, s = tag.r, config.s
     trivial = (r == 1 and s <= 4) or s <= r + 1 or (r == 2 and s == r + 2)
     try:
-        letters, degeneracy = _reduce(config, tag)
+        found, degeneracy = _reduce(config, tag)
     except DegenerateConfigError as exc:
         if not trivial:
             raise
-        letters, degeneracy = LetterSetOdd(e=tag.e, r=r, s=s), Degeneracy.of(exc)
-    return trace_vector(config, tag, letters.ids(), letters.mats(), max_len, degeneracy)
+        found, degeneracy = LetterSetOdd(e=tag.e, r=r, s=s), Degeneracy.of(exc)
+    return tag, found.ids(), found.mats(), degeneracy
+
+
+def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
+    """Trace-invariant vector of an odd-multiple configuration, in one pass of :func:`letters`."""
+    return trace_vector(config, *letters(config, max_len), max_len)

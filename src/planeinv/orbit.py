@@ -9,7 +9,7 @@ m-dimensional centralizer, and its invariants are the m coefficients of its
 characteristic polynomial, so the dimension is m.
 :func:`expected_quotient_dim` computes that count, and :func:`jacobian_rank`
 measures the actual number of independent invariants at a point by exact
-differentiation (jets), with no floating point and no thresholds.
+differentiation, with no floating point and no thresholds.
 
 That count is also an upper bound on the Jacobian rank at *every* point:
 the invariants are traces of words in the letters, which are
@@ -17,12 +17,13 @@ conjugation-invariant polynomials, so the Jacobian factors through the
 Jacobian of the trace map at the letters, whose rank nowhere exceeds its
 generic rank, the transcendence degree above.  :func:`jacobian_rank`
 therefore takes derivatives along ``bound + 1`` pseudo-random integer
-directions only, all in one pass over jets that carry a derivative vector;
-their rank is a lower bound, and when it meets the upper bound it is the
-exact rank.  That rank is computed modulo a prime first, which can only
-lower it, so a match there is already a proof.  Any other outcome falls back
-to the rational rank of the same rows, then to one more pass along every
-coordinate direction.
+directions only: one reduction over jets differentiates the letters along
+all of them, and the chain rule gives the word traces' derivatives over the
+integers.  Their rank is a lower bound, and when it meets the upper bound
+it is the exact rank.  That rank is computed modulo a prime first, which
+can only lower it, so a match there is already a proof.  Any other outcome
+falls back to the rational rank of the same rows, then to one more pass
+along every coordinate direction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 from . import divisible, odd
 from .grassmann import Config, SplitMix64, Subspace, classify_case
 from .linalg import Jet, Mat, rank_mod_p
-from .words import InvariantVector, enumerate_words, letter_size
+from .words import InvariantVector, enumerate_words, letter_size, trace_derivatives, word_len
 
 __all__ = [
     "Verdict",
@@ -60,16 +61,18 @@ class Verdict(enum.Enum):
         return self.value
 
 
+def _reduction(config: Config):
+    """The case module (:mod:`divisible` or :mod:`odd`) that reduces ``config``."""
+    kind = classify_case(config.n, config.d).kind
+    module = {"divisible": divisible, "odd_multiple": odd}.get(kind)
+    if module is None:
+        raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({config.n}, {config.d})")
+    return module
+
+
 def invariant_vector(config: Config, max_len: int | None = None) -> InvariantVector:
     """Dispatch to the case pipeline and return the trace-invariant vector."""
-    tag = classify_case(config.n, config.d)
-    if tag.kind == "divisible":
-        return divisible.invariants(config, max_len)
-    if tag.kind == "odd_multiple":
-        return odd.invariants(config, max_len)
-    raise UnsupportedCaseError(
-        f"no reduction applies to (n, d) = ({config.n}, {config.d})"
-    )
+    return _reduction(config).invariants(config, max_len)
 
 
 def letter_count(n: int, d: int, s: int) -> int:
@@ -98,13 +101,10 @@ def expected_quotient_dim(n: int, d: int, s: int) -> int:
     the naive dimension count s*d*(n-d) - (n^2 - 1) of
     :func:`naive_quotient_dim`; for k = 1 it exceeds it by m - 1.
     """
-    tag = classify_case(n, d)
-    if not tag.supported:
-        raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({n}, {d})")
-    k = letter_count(n, d, s)
+    k = letter_count(n, d, s)  # raises UnsupportedCaseError first
     if k < 1:
         return 0
-    m = letter_size(tag, d)
+    m = letter_size(classify_case(n, d), d)
     if k == 1:
         return m
     return k * m * m - (m * m - 1)
@@ -139,11 +139,6 @@ def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict
         raise ShapeMismatchError(
             f"shapes differ: ({a.n}, {a.d}, {a.s}) vs ({b.n}, {b.d}, {b.s})"
         )
-    tag = classify_case(a.n, a.d)
-    if not tag.supported:
-        raise UnsupportedCaseError(
-            f"no reduction applies to (n, d) = ({a.n}, {a.d})"
-        )
     try:
         va = invariant_vector(a, max_len)
         vb = invariant_vector(b, max_len)
@@ -175,29 +170,24 @@ def _sketch(coords: int, count: int) -> list[list[int]]:
 def jacobian_rank(config: Config, max_len: int | None = None) -> int:
     """Exact rank of the invariant map's Jacobian J at ``config``.
 
-    One pass of the full pipeline over jets gives the exact derivative of
-    every word value along all directions at once (in the n*d*s basis
-    entries).  With ``expected = expected_quotient_dim``, that pass takes
-    the first ``min(expected + 1, n*d*s)`` fixed pseudo-random integer
-    directions R: rank(J R) <= rank(J) <= ``bound = min(expected,
-    len(vector), n*d*s)`` (see the module docstring), so a sketch rank equal
-    to ``bound`` is the exact rank.  Each word's derivatives share one
-    denominator, so scaling each word's column by it gives an integer
-    matrix of the same rank.  Its rank modulo the prime 2**61 - 1 is at
-    most its rank over the rationals, so that rank is tried first; if it
-    falls short of ``bound``, the exact rational rank of the same matrix
-    is.  A sketch that still falls short (a special point, or an unlucky
-    draw) or exceeds ``bound`` (a wrong count) is discarded, and the rank is
-    that of one more pass with the n*d*s unit directions, by exact
-    elimination.  The pass pivots on values, so it records the plain
-    pass's degeneracy; a configuration out of general position raises
+    One reduction over jets and the chain rule on the words give the exact
+    derivative of every word value along all directions at once (in the
+    n*d*s basis entries); no word value is evaluated.  With ``expected =
+    expected_quotient_dim``, that pass takes the first ``min(expected + 1,
+    n*d*s)`` fixed pseudo-random integer directions R: rank(J R) <= rank(J)
+    <= ``bound = min(expected, words, n*d*s)`` (see the module docstring),
+    so a sketch rank equal to ``bound`` is the exact rank.  Each word's
+    derivatives share one denominator, so scaling each word's column by it
+    gives an integer matrix of the same rank.  Its rank modulo the prime
+    2**61 - 1 is at most its rank over the rationals, so that rank is tried
+    first; if it falls short of ``bound``, the exact rational rank of the
+    same matrix is.  A sketch that still falls short (a special point, or an
+    unlucky draw) or exceeds ``bound`` (a wrong count) is discarded, and the
+    rank is that of one more pass with the n*d*s unit directions, by exact
+    elimination.  The pass pivots on values, so it records the plain pass's
+    degeneracy; a configuration out of general position raises
     :class:`DegenerateConfigError`, naming the failed condition.
     """
-    tag = classify_case(config.n, config.d)
-    if not tag.supported:
-        raise UnsupportedCaseError(
-            f"no reduction applies to (n, d) = ({config.n}, {config.d})"
-        )
     coords = config.n * config.d * config.s
     expected = expected_quotient_dim(config.n, config.d, config.s)
     rows = _derivative_rows(config, _sketch(coords, min(expected + 1, coords)), max_len)
@@ -210,25 +200,27 @@ def jacobian_rank(config: Config, max_len: int | None = None) -> int:
     return Mat(_derivative_rows(config, units, max_len)).rank()
 
 
-def _jet_pass(config: Config, directions: list[list[int]], max_len: int | None) -> tuple:
-    """The invariant values over jets that carry all ``directions`` at once.
+def _jet_pass(config: Config, directions: list[list[int]], max_len: int | None) -> list:
+    """The word traces' derivatives along all ``directions``, as ``(nums, den)`` pairs.
 
     Each direction holds one derivative per basis entry, in (member, row,
     column) order, so basis entry c becomes a jet whose derivative vector is
-    ``(directions[0][c], ..., directions[-1][c])``.  The jet bases skip the
-    independence check: their value parts are the configuration's checked
-    bases, and a jet pivots on its value alone.  Raises the pass's
-    degeneracy, which is the plain pass's.
+    ``(directions[0][c], ..., directions[-1][c])``.  Only the reduction runs
+    over jets; :func:`planeinv.words.trace_derivatives` takes the words.
+    The jet bases skip the independence check: their value parts are the
+    configuration's checked bases, and a jet pivots on its value alone.
+    Raises the pass's degeneracy, which is the plain pass's.
     """
     per_entry = zip(*directions)
     jet_subs = [
         Subspace._raw(Mat._raw([[Jet(x, next(per_entry)) for x in row] for row in sub.basis.data]))
         for sub in config.subspaces
     ]
-    vec = invariant_vector(Config(jet_subs), max_len)
-    if vec.degeneracy is not None:
-        raise vec.degeneracy.error()
-    return vec.values
+    tag, _, letters, degeneracy = _reduction(config).letters(Config(jet_subs), max_len)
+    if degeneracy is not None:
+        raise degeneracy.error()
+    words = enumerate_words(len(letters), word_len(tag, config.d, max_len))
+    return trace_derivatives(letters, words)
 
 
 def _derivative_rows(config: Config, directions: list[list[int]], max_len: int | None) -> list:
@@ -238,5 +230,5 @@ def _derivative_rows(config: Config, directions: list[list[int]], max_len: int |
     derivatives, which leaves the rank unchanged.
     """
     zeros = (0,) * len(directions)
-    columns = [v.nums or zeros for v in _jet_pass(config, directions, max_len)]
+    columns = [nums or zeros for nums, _ in _jet_pass(config, directions, max_len)]
     return [list(row) for row in zip(*columns)]

@@ -15,6 +15,8 @@ least common denominator of its entries, the products along word prefixes
 are integer matrix products, the last letter of each word is folded into
 its trace instead of multiplied out, and each trace is divided back by the
 product of its letters' denominators, so each value costs one gcd.
+The derivatives of the traces come from those of the letters by the chain
+rule, also over the integers (:func:`trace_derivatives`).
 """
 
 from __future__ import annotations
@@ -73,71 +75,108 @@ def enumerate_words(alphabet_size: int, max_len: int) -> list[tuple[int, ...]]:
     return [w for length in range(1, max_len + 1) for w in _necklaces(alphabet_size, length)]
 
 
-def _scaled(letter: Mat, jet: bool) -> tuple[Mat, int]:
-    """``letter`` times the least common denominator D of its entries, and D.
+def _scaled(letter: Mat) -> tuple[Mat, int]:
+    """``letter`` times the least common denominator D of its entries, and D."""
+    denom = math.lcm(*(x.denominator for row in letter.data for x in row))
+    ints = [[x.numerator * (denom // x.denominator) for x in row] for row in letter.data]
+    return Mat._raw(ints), denom
 
-    Over jets D covers the values and the derivative vectors' common
-    denominators, so each scaled jet has an integer value and integer
-    derivatives over the denominator 1.
+
+def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
+    """A cached ``product(w)`` of the integer letters ``scaled`` along ``w``, and its denominator.
+
+    Each product extends the cached one of ``w[:-1]`` by a letter: one m x m
+    product per distinct prefix; ``product(())`` is the identity.  With
+    ``reverse`` the letters multiply in the opposite order, so
+    ``product(v[::-1])`` is the product along ``v``.
     """
-    if jet:
-        entries = [x if isinstance(x, Jet) else Jet(x) for row in letter.data for x in row]
-        denom = math.lcm(*(x.value.denominator for x in entries), *(x.den for x in entries))
-        ints = [
-            Jet(
-                x.value.numerator * (denom // x.value.denominator),
-                tuple([denom // x.den * n for n in x.nums]),
-            )
-            for x in entries
-        ]
-    else:
-        denom = math.lcm(*(x.denominator for row in letter.data for x in row))
-        ints = [x.numerator * (denom // x.denominator) for row in letter.data for x in row]
-    m = letter.cols
-    return Mat._raw([ints[i : i + m] for i in range(0, len(ints), m)]), denom
+    m = scaled[0][0].rows if scaled else 0
+    cache = {(): (Mat._raw([[int(i == j) for j in range(m)] for i in range(m)]), 1)}
+
+    def product(w: tuple[int, ...]) -> tuple[Mat, int]:
+        got = cache.get(w)
+        if got is None:
+            head, denom = product(w[:-1])
+            last, d_last = scaled[w[-1]]
+            got = cache[w] = (last @ head if reverse else head @ last, denom * d_last)
+        return got
+
+    return product
 
 
-def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list:
+def _flat_t(mat: Mat) -> list:
+    """The transpose of ``mat``, row-major: tr(A B) is A's row-major entries times these."""
+    return [x for col in zip(*mat.data) for x in col]
+
+
+def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[Fraction]:
     """Traces of the letter products along each word, as exact rationals.
 
     Each letter L_i is scaled once by the least common denominator D_i of
-    its entries (over jets, of the values and the derivative vectors' common
-    denominators), which makes it an integer matrix.  Products of these integer letters along
-    word prefixes are cached across words, so the (length, lex)-ordered
-    family costs about one m x m product per distinct proper prefix.  The
-    last factor is never multiplied out: tr(P L) = sum_ik P[i][k] L[k][i]
-    folds it into the trace at m**2 scalar products instead of m**3.  Each
-    value is ``Fraction(t, D_w)`` with D_w the product of the D_i along the
-    word -- or a ``Jet`` with that value and its derivative vector over
-    D_w, reduced by one gcd -- and no integer leaves this function.
+    its entries, which makes it an integer matrix, and products along word
+    prefixes come from one cache (:func:`_products`).  The last factor is
+    never multiplied out: tr(P L) folds it into the trace at m**2 scalar
+    products instead of m**3.  Each value is ``Fraction(t, D_w)`` with D_w
+    the product of the D_i along the word.
     """
-    if not words:
-        return []
-    jet = any(isinstance(x, Jet) for letter in letters for row in letter.data for x in row)
-    scaled = [_scaled(letter, jet) for letter in letters]
-    # Row-major transposes: the fold multiplies them entrywise with P.
-    flat_t = [[x for col in zip(*mat.data) for x in col] for mat, _ in scaled]
-    cache = {(i,): pair for i, pair in enumerate(scaled)}
-
-    def prefix(w: tuple[int, ...]) -> tuple[Mat, int]:
-        got = cache.get(w)
-        if got is None:
-            head, denom = prefix(w[:-1])
-            last, d_last = scaled[w[-1]]
-            got = cache[w] = (head @ last, denom * d_last)
-        return got
-
+    scaled = [_scaled(letter) for letter in letters]
+    flat_t = [_flat_t(mat) for mat, _ in scaled]
+    prefix = _products(scaled)
     values = []
     for w in words:
-        if len(w) == 1:
-            mat, denom = scaled[w[0]]
-            t = mat.trace()
-        else:
-            head, denom = prefix(w[:-1])
-            denom *= scaled[w[-1]][1]
-            t = reduce(add, map(mul, chain.from_iterable(head.data), flat_t[w[-1]]))
-        values.append(t / denom if jet else Fraction(t, denom))
+        head, denom = prefix(w[:-1])
+        t = reduce(add, map(mul, chain.from_iterable(head.data), flat_t[w[-1]]))
+        values.append(Fraction(t, denom * scaled[w[-1]][1]))
     return values
+
+
+def _split(letter: Mat, directions: int) -> tuple[Mat, list[list], int]:
+    """A jet letter times D: an integer value matrix, row-major derivatives per direction, and D.
+
+    D is the lcm of the value and derivative denominators; no ``nums`` counts as zero.
+    """
+    entries = [x if isinstance(x, Jet) else Jet(x) for row in letter.data for x in row]
+    denom = math.lcm(*(x.value.denominator for x in entries), *(x.den for x in entries))
+    values = [x.value.numerator * (denom // x.value.denominator) for x in entries]
+    derivs = [[denom // x.den * n for n in x.nums] if x.nums else [0] * directions for x in entries]
+    m = letter.cols
+    value = Mat._raw([values[i : i + m] for i in range(0, len(values), m)])
+    return value, [list(col) for col in zip(*derivs)], denom
+
+
+def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """Each word trace's derivative along every direction of the jet letters.
+
+    One ``(nums, den)`` pair per word: integer numerators over one positive
+    denominator, reduced by one gcd.  By the chain rule,
+    d tr(L_{w_1} ... L_{w_l}) = sum_j tr(dL_{w_j} C_j) with
+    C_j = L_{w_{j+1}} ... L_{w_l} L_{w_1} ... L_{w_{j-1}}, so no jet enters a
+    product: each letter is split once (:func:`_split`), each C_j is a
+    cached suffix times a cached prefix over ``int``, summed into the
+    word's gradient G (one m x m block per letter), and each direction is
+    one inner product with G, divided by D_w, the product of the D_i.
+    """
+    entries = [x for letter in letters for row in letter.data for x in row]
+    k = max((len(x.nums) for x in entries if isinstance(x, Jet)), default=0)
+    split = [_split(letter, k) for letter in letters]
+    pairs = [(value, denom) for value, _, denom in split]
+    prefix, suffix = _products(pairs), _products(pairs, reverse=True)
+    # Direction t's derivative matrices of all letters, in the layout of G.
+    along = [list(chain.from_iterable(parts)) for parts in zip(*(d for _, d, _ in split))]
+    mm = letters[0].rows ** 2 if letters else 0
+    out = []
+    for w in words:
+        grad = [0] * (len(letters) * mm)
+        head, denom = prefix(w[:-1])
+        for p, letter in enumerate(w):
+            c = head if p == len(w) - 1 else suffix(w[:p:-1])[0] @ prefix(w[:p])[0]
+            lo = letter * mm
+            grad[lo : lo + mm] = map(add, grad[lo : lo + mm], _flat_t(c))
+        nums = [sum(map(mul, grad, d)) for d in along]
+        denom *= split[w[-1]][2]
+        g = math.gcd(denom, *nums)
+        out.append((tuple([x // g for x in nums]), denom // g))
+    return out
 
 
 def letter_size(tag: CaseTag, d: int) -> int:
@@ -180,21 +219,22 @@ class InvariantVector:
         return len(self.entries)
 
 
+def word_len(tag: CaseTag, d: int, max_len: int | None) -> int:
+    """The word length of a case: ``max_len`` clamped to the default (longer words add nothing)."""
+    bound = max_word_len_for(letter_size(tag, d))
+    return bound if max_len is None else max(0, min(max_len, bound))
+
+
 def trace_vector(
     config: Config,
     tag: CaseTag,
     letter_ids: Sequence[str],
     letters: Sequence[Mat],
-    max_len: int | None,
     degeneracy: Degeneracy | None,
+    max_len: int | None,
 ) -> InvariantVector:
-    """Assemble the :class:`InvariantVector` of one reduction pass.
-
-    ``max_len=None`` means the full default truncation; an explicit value is
-    clamped to the default since longer words add no information.
-    """
-    bound = max_word_len_for(letter_size(tag, config.d))
-    effective = bound if max_len is None else max(0, min(max_len, bound))
+    """The :class:`InvariantVector` of a configuration from what its case's ``letters`` returned."""
+    effective = word_len(tag, config.d, max_len)
     words = enumerate_words(len(letters), effective)
     values = evaluate_traces(letters, words)
     return InvariantVector(

@@ -196,20 +196,25 @@ def jet(value, derivs=()):
     return Jet(value, tuple(int(x * den) for x in derivs), den)
 
 
+def deriv(nums, den):
+    """The derivative vector ``nums / den`` as ``Fraction`` entries."""
+    return [Fraction(x, den) for x in nums]
+
+
 class TestJet:
     def test_product_rule_golden(self):
         # (2 + eps)(3 + eps) = 6 + 5 eps
         a = jet(Fraction(2), [1])
         b = jet(Fraction(3), [1])
         p = a * b
-        assert p.value == 6 and list(p.deriv) == [5]
+        assert p.value == 6 and deriv(p.nums, p.den) == [5]
 
     def test_quotient_rule(self):
         # d/dx (x / (x + 1)) at x = 1 is 1/4
         x = jet(Fraction(1), [1])
         q = x / (x + Jet(Fraction(1)))
         assert q.value == Fraction(1, 2)
-        assert list(q.deriv) == [Fraction(1, 4)]
+        assert deriv(q.nums, q.den) == [Fraction(1, 4)]
 
     def test_bool_follows_value(self):
         assert not jet(Fraction(0), [5])
@@ -219,29 +224,39 @@ class TestJet:
         x = jet(Fraction(3), [1])
         y = 2 * x + 1 - x / 3
         assert y.value == 6
-        assert list(y.deriv) == [Fraction(5, 3)]
+        assert deriv(y.nums, y.den) == [Fraction(5, 3)]
 
     def test_epsilon_squared_vanishes(self):
         eps = jet(Fraction(0), [1, 2])
         sq = eps * eps
-        assert sq.value == 0 and not any(sq.deriv)
+        assert sq.value == 0 and not any(sq.nums)
 
     @given(rationals, rationals, rationals, rationals)
     def test_addition_componentwise(self, a, b, da, db):
         s = jet(a, [da, 2 * da]) + jet(b, [db, -db])
-        assert s.value == a + b and list(s.deriv) == [da + db, 2 * da - db]
+        assert s.value == a + b and deriv(s.nums, s.den) == [da + db, 2 * da - db]
 
     def test_matrix_inverse_derivative(self):
         # d/dt inv(1 + t) at t = 1 is -1/4; embed as a 1x1 matrix of Jets
         m = Mat([[jet(Fraction(2), [1, 2])]])
         inv = m.inverse()
-        assert inv.data[0][0].value == Fraction(1, 2)
-        assert list(inv.data[0][0].deriv) == [Fraction(-1, 4), Fraction(-1, 2)]
+        x = inv.data[0][0]
+        assert x.value == Fraction(1, 2)
+        assert deriv(x.nums, x.den) == [Fraction(-1, 4), Fraction(-1, 2)]
 
-    def test_deriv_exposes_numerator_and_denominator(self):
-        d = jet(Fraction(1), [Fraction(-7, 6), Fraction(1, 4)]).deriv
-        assert (d.numerator, d.denominator) == (-14, 12)
-        assert (Jet(Fraction(1)).deriv.numerator, Jet(Fraction(1)).deriv.denominator) == (0, 1)
+    def test_equal_scalars_hash_equally(self):
+        one = Jet(Fraction(1))
+        assert one == 1 == Fraction(1) == jet(Fraction(1), [0, 0])
+        assert len({one, 1, Fraction(1), jet(Fraction(1), [0, 0])}) == 1
+        assert hash(jet(Fraction(2), [1, 3])) == hash(Jet(Fraction(2), (2, 6), 2))
+        assert jet(Fraction(2), [1, 3]) == Jet(Fraction(2), (2, 6), 2)
+        assert jet(Fraction(2), [1, 3]) != jet(Fraction(2), [1, 2])
+
+    @given(rationals, st.lists(rationals, max_size=3), st.integers(1, 5))
+    def test_hash_follows_equality(self, value, derivs, scale):
+        a = jet(value, derivs)
+        b = Jet(value, tuple(x * scale for x in a.nums), a.den * scale)
+        assert a == b and hash(a) == hash(b)
 
 
 # Scalar dual numbers (value, derivative) as pairs of Fractions: the oracle
@@ -310,7 +325,7 @@ class TestJetVector:
                 acc, duals = -acc, [(-v, -dv) for v, dv in duals]
             assert isinstance(acc, Jet)
             assert acc.value == duals[0][0]
-            got = list(acc.deriv) or [Fraction(0)] * k
+            got = deriv(acc.nums, acc.den) or [Fraction(0)] * k
             assert got == [dv for _, dv in duals]
             assert acc.den > 0 and math.gcd(acc.den, *acc.nums) == 1
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 from test_acceptance import RANK_CELLS
+from test_linalg import deriv
 
-from planeinv import orbit
+from planeinv import divisible, orbit
 from planeinv.errors import (
     DegenerateConfigError,
     ShapeMismatchError,
@@ -16,12 +17,13 @@ from planeinv.divisible import ReducedDivisible, embed
 from planeinv.grassmann import (
     Config,
     SplitMix64,
+    Subspace,
     act_left,
     act_right,
     sample_config,
     sample_invertible,
 )
-from planeinv.linalg import Jet, Mat
+from planeinv.linalg import Mat
 from planeinv.orbit import (
     Verdict,
     expected_quotient_dim,
@@ -178,6 +180,18 @@ class TestSameOrbit:
         with pytest.raises(ShapeMismatchError):
             same_orbit_test(a, b)
 
+    def test_unsupported_shape_raises(self):
+        # (5, 3) is neither n = r*d nor n = (2r+1)e with d = 2e.
+        c = Config([
+            Subspace(Mat([[int((i + k) % 5 == j) for j in range(3)] for i in range(5)]))
+            for k in range(6)
+        ])
+        message = r"no reduction applies to \(n, d\) = \(5, 3\)"
+        with pytest.raises(UnsupportedCaseError, match=message):
+            same_orbit_test(c, c)
+        with pytest.raises(UnsupportedCaseError, match=message):
+            jacobian_rank(c)
+
     def test_verdict_prints_bare_word(self):
         assert str(Verdict.DISTINCT) == "Distinct"
         assert str(Verdict.EQUIVALENT) == "Equivalent"
@@ -232,7 +246,7 @@ def exhaustive_rank(config):
     rows = []
     for k in range(coords):
         unit = [[int(c == k) for c in range(coords)]]
-        rows.append([v.deriv[0] if v.nums else 0 for v in orbit._jet_pass(config, unit, None)])
+        rows.append([(deriv(*pair) or [0])[0] for pair in orbit._jet_pass(config, unit, None)])
     return Mat(rows).rank()
 
 
@@ -249,15 +263,18 @@ class TestRankSketch:
         assert jacobian_rank(c) == exhaustive_rank(c) == 4
 
     def test_certified_rank_takes_bound_plus_one_passes(self, monkeypatch):
+        c = sample_config(4, 2, 5, seed=101)
         calls = []
+
+        letters = divisible.letters
 
         def counted(config, max_len=None):
             calls.append(config)
-            return invariant_vector(config, max_len)
+            return letters(config, max_len)
 
-        monkeypatch.setattr(orbit, "invariant_vector", counted)
-        assert jacobian_rank(sample_config(4, 2, 5, seed=101)) == 5
-        assert len(calls) == 1  # one jet pass carries all 5 + 1 directions
+        monkeypatch.setattr(divisible, "letters", counted)
+        assert jacobian_rank(c) == 5
+        assert len(calls) == 1  # one reduction over jets carries all 5 + 1 directions
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_agrees_with_exhaustive_on_rank_cells(self, n, d, s, seed, pinned):
@@ -308,11 +325,11 @@ class TestBatchedSketch:
         n, d, s, seed = point
         coords = n * d * s
         directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
-        values = orbit._jet_pass(sample_config(n, d, s, seed=seed), directions, None)
-        rows = [
-            [v.deriv[t] if v.nums else Fraction(0) for v in values]
-            for t in range(len(directions))
+        columns = [
+            deriv(*pair) or [Fraction(0)] * len(directions)
+            for pair in orbit._jet_pass(sample_config(n, d, s, seed=seed), directions, None)
         ]
+        rows = [list(row) for row in zip(*columns)]
         text = ";".join(",".join(str(x) for x in row) for row in rows)
         assert hashlib.sha256(text.encode()).hexdigest() == SKETCH_ROWS_SHA256[point]
 
@@ -327,7 +344,7 @@ class TestBatchedSketch:
 
         def crafted(config, directions, max_len):
             passes.append(len(directions))
-            return (Jet(Fraction(1), (p, 0, 0)), Jet(Fraction(1), (0, 1, 0)))
+            return [((p, 0, 0), 1), ((0, 1, 0), 1)]
 
         monkeypatch.setattr(orbit, "expected_quotient_dim", lambda *shape: 2)
         monkeypatch.setattr(orbit, "_jet_pass", crafted)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import jet, trace_word
+from test_linalg import deriv, jet, trace_word
 
 from planeinv.cli import main
 from planeinv.linalg import Jet, Mat
-from planeinv.words import enumerate_words, evaluate_traces
+from planeinv.words import enumerate_words, evaluate_traces, trace_derivatives
 
 
 def rotation_filter_words(alphabet_size, max_len):
@@ -85,23 +85,40 @@ class TestEvaluateTraces:
         assert got == [trace_word(letters, w) for w in words]
         assert all(type(v) is Fraction for v in got)
 
-    @given(st.integers(1, 4).flatmap(lambda k: alphabets(jets(k))))
-    @settings(max_examples=40, deadline=None)
-    def test_jet_letters(self, letters):
-        words = enumerate_words(len(letters), 5)
-        got = evaluate_traces(letters, words)
-        want = [trace_word(letters, w) for w in words]
-        assert [(v.value, v.deriv) for v in got] == [(v.value, v.deriv) for v in want]
-        assert all(
-            type(v) is Jet
-            and type(v.value) is Fraction
-            and all(type(x) is int for x in v.nums)
-            and math.gcd(v.den, *v.nums) == 1
-            for v in got
-        )
-
     def test_no_words(self):
         assert evaluate_traces([Mat([[1]])], []) == []
+
+
+class TestTraceDerivatives:
+    """Each chain-rule derivative equals the product of jets along the word."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.tuples(st.just(k), alphabets(st.one_of(jets(k), rationals)))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_jet_products(self, case):
+        k, letters = case
+        words = enumerate_words(len(letters), 5)
+        got = trace_derivatives(letters, words)
+        zeros = [Fraction(0)] * k
+        want = [trace_word(letters, w) for w in words]
+        assert [deriv(*pair) or zeros for pair in got] == [
+            deriv(v.nums, v.den) or zeros if isinstance(v, Jet) else zeros for v in want
+        ]
+        assert len({len(nums) for nums, _ in got}) <= 1
+        assert all(
+            all(type(x) is int for x in nums) and den > 0 and math.gcd(den, *nums) == 1
+            for nums, den in got
+        )
+
+    def test_no_directions(self):
+        letters = [Mat([[Fraction(1, 2), 1], [0, Fraction(3)]])]
+        assert trace_derivatives(letters, enumerate_words(1, 3)) == [((), 1)] * 3
+
+    def test_no_words(self):
+        assert trace_derivatives([Mat([[jet(Fraction(1), [1])]])], []) == []
 
 
 def test_invariants_file_pinned(tmp_path):
