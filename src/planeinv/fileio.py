@@ -28,7 +28,8 @@ def format_rat(x: Fraction) -> str:
 
 # The string form of a rational: "p" or "p/q" in ASCII decimal digits.  The
 # stdlib parser also takes decimals and exponents ("1e999999999" would build
-# a billion-digit integer), so strings are matched against this first.
+# a billion-digit integer), so strings are matched against this first; a
+# match is then split at "/" and its parts read by int().
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -38,8 +39,9 @@ def parse_rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        num, _, den = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value[:40]!r} ({exc})") from None
     raise ValueError(f"not a rational value: {value!r:.40}")

@@ -11,12 +11,15 @@ common denominator, so a single pass differentiates along every direction.
 The hot loops (``mat_mul``, ``rref_in_place``, and the rank-only
 elimination ``rank_mod_p``) live in :mod:`planeinv._kernels_py`.  Loop
 overhead is not the cost over ``Fraction``; the rational arithmetic and the
-growth of entry bit-size are.  Word traces (:mod:`planeinv.words`) do not
-multiply ``Fraction`` matrices: each letter is scaled to integers once, so
-their ``mat_mul`` calls, and their derivatives, run over ``int``.  What
-runs over ``Fraction`` or jets is the reduction that builds the letters
-(``rref_in_place`` under inverses, solves and kernels) and, when the
-certificate modulo a prime falls short, the exact rank of the Jacobian rows.
+growth of entry bit-size are.  So the kernels take a rational matrix
+(``int`` and ``Fraction`` entries) to integers once per call, by the lcm of
+each row's (or product column's) denominators, multiply and eliminate over
+``int``, and build one ``Fraction`` per output entry; an ``int`` matrix
+therefore inverts or reduces to ``Fraction`` entries, never to floats.
+Word traces (:mod:`planeinv.words`) scale each letter to integers
+themselves, so their ``mat_mul`` calls, and their derivatives, run over
+``int`` and return ``int``.  Only jets take the field loop: the reduction
+that builds the letters of the Jacobian pass runs over them.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeinv import fileio
+from planeinv import cli, fileio
 from planeinv.cli import main
 from planeinv.divisible import ReducedDivisible, embed
 from planeinv.grassmann import Config, sample_config
@@ -38,6 +38,23 @@ class TestRationalFormat:
         for bad in ("1/0", "a/b", "", "1.5.2", True, None, [1]):
             with pytest.raises((ValueError, ZeroDivisionError)):
                 fileio.parse_rat(bad)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("+3/4", Fraction(3, 4)), ("-0/5", Fraction(0)), ("-6/4", Fraction(-3, 2)), ("007/010", Fraction(7, 10))],
+    )
+    def test_signs_and_zeros(self, text, value):
+        got = fileio.parse_rat(text)
+        assert got == value and type(got) is Fraction
+
+    @pytest.mark.parametrize("text", ["1/0", "-0/0", "1" * 4301, "-" + "2" * 4301 + "/3", "1/" + "9" * 4301])
+    def test_error_text_is_the_stdlib_parsers(self, text):
+        # the message names the value and the reason Fraction(text) gives
+        with pytest.raises((ValueError, ZeroDivisionError)) as stdlib:
+            Fraction(text)
+        with pytest.raises(ValueError) as got:
+            fileio.parse_rat(text)
+        assert str(got.value) == f"not a rational value: {text[:40]!r} ({stdlib.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -331,3 +348,27 @@ class TestArgparseBehavior:
     def test_help_exits_0(self, capsys):
         assert run("--help") == 0
         assert "planeinv" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        calls = [
+            ("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg),
+            ("gen", "--bogus", 3),
+            ("--help",),
+            ("rank", "--in", cfg),
+        ]
+
+        def outcomes(fresh):
+            got = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                code = run(*argv)
+                got.append((code, *capsys.readouterr()))
+            return got
+
+        cli._build_parser.cache_clear()
+        reused = outcomes(fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == outcomes(fresh=True)
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0]

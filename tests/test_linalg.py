@@ -373,6 +373,84 @@ class TestTraceWord:
 # ---------------------------------------------------------------------------
 
 
+def field_mat_mul(a, b):
+    """The plain product loop: the oracle for ``mat_mul``."""
+    out = []
+    for arow in a:
+        orow = []
+        for j in range(len(b[0])):
+            acc = arow[0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + arow[k] * b[k][j]
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def field_rref(m):
+    """Gauss-Jordan over the entries' own field, first-nonzero pivoting, in place.
+
+    The oracle for ``rref_in_place``: one field division per entry of each
+    pivot row and one field multiply-subtract per entry cleared.
+    """
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        if pr == rows:
+            break
+        hit = next((i for i in range(pr, rows) if m[i][pc]), -1)
+        if hit < 0:
+            continue
+        m[pr], m[hit] = m[hit], m[pr]
+        prow = m[pr]
+        pv = prow[pc]
+        for j in range(pc, cols):
+            prow[j] = prow[j] / pv
+        for i in range(rows):
+            f = m[i][pc]
+            if i != pr and f:
+                for j in range(pc, cols):
+                    m[i][j] = m[i][j] - f * prow[j]
+        pivots.append(pc)
+        pr += 1
+    return tuple(pivots)
+
+
+kernel_entries = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-9, 9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=7),
+    st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64)),
+)
+
+
+@st.composite
+def kernel_matrices(draw, rows=st.integers(1, 7), cols=st.integers(1, 9)):
+    """Mixed int/Fraction matrices with zero rows, duplicate rows and row combinations."""
+    r, c = draw(rows), draw(cols)
+    m = draw(st.lists(st.lists(kernel_entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    for i in range(r):
+        how = draw(st.sampled_from(["keep", "keep", "zero", "copy", "combine"]))
+        if how == "zero":
+            m[i] = [0] * c
+        elif how == "copy":
+            m[i] = list(m[draw(st.integers(0, r - 1))])
+        elif how == "combine" and i >= 2:
+            f = draw(kernel_entries)
+            m[i] = [x + f * y for x, y in zip(m[i - 1], m[i - 2])]
+    return m
+
+
+def as_fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def only_fractions(m):
+    return all(type(x) is Fraction for row in m for x in row)
+
+
 class TestKernels:
     def test_mat_mul(self):
         a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
@@ -393,3 +471,67 @@ class TestKernels:
             [Fraction(1), Fraction(0), Fraction(-1)],
             [Fraction(0), Fraction(1), Fraction(2)],
         ]
+
+    @given(kernel_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rref_matches_field_loop(self, m):
+        want = as_fractions(m)
+        want_pivots = field_rref(want)
+        got = [row[:] for row in m]
+        assert rref_in_place(got) == want_pivots
+        assert got == want and only_fractions(got)
+
+    @given(
+        st.tuples(st.integers(1, 7), st.integers(1, 9), st.integers(1, 7)).flatmap(
+            lambda s: st.tuples(
+                kernel_matrices(st.just(s[0]), st.just(s[1])),
+                kernel_matrices(st.just(s[1]), st.just(s[2])),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mat_mul_matches_field_loop(self, ab):
+        a, b = ab
+        got = mat_mul(a, b)
+        assert got == field_mat_mul(as_fractions(a), as_fractions(b))
+        if any(type(x) is Fraction for row in a + b for x in row):
+            assert only_fractions(got)
+
+    @given(st.lists(st.lists(st.integers(-99, 99), min_size=3, max_size=3), min_size=3, max_size=3))
+    def test_int_mat_mul_stays_int(self, a):
+        got = mat_mul(a, a)
+        assert got == field_mat_mul(a, a)
+        assert all(type(x) is int for row in got for x in row)
+
+    def test_int_matrix_inverse_is_exact(self):
+        m = Mat._raw([[2, 1], [1, 1]])
+        inv = m.inverse()
+        assert inv.data == [[1, -1], [-1, 2]] and only_fractions(inv.data)
+        red, pivots = Mat._raw([[2, 1], [4, 3]]).rref()
+        assert pivots == (0, 1) and only_fractions(red.data)
+        assert only_fractions(Mat._raw([[3, 1, 2]]).rref()[0].data)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.tuples(small_rationals, st.lists(small_rationals, min_size=2, max_size=2)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )))
+    @settings(max_examples=100, deadline=None)
+    def test_jet_matrices_take_field_loop(self, entries):
+        m = Mat._raw([[jet(Fraction(v), d) for v, d in row] for row in entries])
+        want = [row[:] for row in m.data]
+        want_pivots = field_rref(want)
+        red, pivots = m.rref()
+        assert pivots == want_pivots and red.data == want
+        assert all(type(x) is Jet for row in red.data for x in row)
+        n = m.rows
+        if len(want_pivots) < n:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+            return
+        eye = Mat.identity(n, like=m.data[0][0]).data
+        work = [row[:] + e for row, e in zip(m.data, eye)]
+        field_rref(work)
+        inv = m.inverse()
+        assert inv.data == [row[n:] for row in work]
+        assert all(type(x) is Jet for row in inv.data for x in row)
