@@ -16,7 +16,6 @@ unparseable or unsupported input), 3 Distinct, 4 degenerate configuration
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import fileio, orbit
@@ -42,9 +41,7 @@ def _word_length(text: str) -> int:
     return int(text)
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="planeinv",
         description="Exact rational invariants of subspace configurations.",

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from planeinv import cli, fileio
+from planeinv import fileio
 from planeinv.cli import main
 from planeinv.divisible import ReducedDivisible, embed
 from planeinv.grassmann import Config, sample_config
@@ -14,6 +15,14 @@ from planeinv.linalg import Mat
 # ---------------------------------------------------------------------------
 # rational serialization
 # ---------------------------------------------------------------------------
+
+
+# int(str) refuses over 4300 digits only where the interpreter limits it
+# (Python 3.10.7 and later, unless the limit is switched off)
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not 0 < _DIGIT_LIMIT < 4301, reason="no int string-length limit below 4301 digits"
+)
 
 
 class TestRationalFormat:
@@ -47,7 +56,14 @@ class TestRationalFormat:
         got = fileio.parse_rat(text)
         assert got == value and type(got) is Fraction
 
-    @pytest.mark.parametrize("text", ["1/0", "-0/0", "1" * 4301, "-" + "2" * 4301 + "/3", "1/" + "9" * 4301])
+    @pytest.mark.parametrize(
+        "text",
+        ["1/0", "-0/0"]
+        + [
+            pytest.param(text, marks=_NEEDS_DIGIT_LIMIT)
+            for text in ("1" * 4301, "-" + "2" * 4301 + "/3", "1/" + "9" * 4301)
+        ],
+    )
     def test_error_text_is_the_stdlib_parsers(self, text):
         # the message names the value and the reason Fraction(text) gives
         with pytest.raises((ValueError, ZeroDivisionError)) as stdlib:
@@ -348,27 +364,3 @@ class TestArgparseBehavior:
     def test_help_exits_0(self, capsys):
         assert run("--help") == 0
         assert "planeinv" in capsys.readouterr().out
-
-    def test_one_parser_serves_every_call(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        calls = [
-            ("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg),
-            ("gen", "--bogus", 3),
-            ("--help",),
-            ("rank", "--in", cfg),
-        ]
-
-        def outcomes(fresh):
-            got = []
-            for argv in calls:
-                if fresh:
-                    cli._build_parser.cache_clear()
-                code = run(*argv)
-                got.append((code, *capsys.readouterr()))
-            return got
-
-        cli._build_parser.cache_clear()
-        reused = outcomes(fresh=False)
-        assert cli._build_parser.cache_info().misses == 1
-        assert reused == outcomes(fresh=True)
-        assert [code for code, _, _ in reused] == [0, 2, 0, 0]
