@@ -12,7 +12,8 @@ rationals (entries ``int`` or ``fractions.Fraction``) neither builds a
 * ``mat_mul`` scales each row of ``a`` and each column of ``b`` once by the
   lcm of its denominators, takes integer dot products, and builds one
   ``Fraction`` per output entry.  A product of ``int`` matrices (the word
-  stage) skips the scaling and returns ``int``.
+  stage) takes the same dot products without the scaling and returns
+  ``int``.
 * ``rref_in_place`` scales each row to integers and eliminates fraction-free
   (``row <- p * row - f * pivot_row``, then divides the row by the gcd of
   its entries), with the same first-nonzero pivoting as the field loop.
@@ -20,6 +21,8 @@ rationals (entries ``int`` or ``fractions.Fraction``) neither builds a
   hold, so the zero pattern, hence the pivots, is the same at every step;
   each pivot row is divided by its pivot at the end, which gives the
   (unique) reduced row echelon form, always as ``Fraction`` entries.
+* ``rank`` runs the same elimination below each pivot only and returns
+  the number of pivots; it builds no ``Fraction`` at all.
 
 Any other entry type -- :class:`planeinv.linalg.Jet`, whose derivative
 vectors ride along at no cost to the pivoting -- takes the plain field
@@ -56,7 +59,10 @@ def _scaled_rows(rows):
 def mat_mul(a, b):
     """Product of two list-of-list matrices; inner dimension must be >= 1."""
     kinds = set(map(type, chain(*a, *b)))
-    if Fraction in kinds and kinds <= _RATIONAL:
+    if kinds <= _RATIONAL:
+        if Fraction not in kinds:
+            bcols = list(zip(*b))
+            return [[sum(map(mul, arow, bcol)) for bcol in bcols] for arow in a]
         arows, adens = _scaled_rows(a)
         bcols, bdens = _scaled_rows(zip(*b))
         return [
@@ -122,8 +128,15 @@ def rref_in_place(m):
     return tuple(pivots)
 
 
-def _rref_rational(m):
-    """``rref_in_place`` for ``int``/``Fraction`` entries, eliminating over ``int``."""
+def _eliminate_rational(m, reduced):
+    """Fraction-free elimination of ``int``/``Fraction`` rows: integer rows and pivots.
+
+    Each row is scaled to integers once and divided by the gcd of its
+    entries after every update.  With ``reduced`` every other row is
+    cleared in each pivot column (Gauss-Jordan), otherwise only the rows
+    below the pivot row; the pivots are the same either way.  ``m`` is
+    left unchanged.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     work = []
@@ -146,7 +159,7 @@ def _rref_rational(m):
             work[pr], work[hit] = work[hit], work[pr]
         prow = work[pr]
         pv = prow[pc]
-        for i in range(rows):
+        for i in range(0 if reduced else pr + 1, rows):
             if i == pr:
                 continue
             row = work[i]
@@ -159,13 +172,32 @@ def _rref_rational(m):
                 work[i] = row
         pivots.append(pc)
         pr += 1
+    return work, tuple(pivots)
+
+
+def _rref_rational(m):
+    """``rref_in_place`` for ``int``/``Fraction`` entries, eliminating over ``int``."""
+    work, pivots = _eliminate_rational(m, reduced=True)
     for i, pc in enumerate(pivots):
         row = work[i]
         pv = row[pc]
         m[i] = [Fraction(x, pv) if x else _ZERO for x in row]
-    for i in range(pr, rows):
+    cols = len(m[0]) if m else 0
+    for i in range(len(pivots), len(m)):
         m[i] = [_ZERO] * cols
-    return tuple(pivots)
+    return pivots
+
+
+def rank(m):
+    """Rank of the list-of-lists matrix ``m``, which is left unchanged.
+
+    Rational input takes the fraction-free elimination below each pivot
+    and builds no ``Fraction``; anything else reduces a copy in the field
+    loop of :func:`rref_in_place`.
+    """
+    if set(map(type, chain(*m))) <= _RATIONAL:
+        return len(_eliminate_rational(m, reduced=False)[1])
+    return len(rref_in_place([row[:] for row in m]))
 
 
 def rank_mod_p(m, p):

@@ -9,13 +9,14 @@ derivative vector, one entry per direction, as integer numerators over one
 common denominator, so a single pass differentiates along every direction.
 
 The hot loops (``mat_mul``, ``rref_in_place``, and the rank-only
-elimination ``rank_mod_p``) live in :mod:`planeinv._kernels_py`.  Loop
-overhead is not the cost over ``Fraction``; the rational arithmetic and the
-growth of entry bit-size are.  So the kernels take a rational matrix
-(``int`` and ``Fraction`` entries) to integers once per call, by the lcm of
-each row's (or product column's) denominators, multiply and eliminate over
-``int``, and build one ``Fraction`` per output entry; an ``int`` matrix
-therefore inverts or reduces to ``Fraction`` entries, never to floats.
+eliminations ``rank`` and ``rank_mod_p``) live in
+:mod:`planeinv._kernels_py`.  Loop overhead is not the cost over
+``Fraction``; the rational arithmetic and the growth of entry bit-size are.
+So the kernels take a rational matrix (``int`` and ``Fraction`` entries) to
+integers once per call, by the lcm of each row's (or product column's)
+denominators, multiply and eliminate over ``int``, and build one
+``Fraction`` per output entry; an ``int`` matrix therefore inverts or
+reduces to ``Fraction`` entries, never to floats.
 Word traces (:mod:`planeinv.words`) scale each letter to integers
 themselves, so their ``mat_mul`` calls, and their derivatives, run over
 ``int`` and return ``int``.  Only jets take the field loop: the reduction
@@ -28,7 +29,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from ._kernels_py import mat_mul as _mat_mul, rank_mod_p, rref_in_place as _rref_in_place
+from ._kernels_py import mat_mul as _mat_mul, rank as _rank, rank_mod_p
+from ._kernels_py import rref_in_place as _rref_in_place
 from .errors import DimensionMismatchError, RankDeficientError, SingularMatrixError
 
 Rat = Fraction
@@ -327,7 +329,7 @@ class Mat:
         return Mat._raw(work), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return _rank(self.data)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:

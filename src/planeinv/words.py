@@ -11,10 +11,11 @@ length; lengths beyond 2**m - 1 are algebraically dependent on shorter ones,
 so that is the default and maximal truncation.
 
 Traces are evaluated over the integers: each letter is scaled once by the
-least common denominator of its entries, the products along word prefixes
-are integer matrix products, the last letter of each word is folded into
-its trace instead of multiplied out, and each trace is divided back by the
-product of its letters' denominators, so each value costs one gcd.
+least common denominator of its entries, and each word is split at its
+middle into a front and a back half-word, whose integer products come from
+one cache.  The trace is one inner product of the front's product with the
+back's transposed product, divided back by the product of the letters'
+denominators, so each value costs one gcd and no word is multiplied out.
 The derivatives of the traces come from those of the letters by the chain
 rule, also over the integers (:func:`trace_derivatives`).
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from operator import add, mul
 from typing import Sequence
@@ -86,12 +86,14 @@ def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
     """A cached ``product(w)`` of the integer letters ``scaled`` along ``w``, and its denominator.
 
     Each product extends the cached one of ``w[:-1]`` by a letter: one m x m
-    product per distinct prefix; ``product(())`` is the identity.  With
-    ``reverse`` the letters multiply in the opposite order, so
-    ``product(v[::-1])`` is the product along ``v``.
+    product per distinct prefix of two or more letters; ``product(())`` is
+    the identity and ``product((i,))`` the letter itself.  With ``reverse``
+    the letters multiply in the opposite order, so ``product(v[::-1])`` is
+    the product along ``v``.
     """
     m = scaled[0][0].rows if scaled else 0
     cache = {(): (Mat._raw([[int(i == j) for j in range(m)] for i in range(m)]), 1)}
+    cache.update(((i,), pair) for i, pair in enumerate(scaled))
 
     def product(w: tuple[int, ...]) -> tuple[Mat, int]:
         got = cache.get(w)
@@ -113,20 +115,27 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     """Traces of the letter products along each word, as exact rationals.
 
     Each letter L_i is scaled once by the least common denominator D_i of
-    its entries, which makes it an integer matrix, and products along word
-    prefixes come from one cache (:func:`_products`).  The last factor is
-    never multiplied out: tr(P L) folds it into the trace at m**2 scalar
-    products instead of m**3.  Each value is ``Fraction(t, D_w)`` with D_w
-    the product of the D_i along the word.
+    its entries, which makes it an integer matrix.  A word w of length l is
+    split at h = ceil(l / 2), and tr(F B), with F and B the products along
+    ``w[:h]`` and ``w[h:]``, is one inner product of F's entries with B's
+    transposed entries (m**2 scalar products).  F and B come from one cache
+    (:func:`_products`), and each back half's transposed entries are taken
+    once.  The fronts are prefixes of necklaces, far fewer than all words of
+    their length, so the longer half goes in front.  Each value is
+    ``Fraction(t, D_w)`` with D_w the product of the D_i along the word.
     """
-    scaled = [_scaled(letter) for letter in letters]
-    flat_t = [_flat_t(mat) for mat, _ in scaled]
-    prefix = _products(scaled)
+    product = _products([_scaled(letter) for letter in letters])
+    backs: dict[tuple[int, ...], tuple[list, int]] = {}
     values = []
     for w in words:
-        head, denom = prefix(w[:-1])
-        t = reduce(add, map(mul, chain.from_iterable(head.data), flat_t[w[-1]]))
-        values.append(Fraction(t, denom * scaled[w[-1]][1]))
+        h = (len(w) + 1) // 2
+        front, d_front = product(w[:h])
+        back = backs.get(w[h:])
+        if back is None:
+            mat, d_back = product(w[h:])
+            back = backs[w[h:]] = (_flat_t(mat), d_back)
+        t = sum(map(mul, chain.from_iterable(front.data), back[0]))
+        values.append(Fraction(t, d_front * back[1]))
     return values
 
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,9 @@ from planeinv.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from planeinv._kernels_py import mat_mul, rref_in_place
+from planeinv._kernels_py import mat_mul, rank, rref_in_place
 from planeinv.linalg import Jet, Mat, hstack, vstack
+from planeinv.words import evaluate_traces
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -368,6 +370,43 @@ class TestTraceWord:
             trace_word([Mat.identity(2)], (1,))
 
 
+def trace_letter(m):
+    """An m x m letter with mixed denominators, sometimes zero or the identity."""
+    entries = st.lists(small_rationals, min_size=m, max_size=m)
+    return st.one_of(
+        st.lists(entries, min_size=m, max_size=m).map(Mat),
+        st.just(Mat.zeros(m, m)),
+        st.just(Mat.identity(m)),
+    )
+
+
+# Periodic necklaces, whose halves repeat each other.
+PERIODIC_WORDS = [(0, 1, 0, 1), (0, 1) * 3, (0, 1) * 4, (0, 0, 1) * 2, (0, 1, 1) * 2]
+
+
+@st.composite
+def trace_cases(draw):
+    """1-3 letters of size 1-4 and words of every length 1-8, shared halves included."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    letters = draw(st.lists(trace_letter(m), min_size=k, max_size=k))
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=8).map(tuple)
+    words = [(0,) * n for n in range(1, 9)] + [w for w in PERIODIC_WORDS if max(w) < k]
+    words += [tuple(k - 1 - x for x in w) for w in PERIODIC_WORDS if max(w) < k]
+    return letters, words + draw(st.lists(word, max_size=12))
+
+
+class TestSplitTraces:
+    """Each trace from two cached half-word products equals the uncached product's."""
+
+    @given(trace_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_uncached_products(self, case):
+        letters, words = case
+        got = evaluate_traces(letters, words)
+        assert got == [trace_word(letters, w) for w in words]
+        assert all(type(v) is Fraction for v in got)
+
+
 # ---------------------------------------------------------------------------
 # the kernels
 # ---------------------------------------------------------------------------
@@ -496,6 +535,14 @@ class TestKernels:
         assert got == field_mat_mul(as_fractions(a), as_fractions(b))
         if any(type(x) is Fraction for row in a + b for x in row):
             assert only_fractions(got)
+
+    @given(kernel_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_field_loop(self, m):
+        want = len(field_rref(as_fractions(m)))
+        before = [row[:] for row in m]
+        assert rank(m) == want == Mat._raw(m).rank()
+        assert m == before and list(map(type, chain(*m))) == list(map(type, chain(*before)))
 
     @given(st.lists(st.lists(st.integers(-99, 99), min_size=3, max_size=3), min_size=3, max_size=3))
     def test_int_mat_mul_stays_int(self, a):

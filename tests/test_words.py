@@ -88,6 +88,31 @@ class TestEvaluateTraces:
     def test_no_words(self):
         assert evaluate_traces([Mat([[1]])], []) == []
 
+    def test_one_product_per_half_word(self, monkeypatch):
+        """Only the halves of the words are multiplied out, not every prefix.
+
+        Three letters and the 540 words up to length 7 need the 60 distinct
+        half-words of two or more letters and the 2 prefixes they extend:
+        62 products, one cache entry each (a product per prefix took 308).
+        """
+        calls = []
+        matmul = Mat.__matmul__
+
+        def counted(a, b):
+            calls.append(None)
+            return matmul(a, b)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        letters = [
+            Mat([[Fraction(i + 2 * j - k, 1 + (i + j + k) % 3) for j in range(3)] for i in range(3)])
+            for k in range(3)
+        ]
+        words = enumerate_words(3, 7)
+        evaluate_traces(letters, words)
+        halves = {part for w in words for part in (w[: (len(w) + 1) // 2], w[(len(w) + 1) // 2 :])}
+        needed = {h[:i] for h in halves for i in range(2, len(h) + 1)}
+        assert len(words) == 540 and len(calls) == len(needed) == 62
+
 
 class TestTraceDerivatives:
     """Each chain-rule derivative equals the product of jets along the word."""
