@@ -12,8 +12,7 @@ rationals (entries ``int`` or ``fractions.Fraction``) neither builds a
 * ``mat_mul`` scales each row of ``a`` and each column of ``b`` once by the
   lcm of its denominators, takes integer dot products, and builds one
   ``Fraction`` per output entry.  A product of ``int`` matrices (the word
-  stage) takes the same dot products without the scaling and returns
-  ``int``.
+  stage) skips the scaling and returns ``int``.
 * ``rref_in_place`` scales each row to integers and eliminates fraction-free
   (``row <- p * row - f * pivot_row``, then divides the row by the gcd of
   its entries), with the same first-nonzero pivoting as the field loop.
@@ -59,10 +58,7 @@ def _scaled_rows(rows):
 def mat_mul(a, b):
     """Product of two list-of-list matrices; inner dimension must be >= 1."""
     kinds = set(map(type, chain(*a, *b)))
-    if kinds <= _RATIONAL:
-        if Fraction not in kinds:
-            bcols = list(zip(*b))
-            return [[sum(map(mul, arow, bcol)) for bcol in bcols] for arow in a]
+    if Fraction in kinds and kinds <= _RATIONAL:
         arows, adens = _scaled_rows(a)
         bcols, bdens = _scaled_rows(zip(*b))
         return [
