@@ -5,9 +5,9 @@ inverse, nullspace, solve and word-trace ultimately bottoms out in
 ``mat_mul`` and ``rref_in_place``, which :mod:`planeinv.linalg` calls, and
 the Jacobian rank is certified first by ``rank_mod_p``.
 
-``mat_mul`` and ``rref_in_place`` work on plain list-of-lists.  Over the
-rationals (entries ``int`` or ``fractions.Fraction``) neither builds a
-``Fraction`` per scalar step:
+``mat_mul`` and ``rref_in_place`` work on plain list-of-lists and never
+build a ``Fraction`` or a ``Jet`` per scalar step.  Over the rationals
+(entries ``int`` or ``fractions.Fraction``):
 
 * ``mat_mul`` scales each row of ``a`` and each column of ``b`` once by the
   lcm of its denominators, takes integer dot products, and builds one
@@ -15,19 +15,32 @@ rationals (entries ``int`` or ``fractions.Fraction``) neither builds a
   stage) skips the scaling and returns ``int``.
 * ``rref_in_place`` scales each row to integers and eliminates fraction-free
   (``row <- p * row - f * pivot_row``, then divides the row by the gcd of
-  its entries), with the same first-nonzero pivoting as the field loop.
-  Each integer row is a nonzero multiple of the row the field loop would
-  hold, so the zero pattern, hence the pivots, is the same at every step;
-  each pivot row is divided by its pivot at the end, which gives the
-  (unique) reduced row echelon form, always as ``Fraction`` entries.
+  its entries; Bareiss 1968), with the same first-nonzero pivoting as a
+  field loop.  Each integer row is a nonzero multiple of the row the field
+  loop would hold, so the zero pattern, hence the pivots, is the same at
+  every step; each pivot row is divided by its pivot at the end, which
+  gives the (unique) reduced row echelon form, always as ``Fraction``
+  entries.
 * ``rank`` runs the same elimination below each pivot only and returns
   the number of pivots; it builds no ``Fraction`` at all.
 
-Any other entry type -- :class:`planeinv.linalg.Jet`, whose derivative
-vectors ride along at no cost to the pivoting -- takes the plain field
-loop, where pivot selection uses the truthiness of entries: a ``Jet``
-pivots on its value part alone, which is exactly what keeps
-differentiation consistent with the undifferentiated computation.
+A matrix with a :class:`planeinv.jet.Jet` entry takes the same route in
+the jet ring truncated at eps^2 (vector forward mode): each row, and each
+column of a right factor, is scaled once to ``k + 1`` integer vectors over
+the lcm of its denominators, one for the values and one per derivative
+direction.
+
+* ``mat_mul`` takes integer inner products and builds one ``Jet`` per
+  output entry.
+* ``rref_in_place`` eliminates with ``row <- p * row - f * pivot_row`` as
+  jet products, one gcd division per row update, and divides each pivot
+  row by its pivot jet at the end.  The pivot is the first nonzero
+  *value*, so the pivots are those of the plain run the jets shadow, but
+  every row whose entry is a nonzero *jet* is cleared: an entry of value 0
+  with a nonzero derivative still carries a derivative of the result.
+  Rows below the rank come back as zero jets.
+* ``rank`` of a jet matrix is the rank of its values.
+
 ``rank_mod_p`` works over plain ``int`` modulo a prime.
 """
 
@@ -36,8 +49,12 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
+from .jet import Jet
+
 _RATIONAL = {int, Fraction}
+_JET = {Jet}
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _scaled_rows(rows):
@@ -58,7 +75,11 @@ def _scaled_rows(rows):
 def mat_mul(a, b):
     """Product of two list-of-list matrices; inner dimension must be >= 1."""
     kinds = set(map(type, chain(*a, *b)))
-    if Fraction in kinds and kinds <= _RATIONAL:
+    if not kinds <= _RATIONAL:
+        if kinds != _JET:
+            a, b = _as_jets(a), _as_jets(b)
+        return _jet_mat_mul(a, b)
+    if Fraction in kinds:
         arows, adens = _scaled_rows(a)
         bcols, bdens = _scaled_rows(zip(*b))
         return [
@@ -87,41 +108,14 @@ def rref_in_place(m):
     Gauss-Jordan with first-nonzero pivoting (no magnitude comparisons:
     entries are exact, any nonzero pivot is as good as another).  Returns
     the tuple of pivot column indices.  Rational input comes back as
-    ``Fraction`` entries.
+    ``Fraction`` entries, jet input as ``Jet`` entries.
     """
-    if set(map(type, chain(*m))) <= _RATIONAL:
+    kinds = set(map(type, chain(*m)))
+    if kinds <= _RATIONAL:
         return _rref_rational(m)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        if pr == rows:
-            break
-        hit = -1
-        for i in range(pr, rows):
-            if m[i][pc]:
-                hit = i
-                break
-        if hit < 0:
-            continue
-        if hit != pr:
-            m[pr], m[hit] = m[hit], m[pr]
-        prow = m[pr]
-        pv = prow[pc]
-        for j in range(pc, cols):
-            prow[j] = prow[j] / pv
-        for i in range(rows):
-            if i == pr:
-                continue
-            f = m[i][pc]
-            if f:
-                row = m[i]
-                for j in range(pc, cols):
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(pc)
-        pr += 1
-    return tuple(pivots)
+    if kinds != _JET:
+        m[:] = _as_jets(m)
+    return _rref_jet(m)
 
 
 def _eliminate_rational(m, reduced):
@@ -184,16 +178,161 @@ def _rref_rational(m):
     return pivots
 
 
+def _as_jets(m):
+    """``m`` with every ``int`` or ``Fraction`` entry made a jet with a zero derivative."""
+    return [[x if type(x) is Jet else Jet(x) for x in row] for row in m]
+
+
+def _jet_rows(rows, k):
+    """Each row of jets times the lcm of its denominators, and that lcm.
+
+    A scaled row is ``k + 1`` integer vectors: the values, then the
+    derivatives along each of the ``k`` directions.
+    """
+    zero = (0,) * k
+    out = []
+    dens = []
+    for row in rows:
+        qs = [x.value.denominator for x in row]
+        ds = [x.den for x in row]
+        den = lcm(*qs, *ds)
+        if den == 1:
+            vecs = [[x.value.numerator for x in row]]
+            vecs += zip(*[x.nums or zero for x in row])
+        else:
+            vecs = [[x.value.numerator * (den // q) for x, q in zip(row, qs)]]
+            vecs += zip(*[
+                [n * s for n in x.nums] if x.nums and (s := den // d) != 1 else x.nums or zero
+                for x, d in zip(row, ds)
+            ])
+        out.append(vecs)
+        dens.append(den)
+    return out, dens
+
+
+def _jet(value, nums, den):
+    """``Jet(value, nums / den)`` for a tuple ``nums``, reduced by one gcd."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return Jet(value, nums, den)
+    if g == den:
+        return Jet(value, tuple([x // g for x in nums]) if any(nums) else ())
+    return Jet(value, tuple([x // g for x in nums]), den // g)
+
+
+def _jet_mat_mul(a, b):
+    """``mat_mul`` over jets: integer inner products of scaled rows and columns.
+
+    Row i of ``a`` is ``(a_0, a_1 .. a_k) / D_i`` and column j of ``b`` is
+    ``(b_0, b_1 .. b_k) / E_j``, so entry (i, j) has the value
+    ``a_0 . b_0 / (D_i E_j)`` and, along direction t, the derivative
+    ``(a_0 . b_t + a_t . b_0) / (D_i E_j)``: one inner product of
+    ``a_0 ++ a_t`` with ``b_t ++ b_0``.
+    """
+    k = max([len(x.nums) for x in chain(*a, *b)])
+    arows, adens = _jet_rows(a, k)
+    bcols, bdens = _jet_rows(zip(*b), k)
+    lefts = [(a0, [(*a0, *at) for at in ats]) for a0, *ats in arows]
+    rights = [(b0, [(*bt, *b0) for bt in bts]) for b0, *bts in bcols]
+    out = []
+    for (a0, ats), aden in zip(lefts, adens):
+        orow = []
+        for (b0, bts), bden in zip(rights, bdens):
+            den = aden * bden
+            nums = tuple([sum(map(mul, at, bt)) for at, bt in zip(ats, bts)])
+            orow.append(_jet(Fraction(sum(map(mul, a0, b0)), den), nums, den))
+        out.append(orow)
+    return out
+
+
+def _rref_jet(m):
+    """``rref_in_place`` for jet entries, eliminating over ``int`` in the jet ring.
+
+    Each row is scaled to ``k + 1`` integer vectors (:func:`_jet_rows`) and
+    updated by ``row <- p * row - f * pivot_row`` with jet products
+    truncated at eps^2: the values by ``p_0 x_0 - f_0 y_0``, direction t by
+    ``p_0 x_t + p_t x_0 - f_0 y_t - f_t y_0``; then the row is divided by
+    the gcd of all its components.  The pivot is the first nonzero value,
+    as over the rationals, and every row whose entry in the pivot column is
+    a nonzero jet (value or derivative) is cleared.  At the end each pivot
+    row is divided by its pivot jet, ``x / p = x (p_0 - p_t eps_t) / p_0^2``,
+    and the rows below the rank become zero jets.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    k = max([len(x.nums) for x in chain(*m)])
+    work = []
+    for vecs in _jet_rows(m, k)[0]:
+        g = gcd(*chain.from_iterable(vecs))
+        work.append([[x // g for x in v] for v in vecs] if g > 1 else vecs)
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        if pr == rows:
+            break
+        hit = -1
+        for i in range(pr, rows):
+            if work[i][0][pc]:
+                hit = i
+                break
+        if hit < 0:
+            continue
+        if hit != pr:
+            work[pr], work[hit] = work[hit], work[pr]
+        y0, *yts = work[pr]
+        p0 = y0[pc]
+        pts = [v[pc] for v in yts]
+        for i in range(rows):
+            if i == pr:
+                continue
+            x0, *xts = work[i]
+            f0 = x0[pc]
+            fts = [v[pc] for v in xts]
+            if not f0 and not any(fts):
+                continue
+            new = [[p0 * x - f0 * y for x, y in zip(x0, y0)]]
+            for xt, yt, pt, ft in zip(xts, yts, pts, fts):
+                new.append([p0 * x - f0 * y + pt * u - ft * v for x, y, u, v in zip(xt, yt, x0, y0)])
+            g = gcd(*chain.from_iterable(new))
+            if g > 1:
+                new = [[x // g for x in v] for v in new]
+            work[i] = new
+        pivots.append(pc)
+        pr += 1
+    # Every pivot column is cleared in all components but at its pivot, so
+    # only the free columns need a division.
+    zero, one = Jet(_ZERO), Jet(_ONE)
+    free = [j for j in range(cols) if j not in pivots]
+    for i, pc in enumerate(pivots):
+        x0, *xts = work[i]
+        p0 = x0[pc]
+        out = [zero] * cols
+        out[pc] = one
+        values = [Fraction(x0[j], p0) if x0[j] else _ZERO for j in free]
+        if k:
+            sq = p0 * p0
+            derivs = zip(*[[p0 * v[j] - v[pc] * x0[j] for j in free] for v in xts])
+            for j, value, nums in zip(free, values, derivs):
+                out[j] = _jet(value, nums, sq)
+        else:
+            for j, value in zip(free, values):
+                out[j] = Jet(value)
+        m[i] = out
+    for i in range(len(pivots), rows):
+        m[i] = [zero] * cols
+    return tuple(pivots)
+
+
 def rank(m):
     """Rank of the list-of-lists matrix ``m``, which is left unchanged.
 
-    Rational input takes the fraction-free elimination below each pivot
-    and builds no ``Fraction``; anything else reduces a copy in the field
-    loop of :func:`rref_in_place`.
+    The fraction-free elimination below each pivot, over ``int``; it builds
+    no ``Fraction``.  A jet matrix has the rank of its values, since its
+    pivots are those of its values.
     """
-    if set(map(type, chain(*m))) <= _RATIONAL:
-        return len(_eliminate_rational(m, reduced=False)[1])
-    return len(rref_in_place([row[:] for row in m]))
+    if not set(map(type, chain(*m))) <= _RATIONAL:
+        m = [[x.value if type(x) is Jet else x for x in row] for row in m]
+    return len(_eliminate_rational(m, reduced=False)[1])
 
 
 def rank_mod_p(m, p):

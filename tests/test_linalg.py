@@ -427,10 +427,14 @@ def field_mat_mul(a, b):
 
 
 def field_rref(m):
-    """Gauss-Jordan over the entries' own field, first-nonzero pivoting, in place.
+    """Gauss-Jordan over the entries' own ring, first-nonzero pivoting, in place.
 
-    The oracle for ``rref_in_place``: one field division per entry of each
-    pivot row and one field multiply-subtract per entry cleared.
+    The oracle for ``rref_in_place``.  The pivot is the first entry that is
+    true (a jet's truthiness reads its value alone); the whole pivot row is
+    divided by it, and every other row whose entry in the pivot column is
+    ``!= 0`` (for a jet, a nonzero value or derivative) is cleared.  Rows
+    below the rank end as zeros: a jet's derivative that no pivot reached
+    is dropped there.
     """
     rows, cols = len(m), len(m[0])
     pivots = []
@@ -442,17 +446,16 @@ def field_rref(m):
         if hit < 0:
             continue
         m[pr], m[hit] = m[hit], m[pr]
-        prow = m[pr]
-        pv = prow[pc]
-        for j in range(pc, cols):
-            prow[j] = prow[j] / pv
+        pv = m[pr][pc]
+        prow = m[pr] = [x / pv for x in m[pr]]
         for i in range(rows):
             f = m[i][pc]
-            if i != pr and f:
-                for j in range(pc, cols):
-                    m[i][j] = m[i][j] - f * prow[j]
+            if i != pr and f != 0:
+                m[i] = [x - f * y for x, y in zip(m[i], prow)]
         pivots.append(pc)
         pr += 1
+    for i in range(pr, rows):
+        m[i] = [x - x for x in m[i]]
     return tuple(pivots)
 
 
@@ -559,12 +562,12 @@ class TestKernels:
         assert only_fractions(Mat._raw([[3, 1, 2]]).rref()[0].data)
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
-        st.lists(st.tuples(small_rationals, st.lists(small_rationals, min_size=2, max_size=2)),
+        st.lists(st.tuples(jet_values, st.lists(small_rationals, min_size=2, max_size=2)),
                  min_size=n, max_size=n),
         min_size=n, max_size=n,
     )))
     @settings(max_examples=100, deadline=None)
-    def test_jet_matrices_take_field_loop(self, entries):
+    def test_jet_rref_matches_field_loop(self, entries):
         m = Mat._raw([[jet(Fraction(v), d) for v, d in row] for row in entries])
         want = [row[:] for row in m.data]
         want_pivots = field_rref(want)
@@ -582,3 +585,85 @@ class TestKernels:
         inv = m.inverse()
         assert inv.data == [row[n:] for row in work]
         assert all(type(x) is Jet for row in inv.data for x in row)
+
+
+# Jet matrices whose entries often have value 0 but a nonzero derivative:
+# the entries a value-only elimination would fail to clear.
+jet_values = st.one_of(st.just(0), st.just(0), small_rationals)
+
+
+@st.composite
+def jet_matrices(draw, rows, cols, k):
+    """Jet matrices with ``k`` directions, mixed with plain ``Fraction`` entries.
+
+    The first entry is always a jet, so the jet kernels run.
+    """
+    derivs = st.one_of(st.just([]), st.lists(small_rationals, min_size=k, max_size=k))
+    jets = st.tuples(jet_values, derivs).map(lambda vd: jet(Fraction(vd[0]), vd[1]))
+    entry = st.one_of(jets, jets, small_rationals.map(Fraction))
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    m[0][0] = draw(jets)
+    return m
+
+
+@st.composite
+def jet_mats(draw, *shapes):
+    """Jet matrices of the given ``(rows, cols)`` shapes, sharing their number of directions."""
+    k = draw(st.integers(1, 3))
+    return [draw(jet_matrices(rows, cols, k)) for rows, cols in shapes]
+
+
+dims = st.integers(1, 4)
+
+
+def zero_jets(m):
+    return all(x == 0 for row in m.data for x in row)
+
+
+class TestJetKernels:
+    """The fraction-free jet kernels: exact in the jet ring, whatever the values."""
+
+    def test_zero_valued_entry_is_cleared(self):
+        # [[1, 0], [eps, 1]]^-1 = [[1, 0], [-eps, 1]]: the (1, 0) entry has value 0.
+        inv = Mat._raw([[Jet(1), Jet(0)], [Jet(0, (1,)), Jet(1)]]).inverse()
+        assert inv.data == [[1, 0], [Jet(0, (-1,)), 1]]
+
+    @given(st.data(), dims, dims, dims)
+    @settings(max_examples=100, deadline=None)
+    def test_mat_mul_matches_field_loop(self, data, n, inner, p):
+        a, b = data.draw(jet_mats((n, inner), (inner, p)))
+        got = mat_mul(a, b)
+        assert got == field_mat_mul(a, b)
+        assert all(type(x) is Jet for row in got for x in row)
+
+    @given(st.data(), dims, dims)
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_and_solve(self, data, n, p):
+        a, b = map(Mat._raw, data.draw(jet_mats((n, n), (n, p))))
+        if a.rank() < n:
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+            return
+        eye = Mat.identity(n)
+        assert a @ a.inverse() == eye == a.inverse() @ a
+        assert a @ a.solve(b) == b
+
+    @given(st.data(), dims, dims, st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_nullspace_of_a_product(self, data, n, r, p):
+        # A = B @ C has rank at most r over the jet ring; when its values
+        # have rank r too, its kernel basis is exact in the jet ring.
+        b, c = map(Mat._raw, data.draw(jet_mats((n, r), (r, p))))
+        a = b @ c
+        if a.rank() < r:
+            return
+        kernel = a.nullspace_basis()
+        assert kernel.cols == p - r
+        assert kernel.cols == 0 or zero_jets(a @ kernel)
+
+    @given(st.data(), dims, st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_is_rank_of_values(self, data, n, p):
+        (a,) = data.draw(jet_mats((n, p)))
+        values = [[x.value if type(x) is Jet else x for x in row] for row in a]
+        assert rank(a) == rank(values) == len(field_rref([row[:] for row in a]))

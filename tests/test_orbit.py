@@ -250,10 +250,48 @@ def exhaustive_rank(config):
     return Mat(rows).rank()
 
 
+def difference_quotients(config, directions, t):
+    """``(v(x + t R) - v(x)) / t`` for each direction R, one entry per word.
+
+    R holds one entry per basis entry, in (member, row, column) order, as
+    the directions of :func:`planeinv.orbit._jet_pass` do.
+    """
+    base = [value for _, value in invariant_vector(config).entries]
+    out = []
+    for direction in directions:
+        steps = iter(direction)
+        moved = Config([
+            Subspace(Mat([[x + t * next(steps) for x in row] for row in sub.basis.data]))
+            for sub in config.subspaces
+        ])
+        values = [value for _, value in invariant_vector(moved).entries]
+        out.append([(b - a) / t for a, b in zip(base, values)])
+    return out
+
+
 def diag_pair_config():
     """A (4,2,5) point where two commuting letters make the rank fall to 4."""
     grid = ((Mat([[1, 0], [0, 2]]), Mat([[2, 0], [0, 1]])),)
     return embed(ReducedDivisible(d=2, r=2, s=5, grid=grid))
+
+
+def point_id(value):
+    """``5-2-5-33`` for a point (n, d, s, seed); pytest's default id otherwise."""
+    return "-".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+# Points with entries in [-1, 1], where the reduction over jets meets many
+# entries of value 0 with a nonzero derivative.
+BOUND_ONE_POINTS = [
+    (5, 2, 5, 33),
+    (3, 2, 5, 40),
+    (3, 2, 6, 5),
+    (3, 2, 6, 6),
+    (4, 2, 5, 1),
+    (4, 2, 5, 2),
+    (5, 2, 5, 1),
+    (5, 2, 5, 2),
+]
 
 
 class TestRankSketch:
@@ -287,6 +325,19 @@ class TestRankSketch:
         c = sample_config(*shape, seed=seed)
         assert jacobian_rank(c) == exhaustive_rank(c)
 
+    @pytest.mark.parametrize("point", BOUND_ONE_POINTS, ids=point_id)
+    def test_agrees_with_exhaustive_at_bound_one(self, point):
+        n, d, s, seed = point
+        c = sample_config(n, d, s, seed=seed, bound=1)
+        assert jacobian_rank(c) == exhaustive_rank(c)
+
+    @pytest.mark.parametrize("point,true_rank", [((5, 2, 5, 33), 3), ((3, 2, 5, 40), 2)], ids=point_id)
+    def test_rank_at_zero_valued_jets(self, point, true_rank):
+        # The reduction over jets meets entries of value 0 with a nonzero
+        # derivative here; leaving them uncleared gave the ranks 4 and 1.
+        n, d, s, seed = point
+        assert jacobian_rank(sample_config(n, d, s, seed=seed, bound=1)) == true_rank
+
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize(
         "n,d,s,seed,true_rank", [(4, 2, 5, 101, 5), (3, 2, 6, 303, 4), (5, 2, 5, 404, 6)]
@@ -299,21 +350,22 @@ class TestRankSketch:
 
 
 # sha256 of the exact sketch rows (one row per direction, one entry per word)
-# at each point, computed by one one-direction jet pass per sketch direction.
+# at each point, computed by one one-direction jet pass per sketch direction;
+# test_rows_match_difference_quotients checks the same rows at every point.
 SKETCH_ROWS_SHA256 = {
     (4, 2, 4, 505): "52f64069f07cd4aa6d5908347ba1659af8d94c26fb595ca478825a723967b907",
-    (4, 2, 5, 101): "5624771eed7f52566467ff1992d45288f33199f8c9f785713e7f70927073dd80",
-    (3, 2, 5, 202): "c1dce485a4b1a6a5ee1ba6add1ae5f7a344e8a0ec45d8e36c44346c8f6b19367",
+    (4, 2, 5, 101): "5dc70de101fd82d0e4778c2f22e5976c02e14e81113d8ee0f37ee10d401b3083",
+    (3, 2, 5, 202): "5680f02b6b3d6869b49bb62b0eb9347d9d3d48893406ee484b47e75291f88a93",
     (3, 2, 6, 303): "25d9b2a0b3eace20e1d90f01e64134ed8cb3d86c846c1321a7cc09f657007bda",
-    (5, 2, 5, 404): "5fdc3c4fca94c591ff40c6e6c3cee3477c5349c634b3ffd02315ae85468d80cc",
+    (5, 2, 5, 404): "31da857ca23393bd1fd9dba32b8db8d55688a6704ae375ef97f360d77c2f2520",
     (6, 3, 5, 606): "b8e43c10ee10d42e4eedac92b437fb54a39d1f6f018bd0c70f95b19cb5f7481b",
-    (3, 2, 6, 11): "10bb4d3e8ef73d5734448bd9fcfe61668019015fe66adb89e976710a5bf2edc1",
-    (3, 2, 6, 12): "3cdce4d90fe1fe19c7c4052f3b4f7b3a516fbd1c22af771752ea53517ac9da5c",
+    (3, 2, 6, 11): "130a4bdb66d562169c818fdae96e11d3a423e28806b9aaade59833bb3d9227ae",
+    (3, 2, 6, 12): "69b7d1680661930ca3679d3c9f14d5fec52631da1c9420c0967cf39d02ec8b04",
     (3, 2, 6, 13): "7b1d81fa42aaa1c3fc7fe4f0625e5cd32a461491024a19ac1620a06f9316d49e",
     (4, 2, 5, 11): "fa46588e271a96ddadf0ba9ab6f509cd61c977747af240d8662eeca5afc14fac",
-    (4, 2, 5, 12): "b943d76603e2e63cac0f9f1d5a8823d96d1e9c562bd804f49ce5544f81f895b8",
+    (4, 2, 5, 12): "abab3db0043d4286acefddb378cd42339f9d82c5240917f49f44935b8a959140",
     (4, 2, 5, 13): "9e99589b409b01123223c909f5d8e41659af8d73de96b0f75b8c0e60e1e8c82b",
-    (5, 2, 5, 11): "e438a3528f75af0fdd6138b86d0dda4ff2f3d88f742724520125e70d166528d6",
+    (5, 2, 5, 11): "bccbc40c21f4a7c625690a2d33ed5e931b42a99731eff5e781a323aba6248de0",
     (5, 2, 5, 12): "93aa1c8ca40b4f47aa3e07464d4ae4173c623830e46fa87b4772d5d31b101d5b",
     (5, 2, 5, 13): "d9186deed674d799b94ecd776f54b87c18b99401ce8b6e456c0dd25b0c27480b",
 }
@@ -332,6 +384,30 @@ class TestBatchedSketch:
         rows = [list(row) for row in zip(*columns)]
         text = ";".join(",".join(str(x) for x in row) for row in rows)
         assert hashlib.sha256(text.encode()).hexdigest() == SKETCH_ROWS_SHA256[point]
+
+    @pytest.mark.parametrize(
+        "point,bound",
+        [(p, 10) for p in sorted(SKETCH_ROWS_SHA256)] + [(p, 1) for p in BOUND_ONE_POINTS],
+        ids=point_id,
+    )
+    def test_rows_match_difference_quotients(self, point, bound):
+        """Each sketch row is (v(x + t R) - v(x)) / t at t = 10**-30, to 10**-10 relative.
+
+        The invariant vector v is exact, so the quotient differs from the
+        derivative by O(t) only.  ``_derivative_rows`` scales each word's
+        column by the denominator of its derivatives, divided back here.
+        """
+        n, d, s, seed = point
+        c = sample_config(n, d, s, seed=seed, bound=bound)
+        coords = n * d * s
+        directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
+        dens = [den for _, den in orbit._jet_pass(c, directions, None)]
+        rows = orbit._derivative_rows(c, directions, None)
+        want = difference_quotients(c, directions, Fraction(1, 10**30))
+        assert len(rows) == len(want) and all(len(row) == len(dens) for row in want)
+        for row, quotients in zip(rows, want):
+            for x, den, q in zip(row, dens, quotients):
+                assert abs(Fraction(x, den) - q) <= Fraction(1, 10**10) * max(abs(q), 1)
 
     def test_rank_drop_mod_p_reaches_rational_rank(self, monkeypatch):
         """A sketch whose integer rows lose rank mod 2**61 - 1 is certified over Q."""
