@@ -45,7 +45,7 @@ direction.
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -201,10 +201,7 @@ def _jet_rows(rows, k):
             vecs += zip(*[x.nums or zero for x in row])
         else:
             vecs = [[x.value.numerator * (den // q) for x, q in zip(row, qs)]]
-            vecs += zip(*[
-                [n * s for n in x.nums] if x.nums and (s := den // d) != 1 else x.nums or zero
-                for x, d in zip(row, ds)
-            ])
+            vecs += zip(*[[n * (den // d) for n in x.nums] if x.nums else zero for x, d in zip(row, ds)])
         out.append(vecs)
         dens.append(den)
     return out, dens
@@ -309,14 +306,10 @@ def _rref_jet(m):
         out = [zero] * cols
         out[pc] = one
         values = [Fraction(x0[j], p0) if x0[j] else _ZERO for j in free]
-        if k:
-            sq = p0 * p0
-            derivs = zip(*[[p0 * v[j] - v[pc] * x0[j] for j in free] for v in xts])
-            for j, value, nums in zip(free, values, derivs):
-                out[j] = _jet(value, nums, sq)
-        else:
-            for j, value in zip(free, values):
-                out[j] = Jet(value)
+        derivs = zip(*[[p0 * v[j] - v[pc] * x0[j] for j in free] for v in xts]) if k else repeat(())
+        sq = p0 * p0
+        for j, value, nums in zip(free, values, derivs):
+            out[j] = _jet(value, nums, sq)
         m[i] = out
     for i in range(len(pivots), rows):
         m[i] = [zero] * cols
