@@ -182,17 +182,25 @@ def load_json(path: str):
 
 
 def write_json(path: str, obj) -> None:
-    """Serialize and atomically replace ``path`` (no partial files on failure)."""
+    """Serialize and atomically replace ``path`` (no partial files on failure).
+
+    An ``OSError`` (a missing directory, ``path`` a directory) becomes a
+    ``ValueError``, as in :func:`load_json`.
+    """
     text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # strerror, since the errno message names the temp file, not path.
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None

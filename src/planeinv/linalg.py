@@ -4,9 +4,9 @@ Everything downstream -- subspace normal forms, invariant letters, Jacobian
 ranks -- is built from the handful of operations here.  There is no floating
 point anywhere: scalars are ``fractions.Fraction`` (gcd-reduced arbitrary
 precision rationals from the stdlib, exposed as :data:`Rat`) or
-:class:`Jet` dual numbers over them.  A jet carries one value and a
-derivative vector, one entry per direction, as integer numerators over one
-common denominator, so a single pass differentiates along every direction.
+:class:`Jet` records.  A jet carries one value and a derivative vector,
+one entry per direction, as integer numerators over one common
+denominator, so a single pass differentiates along every direction.
 
 The hot loops (``mat_mul``, ``rref_in_place``, and the rank-only
 eliminations ``rank`` and ``rank_mod_p``) live in
@@ -24,7 +24,11 @@ the reduction that builds the letters of the Jacobian pass, take the same
 fraction-free route: each row is scaled to one integer vector of values and
 one per derivative direction, and elimination runs in the jet ring.  It
 pivots on values but clears every entry that is a nonzero jet, so the
-derivatives are exact.
+derivatives are exact.  Every jet product and quotient happens there; a
+``Mat`` applies to single jet entries only ``+`` and ``-`` of two jets,
+negation and truthiness (``is_zero``), so ``+``, ``-`` and ``trace`` need
+all-jet operands, while the kernels also take ``Fraction`` and ``Jet``
+entries mixed in one matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +49,10 @@ _ONE = Fraction(1)
 
 
 def as_scalar(x):
-    """Coerce ``x`` to a package scalar (``Rat`` or ``Jet``)."""
+    """Coerce ``x`` to a package scalar: ``int`` and ``str`` become ``Rat``.
+
+    A ``Fraction`` or a ``Jet`` is kept as it is.
+    """
     if isinstance(x, (Fraction, Jet)):
         return x
     if isinstance(x, (int, str)):
@@ -92,9 +99,8 @@ class Mat:
         return m
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, like=None) -> "Mat":
-        z = zero_like(like) if like is not None else _ZERO
-        return cls._raw([[z] * cols for _ in range(rows)])
+    def zeros(cls, rows: int, cols: int) -> "Mat":
+        return cls._raw([[_ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int, like=None) -> "Mat":
@@ -120,10 +126,6 @@ class Mat:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Mat[{self.rows}x{self.cols}: {body}]"
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows or self.cols == 0:
@@ -219,12 +221,8 @@ class Mat:
             raise RankDeficientError("inconsistent linear system")
         if len(lead) < m:
             raise RankDeficientError("underdetermined linear system")
-        like = self.data[0][0]
-        z = zero_like(like)
-        out = [[z] * rhs.cols for _ in range(m)]
-        for r, p in enumerate(lead):
-            out[p] = work[r][m:]
-        return Mat._raw(out)
+        # The pivots are 0 .. m-1, in order: row r of the solution is row r.
+        return Mat._raw([row[m:] for row in work[:m]])
 
     def nullspace_basis(self) -> "Mat":
         """Canonical kernel basis, one column per free variable.

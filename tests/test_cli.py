@@ -352,6 +352,34 @@ class TestEmbedCmd:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBadOut:
+    """An ``--out`` that cannot be written exits 2 with a message and leaves no temp file."""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["gen", "invariants", "embed"])
+    def test_exits_2(self, tmp_path, capsys, command, where):
+        cfg, letters = tmp_path / "c.json", tmp_path / "letters.json"
+        run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg)
+        letters.write_text(json.dumps({
+            "kind": "divisible", "d": 2, "r": 2, "s": 5,
+            "letters": {"G_2_2": [[1, 2], [3, 4]], "G_2_3": [[0, 1], [1, 0]]},
+        }))
+        out = tmp_path / "missing" / "o.json"
+        if where == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+        args = {
+            "gen": ("--n", 4, "--d", 2, "--s", 5, "--seed", 1),
+            "invariants": ("--in", cfg),
+            "embed": ("--in", letters),
+        }[command]
+        capsys.readouterr()
+        assert run(command, *args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err and "Traceback" not in err
+        assert not list(tmp_path.rglob(".tmp-*.json"))
+
+
 class TestArgparseBehavior:
     def test_no_subcommand_exits_2(self, capsys):
         assert run() == 2

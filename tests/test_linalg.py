@@ -1,4 +1,12 @@
-"""Exact linear algebra: Mat, Jet dual numbers, and the kernels."""
+"""Exact linear algebra: Mat, Jet records, and the kernels.
+
+The kernels are checked against naive oracles that share no arithmetic
+with them: ``field_mat_mul`` and ``field_rref`` run one scalar step at a
+time, over ``Fraction`` for rational matrices and over :class:`Dual` for
+jet matrices.  ``Dual`` is a dual number of its own, a ``Fraction`` value
+and a list of ``Fraction`` derivatives, so no jet-kernel test compares
+against ``Jet`` or kernel code.
+"""
 
 import math
 from fractions import Fraction
@@ -188,7 +196,7 @@ class TestRrefAndNullspace:
 
 
 # ---------------------------------------------------------------------------
-# Jet dual numbers
+# Jet records
 # ---------------------------------------------------------------------------
 
 
@@ -204,17 +212,17 @@ def deriv(nums, den):
 
 
 class TestJet:
+    """Golden jets.  Products, quotients and constants meet jets only in the kernels."""
+
     def test_product_rule_golden(self):
-        # (2 + eps)(3 + eps) = 6 + 5 eps
-        a = jet(Fraction(2), [1])
-        b = jet(Fraction(3), [1])
-        p = a * b
+        # (2 + eps)(3 + eps) = 6 + 5 eps, as a 1 x 1 product
+        [[p]] = mat_mul([[jet(Fraction(2), [1])]], [[jet(Fraction(3), [1])]])
         assert p.value == 6 and deriv(p.nums, p.den) == [5]
 
     def test_quotient_rule(self):
-        # d/dx (x / (x + 1)) at x = 1 is 1/4
+        # d/dx (x / (x + 1)) at x = 1 is 1/4: solve (x + 1) q = x
         x = jet(Fraction(1), [1])
-        q = x / (x + Jet(Fraction(1)))
+        [[q]] = Mat._raw([[x + Jet(Fraction(1))]]).solve(Mat._raw([[x]])).data
         assert q.value == Fraction(1, 2)
         assert deriv(q.nums, q.den) == [Fraction(1, 4)]
 
@@ -223,14 +231,15 @@ class TestJet:
         assert jet(Fraction(1), [0])
 
     def test_mixed_arithmetic_with_ints(self):
+        # 2x + 1 - x/3 at x = 3 + eps: int and Fraction entries are constants
         x = jet(Fraction(3), [1])
-        y = 2 * x + 1 - x / 3
+        [[y]] = mat_mul([[2, 1, Fraction(-1, 3)]], [[x], [1], [x]])
         assert y.value == 6
         assert deriv(y.nums, y.den) == [Fraction(5, 3)]
 
     def test_epsilon_squared_vanishes(self):
         eps = jet(Fraction(0), [1, 2])
-        sq = eps * eps
+        [[sq]] = mat_mul([[eps]], [[eps]])
         assert sq.value == 0 and not any(sq.nums)
 
     @given(rationals, rationals, rationals, rationals)
@@ -246,90 +255,12 @@ class TestJet:
         assert x.value == Fraction(1, 2)
         assert deriv(x.nums, x.den) == [Fraction(-1, 4), Fraction(-1, 2)]
 
-    def test_equal_scalars_hash_equally(self):
-        one = Jet(Fraction(1))
-        assert one == 1 == Fraction(1) == jet(Fraction(1), [0, 0])
-        assert len({one, 1, Fraction(1), jet(Fraction(1), [0, 0])}) == 1
-        assert hash(jet(Fraction(2), [1, 3])) == hash(Jet(Fraction(2), (2, 6), 2))
-        assert jet(Fraction(2), [1, 3]) == Jet(Fraction(2), (2, 6), 2)
-        assert jet(Fraction(2), [1, 3]) != jet(Fraction(2), [1, 2])
-
-    @given(rationals, st.lists(rationals, max_size=3), st.integers(1, 5))
-    def test_hash_follows_equality(self, value, derivs, scale):
-        a = jet(value, derivs)
-        b = Jet(value, tuple(x * scale for x in a.nums), a.den * scale)
-        assert a == b and hash(a) == hash(b)
-
-
-# Scalar dual numbers (value, derivative) as pairs of Fractions: the oracle
-# for one direction of a k-direction jet.
-DUAL_OPS = {
-    "add": (lambda a, b: a + b, lambda a, b: (a[0] + b[0], a[1] + b[1])),
-    "sub": (lambda a, b: a - b, lambda a, b: (a[0] - b[0], a[1] - b[1])),
-    "mul": (lambda a, b: a * b, lambda a, b: (a[0] * b[0], a[0] * b[1] + a[1] * b[0])),
-    "div": (
-        lambda a, b: a / b,
-        lambda a, b: (a[0] / b[0], (a[1] * b[0] - a[0] * b[1]) / (b[0] * b[0])),
-    ),
-}
 
 small_rationals = st.one_of(
     st.integers(-6, 6),
     st.fractions(min_value=-6, max_value=6, max_denominator=9),
     st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12)),
 )
-
-
-def operands(k):
-    """A k-direction jet (as a Jet and as k scalar duals), an int or a Fraction."""
-    value = small_rationals.map(Fraction)
-    derivs = st.one_of(st.just([]), st.lists(small_rationals, min_size=k, max_size=k))
-    as_jet = st.tuples(value, derivs).map(
-        lambda vd: (jet(*vd), [(vd[0], Fraction(x)) for x in vd[1] or [0] * k])
-    )
-    as_const = small_rationals.map(lambda c: (c, [(Fraction(c), Fraction(0))] * k))
-    return st.one_of(as_jet, as_jet, as_const)
-
-
-class TestJetVector:
-    """k-direction jet arithmetic equals k one-direction computations."""
-
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda k: st.tuples(
-                st.just(k),
-                operands(k),
-                st.lists(
-                    st.tuples(
-                        st.sampled_from(sorted(DUAL_OPS)), st.booleans(), st.booleans(), operands(k)
-                    ),
-                    max_size=6,
-                ),
-            )
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_chain_matches_scalar_duals(self, case):
-        k, (acc, duals), steps = case
-        for name, reflected, negate, (operand, operand_duals) in steps:
-            jet_op, dual_op = DUAL_OPS[name]
-            left, right = (operand, acc) if reflected else (acc, operand)
-            dl, dr = (operand_duals, duals) if reflected else (duals, operand_duals)
-            if name == "div" and not dr[0][0]:
-                with pytest.raises(ZeroDivisionError):
-                    jet_op(left, right)
-                continue
-            if not isinstance(left, Jet) and not isinstance(right, Jet):
-                continue  # two constants: no jet arithmetic to check
-            acc = jet_op(left, right)
-            duals = [dual_op(a, b) for a, b in zip(dl, dr)]
-            if negate:
-                acc, duals = -acc, [(-v, -dv) for v, dv in duals]
-            assert isinstance(acc, Jet)
-            assert acc.value == duals[0][0]
-            got = deriv(acc.nums, acc.den) or [Fraction(0)] * k
-            assert got == [dv for _, dv in duals]
-            assert acc.den > 0 and math.gcd(acc.den, *acc.nums) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +271,20 @@ class TestJetVector:
 def trace_word(letters, word):
     """Trace of the product ``letters[word[0]] @ letters[word[1]] @ ...``.
 
-    The uncached oracle for :func:`planeinv.words.evaluate_traces`.  Letter
-    indices are 0-based; an out-of-range index raises ``IndexError``.
+    The uncached oracle for :func:`planeinv.words.evaluate_traces`: the
+    products run through ``field_mat_mul``, so letters of :class:`Dual`
+    entries give the derivatives too.  Letter indices are 0-based; an
+    out-of-range index raises ``IndexError``.
     """
     if not word:
         raise IndexError("empty word")
     for k in word:
         if not 0 <= k < len(letters):
             raise IndexError(f"letter index {k} out of range for alphabet of {len(letters)}")
-    acc = letters[word[0]]
+    acc = letters[word[0]].data
     for k in word[1:]:
-        acc = acc @ letters[k]
-    return acc.trace()
+        acc = field_mat_mul(acc, letters[k].data)
+    return sum((acc[i][i] for i in range(1, len(acc))), acc[0][0])
 
 
 class TestTraceWord:
@@ -427,14 +360,14 @@ def field_mat_mul(a, b):
 
 
 def field_rref(m):
-    """Gauss-Jordan over the entries' own ring, first-nonzero pivoting, in place.
+    """Gauss-Jordan over the entries' own field or ring, first-nonzero pivoting, in place.
 
-    The oracle for ``rref_in_place``.  The pivot is the first entry that is
-    true (a jet's truthiness reads its value alone); the whole pivot row is
-    divided by it, and every other row whose entry in the pivot column is
-    ``!= 0`` (for a jet, a nonzero value or derivative) is cleared.  Rows
-    below the rank end as zeros: a jet's derivative that no pivot reached
-    is dropped there.
+    The oracle for ``rref_in_place``, over ``Fraction`` or :class:`Dual`.
+    The pivot is the first entry that is true (a dual's truthiness reads
+    its value alone); the whole pivot row is divided by it, and every other
+    row whose entry in the pivot column is ``!= 0`` (for a dual, a nonzero
+    value or derivative) is cleared.  Rows below the rank end as zeros: a
+    derivative that no pivot reached is dropped there.
     """
     rows, cols = len(m), len(m[0])
     pivots = []
@@ -457,6 +390,94 @@ def field_rref(m):
     for i in range(pr, rows):
         m[i] = [x - x for x in m[i]]
     return tuple(pivots)
+
+
+# One-direction dual numbers (value, derivative) as pairs of Fractions.
+DUAL_OPS = {
+    "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "sub": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    "mul": lambda a, b: (a[0] * b[0], a[0] * b[1] + a[1] * b[0]),
+    "div": lambda a, b: (a[0] / b[0], (a[1] * b[0] - a[0] * b[1]) / (b[0] * b[0])),
+}
+
+
+class Dual:
+    """The jet oracle: a ``Fraction`` value and a list of ``Fraction`` derivatives.
+
+    Naive on purpose: ``+ - * /`` apply the one-direction rule of
+    ``DUAL_OPS`` to each direction in turn, and ``int`` or ``Fraction``
+    operands are constants.  Truthiness reads the value, as a jet's does;
+    ``!= 0`` holds when the value or any derivative is nonzero.
+    """
+
+    __slots__ = ("value", "derivs")
+
+    def __init__(self, value, derivs):
+        self.value = Fraction(value)
+        self.derivs = [Fraction(x) for x in derivs]
+
+    def _lift(self, other):
+        return other if isinstance(other, Dual) else Dual(other, [0] * len(self.derivs))
+
+    def _op(self, name, a, b):
+        a, b = self._lift(a), self._lift(b)
+        assert len(a.derivs) == len(b.derivs)
+        rule = DUAL_OPS[name]
+        pairs = [rule((a.value, x), (b.value, y)) for x, y in zip(a.derivs, b.derivs)]
+        return Dual(rule((a.value, 0), (b.value, 0))[0], [d for _, d in pairs])
+
+    def __add__(self, other):
+        return self._op("add", self, other)
+
+    def __radd__(self, other):
+        return self._op("add", other, self)
+
+    def __sub__(self, other):
+        return self._op("sub", self, other)
+
+    def __rsub__(self, other):
+        return self._op("sub", other, self)
+
+    def __mul__(self, other):
+        return self._op("mul", self, other)
+
+    def __rmul__(self, other):
+        return self._op("mul", other, self)
+
+    def __truediv__(self, other):
+        return self._op("div", self, other)
+
+    def __rtruediv__(self, other):
+        return self._op("div", other, self)
+
+    def __neg__(self):
+        return Dual(-self.value, [-x for x in self.derivs])
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return self.value == other.value and self.derivs == other.derivs
+
+    def __repr__(self):
+        return f"Dual({self.value}, {self.derivs})"
+
+
+def as_duals(m, k):
+    """The ``Jet``, ``int`` or ``Fraction`` entries of ``m`` as duals in ``k`` directions."""
+    out = []
+    for row in m:
+        orow = []
+        for x in row:
+            if type(x) is Jet:
+                derivs = [Fraction(n, x.den) for n in x.nums] or [0] * k
+                assert len(derivs) == k
+                orow.append(Dual(x.value, derivs))
+            else:
+                orow.append(Dual(x, [0] * k))
+        out.append(orow)
+    return out
 
 
 # Jet matrices whose entries often have value 0 but a nonzero derivative:
@@ -574,33 +595,33 @@ class TestKernels:
     @settings(max_examples=100, deadline=None)
     def test_jet_rref_matches_field_loop(self, entries):
         m = Mat._raw([[jet(Fraction(v), d) for v, d in row] for row in entries])
-        want = [row[:] for row in m.data]
+        want = as_duals(m.data, 2)
         want_pivots = field_rref(want)
         red, pivots = m.rref()
-        assert pivots == want_pivots and red.data == want
+        assert pivots == want_pivots and as_duals(red.data, 2) == want
         assert all(type(x) is Jet for row in red.data for x in row)
         n = m.rows
         if len(want_pivots) < n:
             with pytest.raises(SingularMatrixError):
                 m.inverse()
             return
-        eye = Mat.identity(n, like=m.data[0][0]).data
-        work = [row[:] + e for row, e in zip(m.data, eye)]
+        eye = as_duals(Mat.identity(n).data, 2)
+        work = [row + e for row, e in zip(as_duals(m.data, 2), eye)]
         field_rref(work)
         inv = m.inverse()
-        assert inv.data == [row[n:] for row in work]
+        assert as_duals(inv.data, 2) == [row[n:] for row in work]
         assert all(type(x) is Jet for row in inv.data for x in row)
 
 
 @st.composite
-def jet_matrices(draw, rows, cols, k):
-    """Jet matrices with ``k`` directions, mixed with plain ``Fraction`` entries.
+def jet_matrices(draw, rows, cols, k, constants=True):
+    """Jet matrices with ``k`` directions; with ``constants``, mixed with plain ``Fraction`` entries.
 
     The first entry is always a jet, so the jet kernels run.
     """
     derivs = st.one_of(st.just([]), st.lists(small_rationals, min_size=k, max_size=k))
     jets = st.tuples(jet_values, derivs).map(lambda vd: jet(Fraction(vd[0]), vd[1]))
-    entry = st.one_of(jets, jets, small_rationals.map(Fraction))
+    entry = st.one_of(jets, jets, small_rationals.map(Fraction)) if constants else jets
     m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     m[0][0] = draw(jets)
     return m
@@ -608,16 +629,12 @@ def jet_matrices(draw, rows, cols, k):
 
 @st.composite
 def jet_mats(draw, *shapes):
-    """Jet matrices of the given ``(rows, cols)`` shapes, sharing their number of directions."""
+    """The number of directions ``k``, and jet matrices of the given ``(rows, cols)`` shapes."""
     k = draw(st.integers(1, 3))
-    return [draw(jet_matrices(rows, cols, k)) for rows, cols in shapes]
+    return k, [draw(jet_matrices(rows, cols, k)) for rows, cols in shapes]
 
 
 dims = st.integers(1, 4)
-
-
-def zero_jets(m):
-    return all(x == 0 for row in m.data for x in row)
 
 
 class TestJetKernels:
@@ -626,27 +643,30 @@ class TestJetKernels:
     def test_zero_valued_entry_is_cleared(self):
         # [[1, 0], [eps, 1]]^-1 = [[1, 0], [-eps, 1]]: the (1, 0) entry has value 0.
         inv = Mat._raw([[Jet(1), Jet(0)], [Jet(0, (1,)), Jet(1)]]).inverse()
-        assert inv.data == [[1, 0], [Jet(0, (-1,)), 1]]
+        assert as_duals(inv.data, 1) == [[1, 0], [Dual(0, [-1]), 1]]
 
     @given(st.data(), dims, dims, dims)
     @settings(max_examples=100, deadline=None)
     def test_mat_mul_matches_field_loop(self, data, n, inner, p):
-        a, b = data.draw(jet_mats((n, inner), (inner, p)))
+        k, (a, b) = data.draw(jet_mats((n, inner), (inner, p)))
         got = mat_mul(a, b)
-        assert got == field_mat_mul(a, b)
+        assert as_duals(got, k) == field_mat_mul(as_duals(a, k), as_duals(b, k))
         assert all(type(x) is Jet for row in got for x in row)
 
     @given(st.data(), dims, dims)
     @settings(max_examples=150, deadline=None)
     def test_inverse_and_solve(self, data, n, p):
-        a, b = map(Mat._raw, data.draw(jet_mats((n, n), (n, p))))
-        if a.rank() < n:
+        k, (a, b) = data.draw(jet_mats((n, n), (n, p)))
+        if rank(a) < n:
             with pytest.raises(SingularMatrixError):
-                a.inverse()
+                Mat._raw(a).inverse()
             return
-        eye = Mat.identity(n)
-        assert a @ a.inverse() == eye == a.inverse() @ a
-        assert a @ a.solve(b) == b
+        da = as_duals(a, k)
+        inv = as_duals(Mat._raw(a).inverse().data, k)
+        eye = as_duals(Mat.identity(n).data, k)
+        assert field_mat_mul(da, inv) == eye == field_mat_mul(inv, da)
+        x = as_duals(Mat._raw(a).solve(Mat._raw(b)).data, k)
+        assert field_mat_mul(da, x) == as_duals(b, k)
 
     @given(st.data(), dims, st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
@@ -654,17 +674,50 @@ class TestJetKernels:
         # A = B @ C has rank at most r over the jet ring; when its values
         # have rank r too, its kernel basis is exact in the jet ring.
         r = data.draw(st.integers(1, min(n, p)))
-        b, c = map(Mat._raw, data.draw(jet_mats((n, r), (r, p))))
-        a = b @ c
+        k, (b, c) = data.draw(jet_mats((n, r), (r, p)))
+        a = Mat._raw(b) @ Mat._raw(c)
         if a.rank() < r:
             return
         kernel = a.nullspace_basis()
         assert kernel.cols == p - r
-        assert kernel.cols == 0 or zero_jets(a @ kernel)
+        product = field_mat_mul(as_duals(a.data, k), as_duals(kernel.data, k))
+        assert kernel.cols == 0 or all(x == 0 for row in product for x in row)
 
     @given(st.data(), dims, st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_rank_is_rank_of_values(self, data, n, p):
-        (a,) = data.draw(jet_mats((n, p)))
+        k, (a,) = data.draw(jet_mats((n, p)))
         values = [[x.value if type(x) is Jet else x for x in row] for row in a]
-        assert rank(a) == rank(values) == len(field_rref([row[:] for row in a]))
+        assert rank(a) == rank(values) == len(field_rref(as_duals(a, k)))
+
+
+class TestJetVector:
+    """``+``, ``-`` and unary ``-`` of all-jet matrices equal the dual oracle's, direction by direction."""
+
+    @given(st.data(), dims, dims, st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_matches_scalar_duals(self, data, n, p, k):
+        def draw():
+            other = Mat._raw(data.draw(jet_matrices(n, p, k, constants=False)))
+            return other, as_duals(other.data, k)
+
+        acc, want = draw()
+        for step in data.draw(st.lists(st.sampled_from(["add", "sub", "rsub", "neg"]), max_size=6)):
+            if step == "neg":
+                acc, want = -acc, [[-x for x in row] for row in want]
+            else:
+                other, theirs = draw()
+                pairs = [list(zip(r, q)) for r, q in zip(want, theirs)]
+                if step == "add":
+                    acc, want = acc + other, [[x + y for x, y in row] for row in pairs]
+                elif step == "sub":
+                    acc, want = acc - other, [[x - y for x, y in row] for row in pairs]
+                else:
+                    acc, want = other - acc, [[y - x for x, y in row] for row in pairs]
+            assert as_duals(acc.data, k) == want
+            assert all(
+                type(x) is Jet and x.den > 0 and math.gcd(x.den, *x.nums) == 1
+                for row in acc.data for x in row
+            )
+        if n == p:
+            assert as_duals([[acc.trace()]], k) == [[sum((want[i][i] for i in range(1, n)), want[0][0])]]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import deriv, jet, trace_word
+from test_linalg import as_duals, deriv, jet, trace_word
 
 from planeinv.cli import main
 from planeinv.linalg import Jet, Mat
@@ -47,10 +47,15 @@ rationals = st.one_of(
 small_derivs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 11, 10**9 + 7]))
 
 
+def constant(x, c):
+    """``c`` of the type of ``x``: a jet with a zero derivative, or a ``Fraction``."""
+    return Jet(Fraction(c)) if isinstance(x, Jet) else Fraction(c)
+
+
 def letter(size, entry):
     """A size x size letter, sometimes the zero or the identity matrix."""
-    one = entry.map(lambda x: x * 0 + 1)
-    zero = entry.map(lambda x: x * 0)
+    one = entry.map(lambda x: constant(x, 1))
+    zero = entry.map(lambda x: constant(x, 0))
     square = lambda e: st.lists(  # noqa: E731
         st.lists(e, min_size=size, max_size=size), min_size=size, max_size=size
     )
@@ -115,7 +120,7 @@ class TestEvaluateTraces:
 
 
 class TestTraceDerivatives:
-    """Each chain-rule derivative equals the product of jets along the word."""
+    """Each chain-rule derivative equals the dual oracle's product along the word."""
 
     @given(
         st.integers(1, 4).flatmap(
@@ -128,10 +133,9 @@ class TestTraceDerivatives:
         words = enumerate_words(len(letters), 5)
         got = trace_derivatives(letters, words)
         zeros = [Fraction(0)] * k
-        want = [trace_word(letters, w) for w in words]
-        assert [deriv(*pair) or zeros for pair in got] == [
-            deriv(v.nums, v.den) or zeros if isinstance(v, Jet) else zeros for v in want
-        ]
+        duals = [Mat._raw(as_duals(x.data, k)) for x in letters]
+        want = [trace_word(duals, w).derivs for w in words]
+        assert [deriv(*pair) or zeros for pair in got] == want
         assert len({len(nums) for nums, _ in got}) <= 1
         assert all(
             all(type(x) is int for x in nums) and den > 0 and math.gcd(den, *nums) == 1
