@@ -12,19 +12,19 @@ The hot loops (``mat_mul``, ``rref_in_place``, and the rank-only
 eliminations ``rank`` and ``rank_mod_p``) live in
 :mod:`planeinv._kernels_py`.  Loop overhead is not the cost over
 ``Fraction``; the rational arithmetic and the growth of entry bit-size are.
-So the kernels take a rational matrix (``int`` and ``Fraction`` entries) to
-integers once per call, by the lcm of each row's (or product column's)
-denominators, multiply and eliminate over ``int``, and build one
-``Fraction`` per output entry; an ``int`` matrix therefore inverts or
-reduces to ``Fraction`` entries, never to floats.
-Word traces (:mod:`planeinv.words`) scale each letter to integers
-themselves, so their ``mat_mul`` calls, and their derivatives, run over
-``int`` and return ``int``.  Jets (:mod:`planeinv.jet`), the scalars of
-the reduction that builds the letters of the Jacobian pass, take the same
-fraction-free route: each row is scaled to one integer vector of values and
-one per derivative direction, and elimination runs in the jet ring.  It
-pivots on values but clears every entry that is a nonzero jet, so the
-derivatives are exact.  Every jet product and quotient happens there; a
+So the kernels take a matrix to integers once per call: one scaler turns
+each row (or product column) into a flat list of integers over the lcm of
+its denominators, the values and, for a matrix of jets (:mod:`planeinv.jet`,
+the scalars of the reduction that builds the letters of the Jacobian
+pass), the derivatives along each direction after them.  One
+fraction-free elimination loop runs over both kinds of rows, and the
+kernels build one ``Fraction`` or ``Jet`` per output entry; an ``int``
+matrix therefore inverts or reduces to ``Fraction`` entries, never to
+floats.  Elimination pivots on values but clears every entry that is a
+nonzero jet, so the derivatives are exact.  Word traces
+(:mod:`planeinv.words`) scale each letter with the same scaler, so their
+``mat_mul`` calls, and their derivatives, run over ``int`` and return
+``int``.  Every jet product and quotient happens in the kernels; a
 ``Mat`` applies to single jet entries only ``+`` and ``-`` of two jets,
 negation and truthiness (``is_zero``), so ``+``, ``-`` and ``trace`` need
 all-jet operands, while the kernels also take ``Fraction`` and ``Jet``

@@ -29,6 +29,9 @@ along every coordinate direction.
 from __future__ import annotations
 
 import enum
+import functools
+from typing import Sequence
+
 from .errors import (
     DegenerateConfigError,
     ShapeMismatchError,
@@ -161,10 +164,14 @@ _SKETCH_BOUND = 9
 _RANK_PRIME = (1 << 61) - 1
 
 
-def _sketch(coords: int, count: int) -> list[list[int]]:
-    """The first ``count`` sketch directions, each with ``coords`` entries."""
+@functools.cache
+def _sketch(coords: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The first ``count`` sketch directions, each with ``coords`` entries.
+
+    Drawn once per shape and shared by every call, hence tuples.
+    """
     rng = SplitMix64(_SKETCH_SEED)
-    return [[rng.next_int(_SKETCH_BOUND) for _ in range(coords)] for _ in range(count)]
+    return tuple(tuple(rng.next_int(_SKETCH_BOUND) for _ in range(coords)) for _ in range(count))
 
 
 def jacobian_rank(config: Config, max_len: int | None = None) -> int:
@@ -200,7 +207,7 @@ def jacobian_rank(config: Config, max_len: int | None = None) -> int:
     return Mat(_derivative_rows(config, units, max_len)).rank()
 
 
-def _jet_pass(config: Config, directions: list[list[int]], max_len: int | None) -> list:
+def _jet_pass(config: Config, directions: Sequence[Sequence[int]], max_len: int | None) -> list:
     """The word traces' derivatives along all ``directions``, as ``(nums, den)`` pairs.
 
     Each direction holds one derivative per basis entry, in (member, row,
@@ -223,7 +230,7 @@ def _jet_pass(config: Config, directions: list[list[int]], max_len: int | None) 
     return trace_derivatives(letters, words)
 
 
-def _derivative_rows(config: Config, directions: list[list[int]], max_len: int | None) -> list:
+def _derivative_rows(config: Config, directions: Sequence[Sequence[int]], max_len: int | None) -> list:
     """The rows of J R, one per direction, as integers; empty when there are no words.
 
     Each word's column is scaled by the common denominator of its

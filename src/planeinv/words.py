@@ -11,10 +11,12 @@ length; lengths beyond 2**m - 1 are algebraically dependent on shorter ones,
 so that is the default and maximal truncation.
 
 Traces are evaluated over the integers: each letter is scaled once by the
-least common denominator of its entries, and each word is split at its
-middle into a front and a back half-word, whose integer products come from
-one cache.  The trace is one inner product of the front's product with the
-back's transposed product, divided back by the product of the letters'
+least common denominator of its entries, as one row-major row of the
+kernels' scaler (:func:`planeinv._kernels_py.scaled_rows`), so the integer
+format is the kernels' own.  Each word is split at its middle into a
+front and a back half-word, whose integer products come from one cache.
+The trace is one inner product of the front's product with the back's
+transposed product, divided back by the product of the letters'
 denominators, so each value costs one gcd and no word is multiplied out.
 The derivatives of the traces come from those of the letters by the chain
 rule, also over the integers (:func:`trace_derivatives`).
@@ -29,6 +31,7 @@ from itertools import chain
 from operator import add, mul
 from typing import Sequence
 
+from ._kernels_py import scaled_rows
 from .errors import Degeneracy
 from .grassmann import CaseTag, Config
 from .linalg import Jet, Mat
@@ -75,11 +78,17 @@ def enumerate_words(alphabet_size: int, max_len: int) -> list[tuple[int, ...]]:
     return [w for length in range(1, max_len + 1) for w in _necklaces(alphabet_size, length)]
 
 
-def _scaled(letter: Mat) -> tuple[Mat, int]:
-    """``letter`` times the least common denominator D of its entries, and D."""
-    denom = math.lcm(*(x.denominator for row in letter.data for x in row))
-    ints = [[x.numerator * (denom // x.denominator) for x in row] for row in letter.data]
-    return Mat._raw(ints), denom
+def _scaled(letters: Sequence[Mat], k: int | None = None) -> tuple[list[tuple[Mat, int]], list[list]]:
+    """Each letter times its denominator D, as ``(integer value matrix, D)``, and the flat rows.
+
+    Each letter is one row-major row of :func:`planeinv._kernels_py.scaled_rows`
+    (with ``k`` directions for jet letters), so its flat row holds the
+    values, then the derivatives along each direction, all row-major.
+    """
+    flats, dens = scaled_rows([[x for row in letter.data for x in row] for letter in letters], k)
+    m = letters[0].rows if letters else 0
+    values = [Mat._raw([flat[i : i + m] for i in range(0, m * m, m)]) for flat in flats]
+    return list(zip(values, dens)), flats
 
 
 def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
@@ -124,7 +133,7 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     their length, so the longer half goes in front.  Each value is
     ``Fraction(t, D_w)`` with D_w the product of the D_i along the word.
     """
-    product = _products([_scaled(letter) for letter in letters])
+    product = _products(_scaled(letters)[0])
     backs: dict[tuple[int, ...], tuple[list, int]] = {}
     values = []
     for w in words:
@@ -139,20 +148,6 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     return values
 
 
-def _split(letter: Mat, directions: int) -> tuple[Mat, list[list], int]:
-    """A jet letter times D: an integer value matrix, row-major derivatives per direction, and D.
-
-    D is the lcm of the value and derivative denominators; no ``nums`` counts as zero.
-    """
-    entries = [x if isinstance(x, Jet) else Jet(x) for row in letter.data for x in row]
-    denom = math.lcm(*(x.value.denominator for x in entries), *(x.den for x in entries))
-    values = [x.value.numerator * (denom // x.value.denominator) for x in entries]
-    derivs = [[denom // x.den * n for n in x.nums] if x.nums else [0] * directions for x in entries]
-    m = letter.cols
-    value = Mat._raw([values[i : i + m] for i in range(0, len(values), m)])
-    return value, [list(col) for col in zip(*derivs)], denom
-
-
 def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[tuple]:
     """Each word trace's derivative along every direction of the jet letters.
 
@@ -160,19 +155,20 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
     denominator, reduced by one gcd.  By the chain rule,
     d tr(L_{w_1} ... L_{w_l}) = sum_j tr(dL_{w_j} C_j) with
     C_j = L_{w_{j+1}} ... L_{w_l} L_{w_1} ... L_{w_{j-1}}, so no jet enters a
-    product: each letter is split once (:func:`_split`), each C_j is a
-    cached suffix times a cached prefix over ``int``, summed into the
-    word's gradient G (one m x m block per letter), and each direction is
-    one inner product with G, divided by D_w, the product of the D_i.
+    product: each letter is scaled once by its denominator D_i
+    (:func:`_scaled`) to an integer value matrix and row-major derivatives
+    per direction, each C_j is a cached suffix times a cached prefix over
+    ``int``, summed into the word's gradient G (one m x m block per letter),
+    and each direction is one inner product with G, divided by D_w, the
+    product of the D_i.
     """
     entries = [x for letter in letters for row in letter.data for x in row]
     k = max((len(x.nums) for x in entries if isinstance(x, Jet)), default=0)
-    split = [_split(letter, k) for letter in letters]
-    pairs = [(value, denom) for value, _, denom in split]
+    pairs, flats = _scaled(letters, k)
     prefix, suffix = _products(pairs), _products(pairs, reverse=True)
-    # Direction t's derivative matrices of all letters, in the layout of G.
-    along = [list(chain.from_iterable(parts)) for parts in zip(*(d for _, d, _ in split))]
     mm = letters[0].rows ** 2 if letters else 0
+    # Direction t's derivative matrices of all letters, in the layout of G.
+    along = [list(chain.from_iterable(flat[t * mm : t * mm + mm] for flat in flats)) for t in range(1, k + 1)]
     out = []
     for w in words:
         grad = [0] * (len(letters) * mm)
@@ -182,7 +178,7 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
             lo = letter * mm
             grad[lo : lo + mm] = map(add, grad[lo : lo + mm], _flat_t(c))
         nums = [sum(map(mul, grad, d)) for d in along]
-        denom *= split[w[-1]][2]
+        denom *= pairs[w[-1]][1]
         g = math.gcd(denom, *nums)
         out.append((tuple([x // g for x in nums]), denom // g))
     return out

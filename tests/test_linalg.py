@@ -691,6 +691,68 @@ class TestJetKernels:
         assert rank(a) == rank(values) == len(field_rref(as_duals(a, k)))
 
 
+def normalized(m, k):
+    """Whether every entry of ``m`` is a reduced ``Jet`` record in ``k`` directions.
+
+    A record is reduced when its denominator is a positive ``int``, coprime
+    to its numerators, and its ``nums`` is ``()`` or a tuple of ``k`` ints.
+    """
+    return all(
+        type(x) is Jet
+        and type(x.den) is int
+        and x.den > 0
+        and math.gcd(x.den, *x.nums) == 1
+        and type(x.nums) is tuple
+        and (x.nums == () or (len(x.nums) == k and all(type(n) is int for n in x.nums)))
+        for row in m
+        for x in row
+    )
+
+
+class TestJetRecords:
+    """Every jet a kernel builds is a reduced record."""
+
+    @given(st.data(), dims, dims, dims)
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_outputs_are_normalized(self, data, n, inner, p):
+        k, (a, b, sq, rhs) = data.draw(jet_mats((n, inner), (inner, p), (n, n), (n, p)))
+        assert normalized(mat_mul(a, b), k)
+        assert normalized(Mat._raw(a).nullspace_basis().data, k)
+        if rank(sq) == n:
+            assert normalized(Mat._raw(sq).inverse().data, k)
+            assert normalized(Mat._raw(sq).solve(Mat._raw(rhs)).data, k)
+
+
+def zero_direction_matrices(rows, cols):
+    """Jet matrices in no direction: every ``nums`` is ``()``, so k = 0."""
+    entry = jet_values.map(lambda v: Jet(Fraction(v)))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def values_of(m):
+    return [[x.value for x in row] for row in m]
+
+
+class TestZeroDirections:
+    """With k = 0 the derivative segments are empty: the jet route is the rational one on the values."""
+
+    @given(st.data(), dims, dims, dims)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_rational_kernels(self, data, n, inner, p):
+        a, b, sq = (data.draw(zero_direction_matrices(r, c)) for r, c in [(n, inner), (inner, p), (n, n)])
+        got = mat_mul(a, b)
+        assert normalized(got, 0) and values_of(got) == mat_mul(values_of(a), values_of(b))
+        work, want = [row[:] for row in a], values_of(a)
+        assert rref_in_place(work) == rref_in_place(want)
+        assert normalized(work, 0) and values_of(work) == want
+        if rank(values_of(sq)) < n:
+            with pytest.raises(SingularMatrixError):
+                Mat._raw(sq).inverse()
+            return
+        inv = Mat._raw(sq).inverse().data
+        assert normalized(inv, 0) and values_of(inv) == Mat._raw(values_of(sq)).inverse().data
+
+
 class TestJetVector:
     """``+``, ``-`` and unary ``-`` of all-jet matrices equal the dual oracle's, direction by direction."""
 
