@@ -86,7 +86,7 @@ def _cmd_gen(args) -> int:
 def _cmd_invariants(args) -> int:
     config = fileio.config_from_obj(fileio.load_json(args.infile))
     vec = orbit.invariant_vector(config, args.max_len)
-    fileio.write_json(args.out, fileio.invariants_to_obj(vec))
+    fileio.write_invariants(args.out, vec)
     print(f"wrote {args.out} ({len(vec)} invariants over {len(vec.letter_ids)} letters)")
     return EXIT_OK
 

@@ -2,9 +2,13 @@
 
 All rational values are serialized as reduced strings "p/q" (denominator
 omitted when it is 1) -- never floats, so parse/serialize roundtrips are
-lossless.  Files are UTF-8, keys in a fixed order, newline-terminated, and
-written atomically (temp file + rename), so a failed command never leaves a
-partial output file behind.
+lossless.  Files are UTF-8 in the layout of ``json.dumps(obj,
+ensure_ascii=False, indent=2)``: two-space indent, keys in a fixed order,
+newline-terminated.  Configuration files go through ``json.dumps``
+(:func:`write_json`); the invariants file is written from the vector in one
+pass (:func:`write_invariants`).  Both are written atomically (temp file +
+rename, mode from the umask), so a failed command never leaves a partial
+output file behind.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .divisible import ReducedDivisible
 from .errors import RankDeficientError
@@ -102,36 +106,6 @@ def config_from_obj(obj) -> Config:
     return Config(out)
 
 
-def invariants_to_obj(vec: InvariantVector) -> dict:
-    case = {
-        "kind": vec.case.kind,
-        "r": vec.case.r,
-        "e": vec.case.e,
-        "k": len(vec.letter_ids),
-    }
-    obj = {
-        "case": case,
-        "n": vec.n,
-        "d": vec.d,
-        "s": vec.s,
-        "max_word_len": vec.max_word_len,
-        "letters": list(vec.letter_ids),
-        "invariants": [
-            {
-                "word": [vec.letter_ids[k] for k in word],
-                "value": format_rat(value),
-            }
-            for word, value in vec.entries
-        ],
-    }
-    if not vec.letter_ids:
-        obj["note"] = (
-            "trivial range: every general-position configuration of this shape "
-            "lies in one dense orbit, so there are no invariants"
-        )
-    return obj
-
-
 def letters_from_obj(obj) -> ReducedDivisible:
     if not isinstance(obj, dict):
         raise ValueError("letters file must contain a JSON object")
@@ -177,23 +151,25 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the parser goes
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-def write_json(path: str, obj) -> None:
-    """Serialize and atomically replace ``path`` (no partial files on failure).
+def _write_atomic(path: str, parts: list[str]) -> None:
+    """Write ``parts`` to a temp file beside ``path``, then rename it over ``path``.
 
-    An ``OSError`` (a missing directory, ``path`` a directory) becomes a
-    ``ValueError``, as in :func:`load_json`.
+    A failed write leaves neither a partial ``path`` nor the temp file.  The
+    temp file is created with mode 0o666 less the umask, as ``open`` would
+    create ``path``.  An ``OSError`` (a missing directory, ``path`` a
+    directory) becomes a ``ValueError``, as in :func:`load_json`.
     """
-    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.json")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(parts)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -204,3 +180,53 @@ def write_json(path: str, obj) -> None:
     except OSError as exc:
         # strerror, since the errno message names the temp file, not path.
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def write_json(path: str, obj) -> None:
+    """Serialize ``obj`` with ``json.dumps`` and atomically replace ``path``."""
+    _write_atomic(path, [json.dumps(obj, ensure_ascii=False, indent=2), "\n"])
+
+
+_TRIVIAL_NOTE = (
+    "trivial range: every general-position configuration of this shape "
+    "lies in one dense orbit, so there are no invariants"
+)
+
+# One entry of the "invariants" list as ``json.dumps(..., indent=2)`` lays it
+# out: the escaped letter ids of the word, then the value from format_rat.
+_ENTRY = '    {\n      "word": [\n        %s\n      ],\n      "value": "%s"\n    }'
+_WORD_SEP = ",\n        "
+
+
+def write_invariants(path: str, vec: InvariantVector) -> None:
+    """Write the invariants file of ``vec``, in one pass over its entries.
+
+    The bytes are those ``json.dumps(..., ensure_ascii=False, indent=2)``
+    gives the file object, and a newline.  The header (every key but the
+    entries) goes through ``json.dumps``; each entry fills :data:`_ENTRY`, with
+    the letter ids escaped once per file as ``json.dumps`` escapes them, and
+    each value from :func:`format_rat` (only ``-``, digits and ``/``, which
+    need no escaping).
+    """
+    head = {
+        "case": {"kind": vec.case.kind, "r": vec.case.r, "e": vec.case.e, "k": len(vec.letter_ids)},
+        "n": vec.n,
+        "d": vec.d,
+        "s": vec.s,
+        "max_word_len": vec.max_word_len,
+        "letters": list(vec.letter_ids),
+        "invariants": [],
+    }
+    if not vec.letter_ids:
+        head["note"] = _TRIVIAL_NOTE
+    text = json.dumps(head, ensure_ascii=False, indent=2)
+    if not vec.entries:
+        _write_atomic(path, [text, "\n"])
+        return
+    # Words need letters, so there is no note: the header ends in "[]\n}".
+    ids = [encode_basestring(i) for i in vec.letter_ids]
+    entries = ",\n".join(
+        _ENTRY % (_WORD_SEP.join([ids[k] for k in word]), format_rat(value))
+        for word, value in vec.entries
+    )
+    _write_atomic(path, [text[: -len("]\n}")], "\n", entries, "\n  ]\n}\n"])

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import dataclasses
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
 import pytest
 
-from planeinv import fileio
+from planeinv import fileio, orbit
 from planeinv.cli import main
 from planeinv.divisible import ReducedDivisible, embed
 from planeinv.grassmann import Config, sample_config
@@ -122,6 +125,63 @@ class TestConfigFile:
             row[1] = row[0]
         with pytest.raises(ValueError):
             fileio.config_from_obj(obj)
+
+
+# ---------------------------------------------------------------------------
+# invariants files
+# ---------------------------------------------------------------------------
+
+
+def invariants_to_obj(vec):
+    """The invariants-file object, for ``json.dumps``: the layout oracle."""
+    obj = {
+        "case": {"kind": vec.case.kind, "r": vec.case.r, "e": vec.case.e, "k": len(vec.letter_ids)},
+        "n": vec.n,
+        "d": vec.d,
+        "s": vec.s,
+        "max_word_len": vec.max_word_len,
+        "letters": list(vec.letter_ids),
+        "invariants": [
+            {"word": [vec.letter_ids[k] for k in word], "value": fileio.format_rat(value)}
+            for word, value in vec.entries
+        ],
+    }
+    if not vec.letter_ids:
+        obj["note"] = (
+            "trivial range: every general-position configuration of this shape "
+            "lies in one dense orbit, so there are no invariants"
+        )
+    return obj
+
+
+class TestInvariantsLayout:
+    """``write_invariants`` writes the bytes ``json.dumps(..., indent=2)`` gives the file object."""
+
+    @staticmethod
+    def assert_layout(tmp_path, vec):
+        path = tmp_path / "v.json"
+        fileio.write_invariants(path, vec)
+        want = json.dumps(invariants_to_obj(vec), ensure_ascii=False, indent=2) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("max_len", [0, 1, 2, 3, None])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (4, 2, 5),  # divisible, r = 2
+            (6, 4, 5),  # odd multiple, r = 1
+            (5, 2, 6),  # odd multiple, r = 2
+            (4, 2, 4),  # one letter
+            (4, 2, 3),  # trivial range: no letters, a note
+            (3, 2, 4),  # trivial range, odd multiple
+        ],
+    )
+    def test_matches_json_dumps(self, tmp_path, shape, max_len):
+        self.assert_layout(tmp_path, orbit.invariant_vector(sample_config(*shape, seed=1), max_len))
+
+    def test_letter_ids_escaped_as_json_dumps_escapes(self, tmp_path):
+        vec = orbit.invariant_vector(sample_config(4, 2, 5, seed=1))
+        self.assert_layout(tmp_path, dataclasses.replace(vec, letter_ids=('G_"\\é', "G\t\u2028")))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +438,31 @@ class TestBadOut:
         err = capsys.readouterr().err
         assert f"error: cannot write {out}: " in err and "Traceback" not in err
         assert not list(tmp_path.rglob(".tmp-*.json"))
+
+
+class TestFileMode:
+    """Output files get mode 0o666 less the umask, as ``open`` would give them."""
+
+    @pytest.mark.parametrize("command", ["gen", "invariants", "embed"])
+    def test_umask_022_gives_0644(self, tmp_path, command):
+        cfg, letters, out = tmp_path / "c.json", tmp_path / "letters.json", tmp_path / "o.json"
+        letters.write_text(json.dumps({
+            "kind": "divisible", "d": 2, "r": 2, "s": 5,
+            "letters": {"G_2_2": [[1, 2], [3, 4]], "G_2_3": [[0, 1], [1, 0]]},
+        }))
+        args = {
+            "gen": ("--n", 4, "--d", 2, "--s", 5, "--seed", 1),
+            "invariants": ("--in", cfg),
+            "embed": ("--in", letters),
+        }[command]
+        old = os.umask(0o022)
+        try:
+            assert run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg) == 0
+            assert run(command, *args, "--out", out) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert not list(tmp_path.glob(".tmp-*.json"))
 
 
 class TestArgparseBehavior:

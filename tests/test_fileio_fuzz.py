@@ -137,9 +137,13 @@ def run_quietly(argv):
 
 
 def assert_rejected(command, text):
+    """``text`` (str, or bytes written as they are) is rejected; returns the message."""
     with tempfile.TemporaryDirectory() as tmp:
         bad, good, out = Path(tmp, "bad.json"), Path(tmp, "good.json"), Path(tmp, "out.json")
-        bad.write_text(text)
+        if isinstance(text, bytes):
+            bad.write_bytes(text)
+        else:
+            bad.write_text(text)
         good.write_text(json.dumps(VALID_CONFIG))
         argv = {
             "invariants": ["invariants", "--in", bad, "--out", out],
@@ -151,6 +155,7 @@ def assert_rejected(command, text):
         assert code == 2, (command, text, code, err)
         assert err.startswith("error: ") and len(err) > len("error: \n"), err
         assert not out.exists()
+        return err.replace(str(bad), "<bad>")
 
 
 commands = st.sampled_from(["invariants", "orbit-test", "rank", "embed"])
@@ -161,6 +166,17 @@ class TestMalformedFiles:
     @settings(max_examples=500, deadline=None)
     def test_exits_2_with_message(self, command, text):
         assert_rejected(command, text)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 100_000, b'{"n": "\xff"}'],
+        ids=["nested-100000-deep", "not-utf-8"],
+    )
+    @pytest.mark.parametrize("command", ["invariants", "orbit-test", "rank", "embed"])
+    def test_undecodable_file_named(self, command, data):
+        # the parser's RecursionError and the decoder's UnicodeDecodeError
+        err = assert_rejected(command, data)
+        assert err.startswith("error: <bad> is not valid JSON: "), err
 
     def test_valid_files_accepted(self):
         # the undamaged objects are what the strategies damage
