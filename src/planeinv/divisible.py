@@ -25,7 +25,7 @@ from .errors import (
     CaseMismatchError,
     Degeneracy,
     DegenerateConfigError,
-    SingularMatrixError,
+    inverse_or_degenerate,
 )
 from .grassmann import CaseTag, Config, Subspace, classify_case
 from .linalg import Mat, hstack, vstack
@@ -53,13 +53,8 @@ def phi_left(config: Config) -> Mat:
         raise CaseMismatchError(f"phi_left needs s > r = {r}, got s = {config.s}")
     a = hstack([sub.basis for sub in config.subspaces[:r]])
     b = hstack([sub.basis for sub in config.subspaces[r:]])
-    try:
-        a_inv = a.inverse()
-    except SingularMatrixError:
-        raise DegenerateConfigError(
-            f"the first r = {r} members do not span the ambient space"
-        ) from None
-    return a_inv @ b
+    message = f"the first r = {r} members do not span the ambient space"
+    return inverse_or_degenerate(a, message) @ b
 
 
 def _letter_ids(r: int, s: int) -> tuple[str, ...]:
@@ -122,12 +117,8 @@ def _block_inverses(phi: Mat, r: int, d: int, s: int) -> tuple[list[Mat], list[M
     """
 
     def inv(i: int, j: int) -> Mat:
-        try:
-            return _block(phi, i, j, d).inverse()
-        except SingularMatrixError:
-            raise DegenerateConfigError(
-                f"block ({i}, {j}) of the translated matrix is singular", block=r + j
-            ) from None
+        message = f"block ({i}, {j}) of the translated matrix is singular"
+        return inverse_or_degenerate(_block(phi, i, j, d), message, r + j)
 
     cols = [inv(1, j) for j in range(2, s - r + 1)]
     rows = [inv(i, 1) for i in range(2, r + 1)] if cols else []

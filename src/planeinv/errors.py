@@ -72,6 +72,14 @@ class Degeneracy:
         return DegenerateConfigError(self.reason, block=self.block)
 
 
+def inverse_or_degenerate(m, message: str, block: int | None = None):
+    """``m.inverse()``; a singular ``m`` raises :class:`DegenerateConfigError` instead."""
+    try:
+        return m.inverse()
+    except SingularMatrixError:
+        raise DegenerateConfigError(message, block=block) from None
+
+
 class WrongKernelDimension(DegenerateConfigError):
     """An intersection kernel does not have the expected dimension."""
 

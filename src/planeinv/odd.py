@@ -6,16 +6,24 @@ structure is extracted from intersections with sums of the leading members,
 computed as canonical kernels:
 
 * r = 1 (n = 3e): the three pairwise intersections of the first three
-  members assemble an invertible frame H (:func:`frame_3e`); expressing the
+  members assemble the frame matrix H (:func:`frame_3e`); expressing the
   remaining members in H-coordinates yields pairs (alpha_{2i-1}, alpha_{2i})
   of e x e blocks, and normalizing by the fourth member's pair gives the
   letters sigma_9..sigma_{2s} (:func:`sigma_data`).
 
 * r >= 2: three kernel systems (:func:`nullspace_component`) produce the
-  column blocks of a frame H (:func:`frame_odd`); in H-coordinates, members
-  r+1 and onward are right-normalized by canonical kernels into a/b/c
-  column blocks with provable zero patterns (:func:`reduce_odd`), from
-  which block ratios build the Z and Theta letters (:func:`letters_odd`).
+  column blocks of the frame matrix H (:func:`frame_odd`); in
+  H-coordinates, members r+1 and onward are right-normalized by canonical
+  kernels into a/b/c column blocks with provable zero patterns
+  (:func:`reduce_odd`), from which block ratios build the Z and Theta
+  letters (:func:`letters_odd`).
+
+The stages hand plain values to each other: a frame is its matrix H and
+a letter set is a pair (ids, mats) in the alphabet order of the trace
+words.  Each stage trusts the (r, s) range :func:`letters` chose for it.
+A matrix that must be inverted and is singular raises
+:class:`DegenerateConfigError` through
+:func:`~planeinv.errors.inverse_or_degenerate`.
 
 All kernel and solve steps use the canonical reduced-echelon basis.  The
 residual ambiguity of every frame choice is a single right GL_e factor, so
@@ -34,9 +42,9 @@ from .errors import (
     Degeneracy,
     DegenerateConfigError,
     RankDeficientError,
-    SingularMatrixError,
     WrongKernelDimension,
     ZeroPatternViolation,
+    inverse_or_degenerate,
 )
 from .grassmann import CaseTag, Config, classify_case
 from .linalg import Mat, hstack, vstack
@@ -90,12 +98,9 @@ def column_normalize(config: Config) -> NormalizedColumns:
     blocks, bottoms = [], []
     for i, sub in enumerate(config, start=1):
         top = sub.basis.block(0, d, 0, d)
-        try:
-            normalized = sub.basis @ top.inverse()
-        except SingularMatrixError:
-            raise DegenerateConfigError(
-                f"top {d}x{d} minor of block {i} is singular", block=i
-            ) from None
+        normalized = sub.basis @ inverse_or_degenerate(
+            top, f"top {d}x{d} minor of block {i} is singular", i
+        )
         blocks.append(normalized)
         bottoms.append(normalized.block(d, config.n, 0, d))
     return NormalizedColumns(
@@ -103,35 +108,19 @@ def column_normalize(config: Config) -> NormalizedColumns:
     )
 
 
-@dataclass(frozen=True)
-class Frame3e:
-    """The 3e x 3e frame of the r = 1 case.
-
-    Column block k is (x_k; y_k; E) and spans the pairwise intersection of
-    members (1,2), (3,1), (2,3) respectively.
-    """
-
-    e: int
-    xs: tuple[Mat, Mat, Mat]
-    ys: tuple[Mat, Mat, Mat]
-    h: Mat
-
-
 _PAIRS_3E = ((1, 2), (3, 1), (2, 3))
 
 
-def frame_3e(nc: NormalizedColumns) -> Frame3e:
-    """Assemble the pairwise-intersection frame for n = 3e.
+def frame_3e(nc: NormalizedColumns) -> Mat:
+    """The 3e x 3e pairwise-intersection frame H of the r = 1 case.
 
-    For each pair (a, b) the block system [[c_a, d_a], [c_b, d_b]] is solved
-    against (E; E): the resulting column (x; y; E) lies in both members.
-    Solving against the stacked identity is the order that makes the
-    containment true with noncommuting e x e blocks.
+    Column block k of H is (x_k; y_k; E) and spans the intersection of
+    members (1,2), (3,1), (2,3) respectively.  For each pair (a, b) the
+    block system [[c_a, d_a], [c_b, d_b]] is solved against (E; E): the
+    solution (x; y) puts the column (x; y; E) in both members.  Solving
+    against the stacked identity is the order that makes the containment
+    true with noncommuting e x e blocks.
     """
-    if nc.r != 1:
-        raise CaseMismatchError(f"frame_3e needs r = 1, got r = {nc.r}")
-    if nc.s < 3:
-        raise CaseMismatchError(f"frame_3e needs s >= 3, got s = {nc.s}")
     e = nc.e
     halves = []
     for i in range(1, 4):
@@ -140,109 +129,57 @@ def frame_3e(nc: NormalizedColumns) -> Frame3e:
     like = nc.blocks[0].data[0][0]
     eye = Mat.identity(e, like=like)
     rhs = vstack([eye, eye])
-    xs, ys = [], []
+    sols = []
     for a, b in _PAIRS_3E:
         ca, da = halves[a - 1]
         cb, db = halves[b - 1]
         system = vstack([hstack([ca, da]), hstack([cb, db])])
         try:
-            sol = system.solve(rhs)
+            sols.append(system.solve(rhs))
         except RankDeficientError:
             raise DegenerateConfigError(
                 f"members {a} and {b} are not transverse enough to intersect in dimension e"
             ) from None
-        xs.append(sol.block(0, e, 0, e))
-        ys.append(sol.block(e, 2 * e, 0, e))
-    h = vstack([hstack(xs), hstack(ys), hstack([eye, eye, eye])])
-    return Frame3e(e=e, xs=tuple(xs), ys=tuple(ys), h=h)
+    return vstack([hstack(sols), hstack([eye, eye, eye])])
 
 
-@dataclass(frozen=True)
-class LetterSetOdd:
-    """The invariant letter alphabet of an odd-multiple configuration.
-
-    Exactly one of the two shapes is populated: ``sigma`` for r = 1,
-    ``zed``/``thetas`` for r >= 2.  ``ids()``/``mats()`` flatten to the
-    canonical alphabet order used by the trace words.
-    """
-
-    e: int
-    r: int
-    s: int
-    sigma: tuple[Mat, ...] = ()
-    zed: tuple[Mat, ...] = ()
-    thetas: tuple[tuple[int, tuple[Mat, ...]], ...] = ()
-
-    def ids(self) -> tuple[str, ...]:
-        if self.r == 1:
-            return tuple(f"sigma_{k}" for k in range(9, 9 + len(self.sigma)))
-        out = [f"Z_{k}" for k in range(1, len(self.zed) + 1)]
-        for i, comps in self.thetas:
-            out.extend(f"Theta_{i}_{c}" for c in range(1, len(comps) + 1))
-        return tuple(out)
-
-    def mats(self) -> tuple[Mat, ...]:
-        if self.r == 1:
-            return self.sigma
-        out = list(self.zed)
-        for _, comps in self.thetas:
-            out.extend(comps)
-        return tuple(out)
-
-    def __len__(self) -> int:
-        return len(self.sigma) + len(self.zed) + sum(len(c) for _, c in self.thetas)
-
-
-def _alpha_pairs(nc: NormalizedColumns, frame: Frame3e) -> dict[int, Mat]:
-    """The e x e blocks alpha_7..alpha_{2s} of members 4..s in frame coordinates.
+def _alpha_pairs(nc: NormalizedColumns, h: Mat) -> dict[int, Mat]:
+    """The e x e blocks alpha_7..alpha_{2s} of members 4..s in the coordinates of frame ``h``.
 
     Member i becomes H^-1 M_i; right-normalizing by its top 2e x 2e block
     leaves (E; 0 / 0; E / alpha_{2i-1} alpha_{2i}).
     """
     e, d, n = nc.e, nc.d, nc.n
-    try:
-        h_inv = frame.h.inverse()
-    except SingularMatrixError:
-        raise DegenerateConfigError("intersection frame is singular") from None
+    h_inv = inverse_or_degenerate(h, "intersection frame is singular")
     alphas: dict[int, Mat] = {}
     for i in range(4, nc.s + 1):
         t = h_inv @ nc.block(i)
         top = t.block(0, d, 0, d)
-        try:
-            pair = t.block(d, n, 0, d) @ top.inverse()
-        except SingularMatrixError:
-            raise DegenerateConfigError(
-                f"block {i} is not transverse to the frame plane", block=i
-            ) from None
+        pair = t.block(d, n, 0, d) @ inverse_or_degenerate(
+            top, f"block {i} is not transverse to the frame plane", i
+        )
         alphas[2 * i - 1] = pair.block(0, e, 0, e)
         alphas[2 * i] = pair.block(0, e, e, 2 * e)
     return alphas
 
 
-def sigma_data(nc: NormalizedColumns, frame: Frame3e) -> LetterSetOdd:
-    """The r = 1 letters sigma_9..sigma_{2s} (needs s >= 5).
+def sigma_data(nc: NormalizedColumns, h: Mat) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
+    """The r = 1 letters sigma_9..sigma_{2s} (s >= 5) from frame ``h``, as (ids, mats).
 
     sigma_{2i-1} = alpha_{2i-1} alpha_7^-1 and sigma_{2i} = alpha_{2i}
     alpha_8^-1 for i = 5..s: member 4's pair normalizes all later pairs,
     which uses up the last of the group freedom and leaves exact invariants.
     """
-    if nc.r != 1:
-        raise CaseMismatchError(f"sigma_data needs r = 1, got r = {nc.r}")
-    if nc.s < 5:
-        raise CaseMismatchError(f"sigma_data needs s >= 5, got s = {nc.s}")
-    alphas = _alpha_pairs(nc, frame)
-    try:
-        a7_inv = alphas[7].inverse()
-        a8_inv = alphas[8].inverse()
-    except SingularMatrixError:
-        raise DegenerateConfigError(
-            "block 4 normalization blocks are singular", block=4
-        ) from None
-    sigma = []
+    alphas = _alpha_pairs(nc, h)
+    a7_inv, a8_inv = (
+        inverse_or_degenerate(alphas[k], "block 4 normalization blocks are singular", 4)
+        for k in (7, 8)
+    )
+    mats = []
     for i in range(5, nc.s + 1):
-        sigma.append(alphas[2 * i - 1] @ a7_inv)
-        sigma.append(alphas[2 * i] @ a8_inv)
-    return LetterSetOdd(e=nc.e, r=1, s=nc.s, sigma=tuple(sigma))
+        mats.append(alphas[2 * i - 1] @ a7_inv)
+        mats.append(alphas[2 * i] @ a8_inv)
+    return tuple(f"sigma_{k}" for k in range(9, 2 * nc.s + 1)), tuple(mats)
 
 
 def nullspace_component(
@@ -251,17 +188,13 @@ def nullspace_component(
     """Canonical kernel of the stacked difference system, split per member.
 
     Solves sum_m (E; C_m) u_m in member ``target_block`` by eliminating the
-    target coefficient:  sum_m (C_m - C_t) u_m = 0.  The kernel must have
-    dimension exactly e (:class:`WrongKernelDimension` otherwise); its
-    canonical basis is returned as one 2e x e block per member, and stacking
-    (E; C_m) X_m over the members spans target ∩ (sum of members).
+    target coefficient:  sum_m (C_m - C_t) u_m = 0.  The members are
+    distinct and exclude the target.  The kernel must have dimension
+    exactly e (:class:`WrongKernelDimension` otherwise); its canonical basis
+    is returned as one 2e x e block per member, and stacking (E; C_m) X_m
+    over the members spans target ∩ (sum of members).
     """
     members = list(member_blocks)
-    if len(set(members)) != len(members) or target_block in members:
-        raise ValueError("member blocks must be distinct and exclude the target")
-    for i in (*members, target_block):
-        if not 1 <= i <= nc.s:
-            raise IndexError(f"block index {i} out of range for s = {nc.s}")
     ct = nc.bottom(target_block)
     system = hstack([nc.bottom(m) - ct for m in members])
     kernel = system.nullspace_basis()
@@ -277,30 +210,14 @@ def nullspace_component(
     return [kernel.block(k * d, (k + 1) * d, 0, nc.e) for k in range(len(members))]
 
 
-@dataclass(frozen=True)
-class FrameOdd:
-    """The n x n frame of the r >= 2 case.
+def frame_odd(nc: NormalizedColumns) -> Mat:
+    """The n x n intersection frame H of the r >= 2 case (s >= r + 2).
 
-    Column pairs 2i-1, 2i are (E; C_i) X_i and (E; C_i) Y_i for i = 1..r;
-    the final column is (E; C_{r+1}) Z_{r+1}.  X targets member r+1, Y and
-    Z target member r+2.
+    Column pairs 2i-1, 2i of H are (E; C_i) X_i and (E; C_i) Y_i for
+    i = 1..r; the final column is (E; C_{r+1}) Z_{r+1}.  X targets member
+    r+1, Y and Z target member r+2 (:func:`nullspace_component`).
     """
-
-    e: int
-    r: int
-    x: tuple[Mat, ...]
-    y: tuple[Mat, ...]
-    z: tuple[Mat, ...]
-    h: Mat
-
-
-def frame_odd(nc: NormalizedColumns) -> FrameOdd:
-    """Assemble the intersection frame for r >= 2 (needs s >= r + 2)."""
     r = nc.r
-    if r < 2:
-        raise CaseMismatchError(f"frame_odd needs r >= 2, got r = {r}")
-    if nc.s < r + 2:
-        raise CaseMismatchError(f"frame_odd needs s >= r + 2 = {r + 2}, got s = {nc.s}")
     first_r = list(range(1, r + 1))
     x = nullspace_component(nc, first_r, r + 1)
     y = nullspace_component(nc, first_r, r + 2)
@@ -311,7 +228,7 @@ def frame_odd(nc: NormalizedColumns) -> FrameOdd:
         cols.append(block @ x[i - 1])
         cols.append(block @ y[i - 1])
     cols.append(nc.block(r + 1) @ z[-1])
-    return FrameOdd(e=nc.e, r=r, x=tuple(x), y=tuple(y), z=tuple(z), h=hstack(cols))
+    return hstack(cols)
 
 
 @dataclass(frozen=True)
@@ -348,11 +265,10 @@ def _row_block(m: Mat, k: int, e: int) -> Mat:
     return m.block((k - 1) * e, k * e, 0, m.cols)
 
 
-def reduce_odd(nc: NormalizedColumns, frame: FrameOdd) -> ReducedOdd:
-    """Express members r+1..s in frame coordinates and normalize columns.
+def reduce_odd(nc: NormalizedColumns, h: Mat) -> ReducedOdd:
+    """Express members r+1..s in the coordinates of frame ``h`` and normalize columns.
 
-    ``nc`` is the configuration's :func:`column_normalize` output, the one
-    ``frame`` was built from.  Member j in H-coordinates is
+    ``h`` is :func:`frame_odd` of ``nc``.  Member j in H-coordinates is
     N_j = H^-1 (E; C_j).  Right-normalization picks canonical column
     combinations: for member r+1, the e columns killed at row block 2r+1
     (the a-column; the complementary e columns land on the identity at row
@@ -366,12 +282,7 @@ def reduce_odd(nc: NormalizedColumns, frame: FrameOdd) -> ReducedOdd:
     odd positions; a violation raises :class:`ZeroPatternViolation`.
     """
     e, r, s = nc.e, nc.r, nc.s
-    if frame.r != r or frame.e != e:
-        raise CaseMismatchError("frame does not match the configuration")
-    try:
-        h_inv = frame.h.inverse()
-    except SingularMatrixError:
-        raise DegenerateConfigError("intersection frame is singular") from None
+    h_inv = inverse_or_degenerate(h, "intersection frame is singular")
 
     # Each member in H-coordinates, computed once: members j >= r+2 give
     # both a b-column and a c-column.
@@ -408,24 +319,17 @@ def reduce_odd(nc: NormalizedColumns, frame: FrameOdd) -> ReducedOdd:
     return red
 
 
-def _inv_or_degenerate(m: Mat, what: str, block: int) -> Mat:
-    try:
-        return m.inverse()
-    except SingularMatrixError:
-        raise DegenerateConfigError(f"{what} is singular", block=block) from None
-
-
-def letters_odd(reduced: ReducedOdd) -> LetterSetOdd:
-    """The Z and Theta letters of the r >= 2 case.
+def letters_odd(reduced: ReducedOdd) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
+    """The Z and Theta letters of the r >= 2 case, as (ids, mats).
 
     All letters are ratios of a/b/c blocks arranged so that both group
     actions conjugate every letter by one common e x e factor:
 
     * P = c_{1,r+2} c_{2,r+2}^-1 primes the ratios;
-    * Z letters (j = 2..r-1, empty for r = 2):
+    * Z letters Z_1..Z_{2r-4} (j = 2..r-1, none for r = 2):
       c_{2j-1,r+2} c_{1,r+2}^-1 and P c_{2j,r+2} c_{1,r+2}^-1;
-    * Theta letters for each member i = r+3..s, with
-      delta_i = (c_{1,i} - c_{2r-1,i})^-1:
+    * Theta letters Theta_i_1..Theta_i_{4r-2} for each member i = r+3..s,
+      with delta_i = (c_{1,i} - c_{2r-1,i})^-1:
       P b_{2,i} b_{1,i}^-1,  P c_{2,i} delta_i,  and for j = 2..r the
       quadruple  b_{2j-1,i} b_{1,i}^-1,  P b_{2j,i} b_{1,i}^-1,
       (c_{2j-1,i} - c_{2r-1,i}) delta_i  (at j = r: c_{2r-1,i} delta_i),
@@ -434,31 +338,28 @@ def letters_odd(reduced: ReducedOdd) -> LetterSetOdd:
 
     Total count: 2r-4 + (4r-2)(s-r-2), the k of the odd case.
     """
-    e, r, s = reduced.e, reduced.r, reduced.s
-    if r < 2:
-        raise CaseMismatchError(f"letters_odd needs r >= 2, got r = {r}")
-
+    r, s = reduced.r, reduced.s
     c1 = reduced.c_block(r + 2, 1)
     c2 = reduced.c_block(r + 2, 2)
-    c1_inv = _inv_or_degenerate(c1, "c-block (1, r+2)", r + 2)
-    p = c1 @ _inv_or_degenerate(c2, "c-block (2, r+2)", r + 2)
+    c1_inv = inverse_or_degenerate(c1, "c-block (1, r+2) is singular", r + 2)
+    p = c1 @ inverse_or_degenerate(c2, "c-block (2, r+2) is singular", r + 2)
 
-    zed = []
+    mats = []
     for j in range(2, r):
-        zed.append(reduced.c_block(r + 2, 2 * j - 1) @ c1_inv)
-        zed.append(p @ reduced.c_block(r + 2, 2 * j) @ c1_inv)
+        mats.append(reduced.c_block(r + 2, 2 * j - 1) @ c1_inv)
+        mats.append(p @ reduced.c_block(r + 2, 2 * j) @ c1_inv)
+    ids = [f"Z_{k}" for k in range(1, len(mats) + 1)]
 
-    thetas = []
     cbar_inv = None
     if s >= r + 3:
-        cbar_inv = _inv_or_degenerate(
-            reduced.c_block(r + 2, 2 * r + 1), f"c-block ({2 * r + 1}, r+2)", r + 2
+        cbar_inv = inverse_or_degenerate(
+            reduced.c_block(r + 2, 2 * r + 1), f"c-block ({2 * r + 1}, r+2) is singular", r + 2
         )
     for i in range(r + 3, s + 1):
-        b1_inv = _inv_or_degenerate(reduced.b_block(i, 1), f"b-block (1, {i})", i)
-        delta = _inv_or_degenerate(
+        b1_inv = inverse_or_degenerate(reduced.b_block(i, 1), f"b-block (1, {i}) is singular", i)
+        delta = inverse_or_degenerate(
             reduced.c_block(i, 1) - reduced.c_block(i, 2 * r - 1),
-            f"c-block difference (1, {i}) - ({2 * r - 1}, {i})",
+            f"c-block difference (1, {i}) - ({2 * r - 1}, {i}) is singular",
             i,
         )
         comps = [
@@ -476,8 +377,9 @@ def letters_odd(reduced: ReducedOdd) -> LetterSetOdd:
             else:
                 comps.append(reduced.c_block(i, 2 * r - 1) @ delta)
                 comps.append(c1 @ cbar_inv @ reduced.c_block(i, 2 * r + 1) @ delta)
-        thetas.append((i, tuple(comps)))
-    return LetterSetOdd(e=e, r=r, s=s, zed=tuple(zed), thetas=tuple(thetas))
+        ids.extend(f"Theta_{i}_{c}" for c in range(1, len(comps) + 1))
+        mats.extend(comps)
+    return tuple(ids), tuple(mats)
 
 
 def _singular(m: Mat, what: str, block: int) -> Degeneracy | None:
@@ -485,8 +387,11 @@ def _singular(m: Mat, what: str, block: int) -> Degeneracy | None:
     return Degeneracy(f"{what} is singular", block=block) if m.rank() != m.rows else None
 
 
-def _reduce(config: Config, tag: CaseTag) -> tuple[LetterSetOdd, Degeneracy | None]:
-    """The letters of the widest reduction the member count allows, checked.
+_NO_LETTERS: tuple[tuple[str, ...], tuple[Mat, ...]] = ((), ())
+
+
+def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
+    """The (ids, mats) of the widest reduction the member count allows, checked.
 
     This is the constructive reading of general position: every kernel has
     dimension e and every matrix the reduction inverts is invertible.  A
@@ -494,30 +399,33 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[LetterSetOdd, Degeneracy | No
     :class:`DegenerateConfigError`; a failed condition the letters do not
     need is returned, the first one found, next to them.
     """
-    r, e, s = tag.r, tag.e, config.s
-    empty = LetterSetOdd(e=e, r=r, s=s)
+    r, s = tag.r, config.s
     nc = column_normalize(config)
     if s <= (2 if r == 1 else r):
         if config.matrix().rank() != min(config.n, s * config.d):
-            return empty, Degeneracy("members are not in general position")
-        return empty, None
+            return _NO_LETTERS, Degeneracy("members are not in general position")
+        return _NO_LETTERS, None
     if r == 1:
-        frame = frame_3e(nc)
+        h = frame_3e(nc)
         if s == 3:
-            return empty, None
+            # three members through one common line meet pairwise, but the
+            # meets do not span
+            return _NO_LETTERS, (
+                Degeneracy("intersection frame is singular") if h.rank() < nc.n else None
+            )
         if s == 4:
-            alphas = _alpha_pairs(nc, frame)
-            return empty, (
+            alphas = _alpha_pairs(nc, h)
+            return _NO_LETTERS, (
                 _singular(alphas[7], "alpha_7 of block 4", 4)
                 or _singular(alphas[8], "alpha_8 of block 4", 4)
             )
-        return sigma_data(nc, frame), None
+        return sigma_data(nc, h), None
     if s == r + 1:
         first = hstack([sub.basis for sub in config.subspaces[:r]])
         if first.rank() != r * config.d:
-            return empty, Degeneracy("the first r members are not in direct sum")
+            return _NO_LETTERS, Degeneracy("the first r members are not in direct sum")
         nullspace_component(nc, list(range(1, r + 1)), r + 1)
-        return empty, None
+        return _NO_LETTERS, None
     red = reduce_odd(nc, frame_odd(nc))
     found = letters_odd(red)
     # letters_odd inverts c-block (2r+1, r+2) only when s >= r + 3
@@ -542,12 +450,12 @@ def letters(config: Config, max_len: int | None = None) -> tuple:
     r, s = tag.r, config.s
     trivial = (r == 1 and s <= 4) or s <= r + 1 or (r == 2 and s == r + 2)
     try:
-        found, degeneracy = _reduce(config, tag)
+        (ids, mats), degeneracy = _reduce(config, tag)
     except DegenerateConfigError as exc:
         if not trivial:
             raise
-        found, degeneracy = LetterSetOdd(e=tag.e, r=r, s=s), Degeneracy.of(exc)
-    return tag, found.ids(), found.mats(), degeneracy
+        (ids, mats), degeneracy = _NO_LETTERS, Degeneracy.of(exc)
+    return tag, ids, mats, degeneracy
 
 
 def invariants(config: Config, max_len: int | None = None) -> InvariantVector:

@@ -12,7 +12,7 @@ import pytest
 from planeinv import fileio, orbit
 from planeinv.cli import main
 from planeinv.divisible import ReducedDivisible, embed
-from planeinv.grassmann import Config, sample_config
+from planeinv.grassmann import Config, SplitMix64, Subspace, sample_config
 from planeinv.linalg import Mat
 
 # ---------------------------------------------------------------------------
@@ -308,6 +308,26 @@ class TestOrbitTestCmd:
         subs = list(c.subspaces)
         subs[1] = subs[0]
         fileio.write_json(deg, fileio.config_to_obj(Config(tuple(subs))))
+        assert run("orbit-test", "--a", deg, "--b", b) == 5
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "Inconclusive"
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (6, 4)])
+    def test_singular_frame_at_three_members_exits_5(self, tmp_path, capsys, n, d):
+        # r = 1, s = 3 with a singular intersection frame: at (3, 2) three
+        # planes through (1, 1, 1), at (6, 4) the first draw of
+        # gen --n 6 --d 4 --s 3 --seed 43 --bound 1 (frame rank 4 of 6)
+        if n == 3:
+            rows = ([0, 1], [1, 0], [2, -1])
+            subs = [Subspace(Mat([[1, 0], [0, 1], row])) for row in rows]
+        else:
+            rng = SplitMix64(43)
+            subs = [
+                Subspace(Mat([[rng.next_int(1) for _ in range(d)] for _ in range(n)]))
+                for _ in range(3)
+            ]
+        deg, b = tmp_path / "deg.json", tmp_path / "b.json"
+        fileio.write_json(deg, fileio.config_to_obj(Config(tuple(subs))))
+        run("gen", "--n", n, "--d", d, "--s", 3, "--seed", 1, "--out", b)
         assert run("orbit-test", "--a", deg, "--b", b) == 5
         assert capsys.readouterr().out.strip().splitlines()[-1] == "Inconclusive"
 

@@ -1,0 +1,105 @@
+"""Every degenerate outcome a forced singular inverse can produce, pinned.
+
+For each shape, the n-th call of ``Mat.inverse`` is made to raise
+``SingularMatrixError`` for n = 1, 2, ... until a pass makes fewer than n
+calls.  Each forced failure must surface as the same ``DegenerateConfigError``
+(type, message, block) or the same recorded ``Degeneracy`` as before: the
+messages and block indices are part of the library's output.
+"""
+
+import pytest
+
+from planeinv import divisible, odd
+from planeinv.errors import SingularMatrixError
+from planeinv.grassmann import classify_case, sample_config
+from planeinv.linalg import Mat
+
+_RAISED = "DegenerateConfigError"
+_RECORDED = "Degeneracy"
+
+_TOPS = [(f"top 2x2 minor of block {i} is singular", i) for i in range(1, 8)]
+_FRAME = ("intersection frame is singular", None)
+
+CENSUS = {
+    (4, 2, 5): [
+        (_RAISED, "the first r = 2 members do not span the ambient space", None),
+        (_RAISED, "block (1, 2) of the translated matrix is singular", 4),
+        (_RAISED, "block (1, 3) of the translated matrix is singular", 5),
+        (_RAISED, "block (2, 1) of the translated matrix is singular", 3),
+    ],
+    (6, 2, 4): [
+        (_RECORDED, "the first r = 3 members do not span the ambient space", None),
+    ],
+    (3, 2, 4): [
+        *((_RECORDED, *t) for t in _TOPS[:4]),
+        (_RECORDED, *_FRAME),
+        (_RECORDED, "block 4 is not transverse to the frame plane", 4),
+    ],
+    (3, 2, 6): [
+        *((_RAISED, *t) for t in _TOPS[:6]),
+        (_RAISED, *_FRAME),
+        (_RAISED, "block 4 is not transverse to the frame plane", 4),
+        (_RAISED, "block 5 is not transverse to the frame plane", 5),
+        (_RAISED, "block 6 is not transverse to the frame plane", 6),
+        (_RAISED, "block 4 normalization blocks are singular", 4),
+        (_RAISED, "block 4 normalization blocks are singular", 4),
+    ],
+    (5, 2, 4): [
+        *((_RECORDED, *t) for t in _TOPS[:4]),
+        (_RECORDED, *_FRAME),
+        (_RECORDED, "c-block (1, r+2) is singular", 4),
+        (_RECORDED, "c-block (2, r+2) is singular", 4),
+    ],
+    (5, 2, 6): [
+        *((_RAISED, *t) for t in _TOPS[:6]),
+        (_RAISED, *_FRAME),
+        (_RAISED, "c-block (1, r+2) is singular", 4),
+        (_RAISED, "c-block (2, r+2) is singular", 4),
+        (_RAISED, "c-block (5, r+2) is singular", 4),
+        (_RAISED, "b-block (1, 5) is singular", 5),
+        (_RAISED, "c-block difference (1, 5) - (3, 5) is singular", 5),
+        (_RAISED, "b-block (1, 6) is singular", 6),
+        (_RAISED, "c-block difference (1, 6) - (3, 6) is singular", 6),
+    ],
+    (7, 2, 7): [
+        *((_RAISED, *t) for t in _TOPS[:7]),
+        (_RAISED, *_FRAME),
+        (_RAISED, "c-block (1, r+2) is singular", 5),
+        (_RAISED, "c-block (2, r+2) is singular", 5),
+        (_RAISED, "c-block (7, r+2) is singular", 5),
+        (_RAISED, "b-block (1, 6) is singular", 6),
+        (_RAISED, "c-block difference (1, 6) - (5, 6) is singular", 6),
+        (_RAISED, "b-block (1, 7) is singular", 7),
+        (_RAISED, "c-block difference (1, 7) - (5, 7) is singular", 7),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", list(CENSUS))
+def test_forced_singular_inverses(shape, monkeypatch):
+    config = sample_config(*shape, seed=1)
+    module = divisible if classify_case(shape[0], shape[1]).kind == "divisible" else odd
+    inverse = Mat.inverse
+    found = []
+    while True:
+        fail_at, calls = len(found) + 1, 0
+
+        def forced(self):
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise SingularMatrixError("forced")
+            return inverse(self)
+
+        monkeypatch.setattr(Mat, "inverse", forced)
+        try:
+            degeneracy = module.letters(config)[3]
+        except ArithmeticError as exc:
+            entry = (type(exc).__name__, str(exc), getattr(exc, "block", None))
+        else:
+            entry = degeneracy and (_RECORDED, degeneracy.reason, degeneracy.block)
+        if calls < fail_at:
+            assert entry is None  # the unforced pass is in general position
+            break
+        found.append(entry)
+    assert found == CENSUS[shape]

@@ -1,8 +1,12 @@
 """The odd-multiple family: normalization, frames, kernels, letters."""
 
+import hashlib
+import json
+
 import pytest
 
-from planeinv.errors import DegenerateConfigError, WrongKernelDimension
+from planeinv.errors import Degeneracy, DegenerateConfigError, WrongKernelDimension
+from planeinv.fileio import format_rat
 from planeinv.grassmann import (
     Config,
     SplitMix64,
@@ -15,18 +19,19 @@ from planeinv.grassmann import (
     sample_config,
     sample_invertible,
 )
-from planeinv.linalg import Mat, hstack, vstack
+from planeinv.linalg import Mat, hstack
 from planeinv.odd import (
     NormalizedColumns,
     column_normalize,
     frame_3e,
     frame_odd,
     invariants,
+    letters,
     letters_odd,
     nullspace_component,
     reduce_odd,
-    sigma_data,
 )
+from planeinv.orbit import Verdict, same_orbit_test
 
 # ---------------------------------------------------------------------------
 # normalization
@@ -78,15 +83,14 @@ class TestFrame3e:
                 b.block(2, 3, 0, 2) for b in blocks
             )
         )
-        fr = frame_3e(nc)
-        assert fr.xs[0].data == [[1]]
-        assert fr.ys[0].data == [[1]]
+        h = frame_3e(nc)
+        assert h.block(0, 1, 0, 1).data == [[1]]  # x of the first pair
+        assert h.block(1, 2, 0, 1).data == [[1]]  # y of the first pair
 
     def test_frame_invertible_on_samples(self):
         for seed in range(6):
             nc = column_normalize(sample_config(3, 2, 5, seed=seed))
-            fr = frame_3e(nc)
-            fr.h.inverse()  # must not raise
+            frame_3e(nc).inverse()  # must not raise
 
     @pytest.mark.parametrize("n,d", [(3, 2), (6, 4)])
     def test_frame_columns_span_pairwise_intersections(self, n, d):
@@ -94,10 +98,11 @@ class TestFrame3e:
         # was solved against: (1,2), then (3,1), then (2,3)
         c = sample_config(n, d, 4, seed=9)
         nc = column_normalize(c)
-        fr = frame_3e(nc)
+        h = frame_3e(nc)
         e = nc.e
         for i, (a, b) in enumerate(((1, 2), (3, 1), (2, 3))):
-            col = vstack([fr.xs[i], fr.ys[i], Mat.identity(e)])
+            col = h.block(0, 3 * e, i * e, (i + 1) * e)
+            assert col.block(2 * e, 3 * e, 0, e).data == Mat.identity(e).data
             span = canonicalize(Subspace(col))
             meet = intersect(c.subspaces[a - 1], c.subspaces[b - 1])
             assert span == meet
@@ -132,30 +137,18 @@ class TestNullspaceComponent:
             nullspace_component(nc, (1, 2), 3)
         assert exc.value.actual != exc.value.expected
 
-    def test_target_must_differ_from_members(self):
-        nc = column_normalize(sample_config(5, 2, 4, seed=13))
-        with pytest.raises(ValueError):
-            nullspace_component(nc, (1, 2), 2)
-
-    def test_members_must_be_distinct(self):
-        nc = column_normalize(sample_config(5, 2, 4, seed=13))
-        with pytest.raises(ValueError):
-            nullspace_component(nc, (1, 1), 3)
-
 
 class TestFrameOdd:
     def test_frame_invertible(self):
         for seed in range(5):
             nc = column_normalize(sample_config(5, 2, 4, seed=seed))
-            fr = frame_odd(nc)
-            fr.h.inverse()  # must not raise
+            frame_odd(nc).inverse()  # must not raise
 
     def test_first_members_become_coordinate_planes(self):
         # in the frame basis, member i (i <= r) is the span of coordinate
         # vectors 2(i-1)e+1 .. 2ie
         nc = column_normalize(sample_config(5, 2, 4, seed=21))
-        fr = frame_odd(nc)
-        hinv = fr.h.inverse()
+        hinv = frame_odd(nc).inverse()
         n, e = 5, 1
         eye = Mat.identity(n)
         for i in (1, 2):
@@ -214,13 +207,6 @@ class TestSigmaLetters:
         v = invariants(Config(tuple(subs)))
         assert [str(x) for x in v.values] == ["1", "1"]
 
-    def test_needs_five_members(self):
-        c = sample_config(3, 2, 4, seed=43)
-        nc = column_normalize(c)
-        fr = frame_3e(nc)
-        with pytest.raises(ValueError):
-            sigma_data(nc, fr)
-
 
 class TestOddLetters:
     @pytest.mark.parametrize(
@@ -236,23 +222,44 @@ class TestOddLetters:
         c = sample_config(n, d, s, seed=44)
         nc = column_normalize(c)
         red = reduce_odd(nc, frame_odd(nc))
-        ls = letters_odd(red)
-        assert len(ls) == count
-        assert ls.ids()[: len(first_ids)] == first_ids
+        ids, mats = letters_odd(red)
+        assert len(ids) == len(mats) == count
+        assert ids[: len(first_ids)] == first_ids
 
     def test_structured_fields(self):
         c = sample_config(7, 2, 6, seed=45)
         nc = column_normalize(c)
         red = reduce_odd(nc, frame_odd(nc))
-        ls = letters_odd(red)
-        assert len(ls.zed) == 2 * ls.r - 4
-        assert len(ls.thetas) == 1
-        i, comps = ls.thetas[0]
-        assert i == 6 and len(comps) == 4 * ls.r - 2
+        ids, mats = letters_odd(red)
+        r = red.r
+        assert ids[: 2 * r - 4] == tuple(f"Z_{k}" for k in range(1, 2 * r - 3))
+        assert ids[2 * r - 4 :] == tuple(f"Theta_6_{c}" for c in range(1, 4 * r - 1))
+        assert all(m.rows == m.cols == red.e for m in mats)
 
     def test_trivial_small_case(self):
         c = sample_config(5, 2, 4, seed=46)
         assert len(invariants(c)) == 0
+
+
+class TestOddLettersPinned:
+    # sha256 of the JSON [ids, letters as format_rat entries] of
+    # letters(sample_config(n, d, s, seed=1)); covers e = 2 and r = 3
+    @pytest.mark.parametrize(
+        "n,d,s,count,digest",
+        [
+            (3, 2, 6, 4, "7d2712113c27d683cb61c8cefb567a6fc76f5160607032014c5c9010a0667354"),
+            (5, 2, 6, 12, "bed2cfd1478182a60049722c0de48632ed6fcfff86fb806a1319c4291d9f6892"),
+            (6, 4, 6, 4, "4aab979e9d73c2fbfc8a37c2a9d99c39a6d370da574c81bce966db21284cbc47"),
+            (10, 4, 6, 12, "2db88f4ebb859fc930dd7d48e59c4939767e6c85647682651d59d20ef5043fe5"),
+            (7, 2, 7, 22, "29e803f762e4573af88729c5165495b041b0ac26c7def2d01542eee3db62b2ef"),
+        ],
+    )
+    def test_letters_pinned(self, n, d, s, count, digest):
+        _, ids, mats, degeneracy = letters(sample_config(n, d, s, seed=1))
+        assert degeneracy is None and len(ids) == len(mats) == count
+        entries = [[[format_rat(x) for x in row] for row in m.data] for m in mats]
+        payload = json.dumps([list(ids), entries]).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,38 @@ class TestGeneralPositionOdd:
             invariants(c)
         assert not general_position(c)
         assert general_position(sample_config(3, 2, 6, seed=3871074876))
+
+
+def common_line_triple() -> Config:
+    """(E; 0 1), (E; 1 0), (E; 2 -1): three planes of Q^3 through (1, 1, 1)."""
+    rows = ([0, 1], [1, 0], [2, -1])
+    return Config(tuple(Subspace(Mat([[1, 0], [0, 1], row])) for row in rows))
+
+
+def first_draw_6_4_3() -> Config:
+    """The first draw of sample_config(6, 4, 3, seed=43, bound=1)."""
+    rng = SplitMix64(43)
+    raw = [[[rng.next_int(1) for _ in range(4)] for _ in range(6)] for _ in range(3)]
+    return Config(tuple(Subspace(Mat(b)) for b in raw))
+
+
+class TestSingularFrameAtThreeMembers:
+    # r = 1, s = 3: the pairwise meets exist, but when all three members
+    # share a line the frame they assemble is singular; GL_n preserves
+    # dim(V_1 ∩ V_2 ∩ V_3), so such a triple is not in the generic orbit
+    @pytest.mark.parametrize(
+        "build,rank", [(common_line_triple, 1), (first_draw_6_4_3, 4)]
+    )
+    def test_singular_frame_is_recorded(self, build, rank):
+        c = build()
+        assert frame_3e(column_normalize(c)).rank() == rank
+        assert not general_position(c)
+        v = invariants(c)
+        assert len(v) == 0
+        assert v.degeneracy == Degeneracy("intersection frame is singular")
+        generic = sample_config(c.n, c.d, 3, seed=1)
+        assert same_orbit_test(c, generic) is Verdict.INCONCLUSIVE
+        assert same_orbit_test(generic, generic) is Verdict.EQUIVALENT
 
 
 # ---------------------------------------------------------------------------
