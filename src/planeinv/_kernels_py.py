@@ -1,194 +1,139 @@
-"""Pure-Python matrix kernels.
+"""Pure-Python matrix kernels over the stored integer form of a matrix.
 
 These routines are the arithmetic inner loops of the whole package: every
 inverse, nullspace, solve and word-trace ultimately bottoms out in
-``mat_mul`` and ``rref_in_place``, which :mod:`planeinv.linalg` calls, and
-the Jacobian rank is certified first by ``rank_mod_p``.
+``mat_mul`` and ``rref``, which :mod:`planeinv.linalg` calls, and the
+Jacobian rank is certified first by ``rank_mod_p``.
 
-``mat_mul`` and ``rref_in_place`` work on plain list-of-lists and never
-build a ``Fraction`` or a ``Jet`` per scalar step.  Entries are ``int`` or
-``fractions.Fraction`` (a rational matrix), or some of them are
-:class:`planeinv.jet.Jet` records in ``k`` directions (a jet matrix, where
-a rational entry is a constant); both take one route.
+A matrix reaches the kernels in the form :class:`planeinv.linalg.Mat`
+stores: integer rows over one positive common denominator ``den``, with
+``gcd(den, entries) == 1``.  A rational row holds ``cols`` integers; a row
+of a jet matrix in ``k`` directions holds ``(k + 1) * cols``: the values,
+then the derivatives along each direction in turn.  The kernels take and
+return that form and build no ``Fraction`` and no ``Jet``.
 
-* ``scaled_rows`` scales each row, or each column of a product's right
-  factor, once by the lcm of its denominators to one flat ``int`` list:
-  the values, then, for a jet matrix, the derivatives along each direction.
-  The word stage (:mod:`planeinv.words`) scales its letters with it too.
-* ``mat_mul`` takes integer inner products of scaled rows and columns and
-  builds one ``Fraction`` or ``Jet`` per output entry.  A product of
-  ``int`` matrices (the word stage) skips the scaling and returns ``int``.
-* ``rref_in_place`` eliminates fraction-free (``row <- p * row - f *
-  pivot_row`` in the jet ring truncated at eps^2, then divides the row by
-  the gcd of its components; Bareiss 1968), with the same first-nonzero
-  pivoting as a field loop.  Each integer row is a nonzero multiple of the
-  row the field loop would hold, so the pivots are the same at every step;
-  each pivot row is divided by its pivot at the end, which gives the
-  (unique) reduced row echelon form, as ``Fraction`` entries for rational
-  input and as ``Jet`` entries for jet input.  The pivot is the first
-  nonzero *value*, so a jet run takes the pivots of the plain run it
-  shadows, but every row whose entry is a nonzero *jet* is cleared: an
-  entry of value 0 with a nonzero derivative still carries a derivative of
-  the result.
+* ``scaled_rows`` is the converter from entries (``int``, ``Fraction`` or
+  :class:`planeinv.jet.Jet`) to the form; ``reduced`` divides a form by
+  its one gcd, which is how every kernel makes its output canonical.
+* ``mat_mul`` takes integer inner products of rows and columns over the
+  product of the two denominators.  For jets, along direction t, entry
+  (i, j) gains ``a_0 . b_t + a_t . b_0``.
+* ``rref`` eliminates fraction-free (``row <- p * row - f * pivot_row`` in
+  the jet ring truncated at eps^2, then divides the row by the gcd of its
+  components; Bareiss 1968), with the same first-nonzero pivoting as a
+  field loop.  Each integer row is a nonzero multiple of the row the field
+  loop would hold, so the pivots are the same at every step.  The pivot
+  rows are then divided by their pivots into integer rows over the lcm of
+  the pivots (of their squares for jets: ``x / p = x (p_0 - p_t eps_t) /
+  p_0^2``), which gives the (unique) reduced row echelon form.  The pivot
+  is the first nonzero *value*, so a jet run takes the pivots of the plain
+  run it shadows, but every row whose entry is a nonzero *jet* is cleared:
+  an entry of value 0 with a nonzero derivative still carries a
+  derivative of the result.
 * ``rank`` runs the same elimination on the values, below each pivot only,
-  and returns the number of pivots; it builds no ``Fraction`` at all.
+  and returns the number of pivots.
 
 ``rank_mod_p`` works over plain ``int`` modulo a prime.
 """
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 from .jet import Jet
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def reduced(num, den):
+    """The form ``num / den`` divided by ``gcd(den, entries)``: the canonical form of its value."""
+    if den > 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            return [[x // g for x in row] for row in num], den // g
+    return num, den
 
 
-def scaled_rows(rows, k=None):
-    """Each row times the lcm of its entries' denominators, as one flat ``int`` list, and that lcm.
+def scaled_rows(rows):
+    """The form of the matrix whose rows of entries are the lists ``rows``: ``(num, den, k)``.
 
-    Each row is a sequence, read more than once.  With ``k`` None its
-    entries are ``int`` or ``Fraction``, and a row of ``cols`` entries gives
-    ``cols`` integers.  Otherwise the row belongs to a jet matrix with ``k``
-    directions and gives ``(k + 1) * cols`` integers: the values, then the
-    derivatives along each direction in turn.  The lcm then covers the
-    derivative denominators too, and an ``int`` or ``Fraction`` entry, like
-    a jet with no ``nums``, has zero derivatives.
+    ``k`` is None when every entry is an ``int`` or a ``Fraction``;
+    otherwise it is the largest number of directions of a ``Jet`` entry,
+    and an ``int`` or ``Fraction`` entry, like a jet with no ``nums``, has
+    zero derivatives.  ``den`` is the lcm of the values' denominators and
+    of the jets' ``den``, divided by the form's gcd.
     """
-    out = []
-    dens = []
-    if k is None:
-        for row in rows:
-            qs = [x.denominator for x in row]
-            den = lcm(*qs)
-            if den == 1:
-                out.append([x.numerator for x in row])
-            else:
-                out.append([x.numerator * (den // q) for x, q in zip(row, qs)])
-            dens.append(den)
-        return out, dens
+    entries = list(chain.from_iterable(rows))
+    jets = [x for x in entries if type(x) is Jet]
+    if not jets:
+        den = lcm(*[x.denominator for x in entries])
+        return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den, None
+    k = max([len(x.nums) for x in jets])
+    den = lcm(*[(x.value if type(x) is Jet else x).denominator for x in entries], *[x.den for x in jets])
     zero = (0,) * k
+    num = []
     for row in rows:
-        try:
-            qs = [x.value.denominator for x in row]
-        except AttributeError:  # an ``int`` or ``Fraction`` constant: read the row as jets
-            row = [x if type(x) is Jet else Jet(x) for x in row]
-            qs = [x.value.denominator for x in row]
-        ds = [x.den for x in row]
-        den = lcm(*qs, *ds)
-        if den == 1:
-            flat = [x.value.numerator for x in row]
-            derivs = [x.nums or zero for x in row]
-        else:
-            flat = [x.value.numerator * (den // q) for x, q in zip(row, qs)]
-            derivs = [[n * (den // d) for n in x.nums] if x.nums else zero for x, d in zip(row, ds)]
+        values = [x.value if type(x) is Jet else x for x in row]
+        flat = [v.numerator * (den // v.denominator) for v in values]
+        derivs = [[n * (den // x.den) for n in x.nums] if type(x) is Jet and x.nums else zero for x in row]
         for segment in zip(*derivs):
             flat += segment
-        out.append(flat)
-        dens.append(den)
-    return out, dens
+        num.append(flat)
+    return (*reduced(num, den), k)
 
 
-def _directions(m):
-    """The number of directions of the jet entries of the list-of-lists ``m``."""
-    return max([len(x.nums) for x in chain(*m) if type(x) is Jet])
+def mat_mul(a, ad, b, bd, cols, k):
+    """The form of ``(a / ad) @ (b / bd)``, with ``cols`` columns; the inner dimension is >= 1.
 
-
-def _jet(value, nums, den):
-    """``Jet(value, nums / den)`` for a tuple ``nums``, reduced by one gcd."""
-    g = gcd(den, *nums)
-    if g == 1:
-        return Jet(value, nums, den)
-    if g == den:
-        return Jet(value, tuple([x // g for x in nums]) if any(nums) else ())
-    return Jet(value, tuple([x // g for x in nums]), den // g)
-
-
-def mat_mul(a, b):
-    """Product of two list-of-list matrices; inner dimension must be >= 1.
-
-    Row i of ``a`` scales to ``(a_0, a_1 .. a_k) / D_i`` and column j of
-    ``b`` to ``(b_0, b_1 .. b_k) / E_j`` (:func:`scaled_rows`), so entry
-    (i, j) has the value ``a_0 . b_0 / (D_i E_j)`` and, along direction t,
-    the derivative ``(a_0 . b_t + a_t . b_0) / (D_i E_j)``: one inner
-    product of ``a_0 ++ a_t`` with ``b_t ++ b_0``.  A product of ``int``
-    matrices (the word stage) returns ``int`` from the plain triple loop,
-    which measured faster there than ``sum(map(mul, ...))``.
+    One integer inner product per output component, over ``ad * bd``, then
+    one gcd.  With ``k`` directions, column j of ``b`` has the values
+    ``b_0`` and the derivatives ``b_t``, row i of ``a`` has ``a_0`` and
+    ``a_t``, and the derivative of entry (i, j) along t is one inner product
+    of ``a_0 ++ a_t`` with ``b_t ++ b_0``.
     """
-    kinds = set(map(type, chain(*a, *b)))
-    if Jet in kinds:
-        k = _directions(chain(a, b))
-    elif Fraction in kinds:
-        k = None
-    else:
-        n = len(a)
-        inner = len(b)
-        p = len(b[0])
-        out = []
-        for i in range(n):
-            arow = a[i]
-            orow = []
-            for j in range(p):
-                acc = arow[0] * b[0][j]
-                for k in range(1, inner):
-                    acc = acc + arow[k] * b[k][j]
-                orow.append(acc)
-            out.append(orow)
-        return out
-    arows, adens = scaled_rows(a, k)
-    bcols, bdens = scaled_rows(zip(*b), k)
-    if k is None:
-        return [
-            [Fraction(sum(map(mul, arow, bcol)), aden * bden) for bcol, bden in zip(bcols, bdens)]
-            for arow, aden in zip(arows, adens)
-        ]
+    bcols = [list(col) for col in zip(*b)]
+    if not (k and cols):
+        num = [[sum(map(mul, arow, bcol)) for bcol in bcols] for arow in a]
+        return reduced(num, ad * bd)
     n = len(b)
-    segs = range(n, (k + 1) * n, n)
-    rights = [(b0, [col[lo : lo + n] + b0 for lo in segs]) for col in bcols for b0 in [col[:n]]]
-    out = []
-    for row, aden in zip(arows, adens):
+    b0s = bcols[:cols]
+    rights = [[bcols[lo + j] + b0 for j, b0 in enumerate(b0s)] for lo in range(cols, (k + 1) * cols, cols)]
+    num = []
+    for row in a:
         a0 = row[:n]
-        ats = [a0 + row[lo : lo + n] for lo in segs]
-        orow = []
-        for (b0, bts), bden in zip(rights, bdens):
-            den = aden * bden
-            nums = tuple([sum(map(mul, at, bt)) for at, bt in zip(ats, bts)])
-            orow.append(_jet(Fraction(sum(map(mul, a0, b0)), den), nums, den))
-        out.append(orow)
-    return out
+        flat = [sum(map(mul, a0, b0)) for b0 in b0s]
+        for lo, bts in zip(range(n, (k + 1) * n, n), rights):
+            at = a0 + row[lo : lo + n]
+            flat += [sum(map(mul, at, bt)) for bt in bts]
+        num.append(flat)
+    return reduced(num, ad * bd)
 
 
-def _eliminate(m, k, reduced):
-    """Fraction-free elimination of the rows of ``m`` (:func:`scaled_rows` with ``k``): flat rows and pivots.
+def _eliminate(rows, cols, k, full):
+    """Fraction-free elimination of the integer ``rows`` of a form: the new rows and the pivots.
 
-    Each row is scaled to integers once and divided by the gcd of all its
-    components after every update ``row <- p * row - f * pivot_row``.  For
-    jets that is the product in the jet ring truncated at eps^2: the flat
-    update gives ``p_0 x - f_0 y`` in every segment, and segment t gains
-    ``p_t x_0 - f_t y_0``.  The pivot is the first nonzero value, and every
-    row with a nonzero component in the pivot column is cleared.  With
-    ``reduced`` every other row is cleared in each pivot column
-    (Gauss-Jordan), otherwise only the rows below the pivot row; the pivots
-    are the same either way.  ``m`` is left unchanged.
+    Each row is divided by the gcd of all its components first and after
+    every update ``row <- p * row - f * pivot_row``.  For jets that is the
+    product in the jet ring truncated at eps^2: the flat update gives
+    ``p_0 x - f_0 y`` in every segment, and segment t gains ``p_t x_0 -
+    f_t y_0``.  The pivot is the first nonzero value, and every row with a
+    nonzero component in the pivot column is cleared.  With ``full``
+    every other row is cleared in each pivot column (Gauss-Jordan),
+    otherwise only the rows below the pivot row; the pivots are the same
+    either way.  ``rows`` is left unchanged.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    n = len(rows)
     work = []
-    for row in scaled_rows(m, k)[0]:
+    for row in rows:
         g = gcd(*row)
         work.append([x // g for x in row] if g > 1 else row)
     # Where each derivative segment of a flat row starts.
-    segs = range(cols, (k + 1) * cols, cols) if k else ()
+    segs = range(cols, (k + 1) * cols, cols) if k and cols else ()
     pivots = []
     pr = 0
     for pc in range(cols):
-        if pr == rows:
+        if pr == n:
             break
         hit = -1
-        for i in range(pr, rows):
+        for i in range(pr, n):
             if work[i][pc]:
                 hit = i
                 break
@@ -199,7 +144,7 @@ def _eliminate(m, k, reduced):
         prow = work[pr]
         pv = prow[pc]
         pts = prow[pc + cols :: cols]
-        for i in range(0 if reduced else pr + 1, rows):
+        for i in range(0 if full else pr + 1, n):
             if i == pr:
                 continue
             row = work[i]
@@ -219,57 +164,52 @@ def _eliminate(m, k, reduced):
     return work, tuple(pivots)
 
 
-def rref_in_place(m):
-    """Reduce ``m`` to reduced row echelon form in place.
+def rref(rows, cols, k, lo=0):
+    """Reduced row echelon form of the form with integer ``rows``: ``(num, den, pivots)``.
 
     Gauss-Jordan with first-nonzero pivoting (no magnitude comparisons:
-    entries are exact, any nonzero pivot is as good as another).  Returns
-    the tuple of pivot column indices.  Rational input comes back as
-    ``Fraction`` entries, jet input as ``Jet`` entries: each pivot row is
-    divided by its pivot, ``x / p = x (p_0 - p_t eps_t) / p_0^2`` for jets,
-    and the rows below the rank become zeros.
+    entries are exact, any nonzero pivot is as good as another).  The form
+    returned holds columns ``lo`` onwards of every segment, so an inverse
+    or a solve keeps only its right-hand block; the rows below the rank are
+    zero.  Rational pivot rows are ``row * (L / p)`` over the lcm L of the
+    pivots p.  A jet pivot row, over the lcm L of the squared pivot values,
+    has the values ``x p_0 (L / p_0^2)`` and along direction t the
+    derivatives ``(p_0 d_t - p_t x) (L / p_0^2)``.
     """
-    k = _directions(m) if Jet in set(map(type, chain(*m))) else None
-    work, pivots = _eliminate(m, k, reduced=True)
-    cols = len(m[0]) if m else 0
-    zero = _ZERO if k is None else Jet(_ZERO)
-    for i in range(len(pivots), len(m)):
-        m[i] = [zero] * cols
-    if k is None:
+    work, pivots = _eliminate(rows, cols, k, full=True)
+    num = []
+    if not k:
+        den = lcm(*[work[i][pc] for i, pc in enumerate(pivots)])
+        for i, pc in enumerate(pivots):
+            f = den // work[i][pc]
+            num.append([x * f for x in work[i][lo:]])
+    else:
+        den = lcm(*[work[i][pc] ** 2 for i, pc in enumerate(pivots)])
         for i, pc in enumerate(pivots):
             row = work[i]
             pv = row[pc]
-            m[i] = [Fraction(x, pv) if x else _ZERO for x in row]
-        return pivots
-    # Every pivot column is cleared in all components but at its pivot, so
-    # only the free columns need a division.
-    one = Jet(_ONE)
-    free = [j for j in range(cols) if j not in pivots]
-    for i, pc in enumerate(pivots):
-        row = work[i]
-        pv = row[pc]
-        pts = row[pc + cols :: cols]
-        sq = pv * pv
-        out = [zero] * cols
-        out[pc] = one
-        for j in free:
-            x = row[j]
-            nums = tuple([pv * d - pt * x for d, pt in zip(row[j + cols :: cols], pts)])
-            out[j] = _jet(Fraction(x, pv) if x else _ZERO, nums, sq)
-        m[i] = out
-    return pivots
+            f = den // (pv * pv)
+            fv = f * pv
+            vals = row[lo:cols]
+            flat = [x * fv for x in vals]
+            for start, pt in zip(range(cols, (k + 1) * cols, cols), row[pc + cols :: cols]):
+                ft = f * pt
+                flat += [fv * d - ft * x for d, x in zip(row[start + lo : start + cols], vals)]
+            num.append(flat)
+    width = (cols - lo) * (1 + (k or 0))
+    num += [[0] * width for _ in range(len(rows) - len(pivots))]
+    return (*reduced(num, den), pivots)
 
 
-def rank(m):
-    """Rank of the list-of-lists matrix ``m``, which is left unchanged.
+def rank(rows, cols, k):
+    """Rank of the form with integer ``rows``, which are left unchanged.
 
-    The fraction-free elimination below each pivot, over ``int``; it builds
-    no ``Fraction``.  A jet matrix has the rank of its values, since its
-    pivots are those of its values.
+    The fraction-free elimination below each pivot.  A jet matrix has the
+    rank of its values, since its pivots are those of its values.
     """
-    if Jet in set(map(type, chain(*m))):
-        m = [[x.value if type(x) is Jet else x for x in row] for row in m]
-    return len(_eliminate(m, None, reduced=False)[1])
+    if k:
+        rows = [row[:cols] for row in rows]
+    return len(_eliminate(rows, cols, None, full=False)[1])
 
 
 def rank_mod_p(m, p):

@@ -18,7 +18,9 @@ import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import lcm
 
+from ._kernels_py import reduced
 from .divisible import ReducedDivisible
 from .errors import RankDeficientError
 from .grassmann import Config, Subspace
@@ -37,28 +39,38 @@ def format_rat(x: Fraction) -> str:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rat(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+def _rat_parts(value) -> tuple[int, int]:
+    """``(p, q)`` with ``q > 0`` and ``value == p / q``, or the :func:`parse_rat` error."""
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         num, _, den = value.partition("/")
         try:
-            return Fraction(int(num), int(den or 1))
+            p, q = int(num), int(den or 1)
+            if not q:
+                Fraction(p, q)  # raises the stdlib's ZeroDivisionError
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value[:40]!r} ({exc})") from None
+        return p, q
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
     raise ValueError(f"not a rational value: {value!r:.40}")
 
 
+def parse_rat(value) -> Fraction:
+    return Fraction(*_rat_parts(value))
+
+
 def _parse_matrix(rows, nrows: int, ncols: int, what: str) -> Mat:
+    """The matrix of ``rows`` of rational values, built in its integer form with no ``Fraction``."""
     if (
         not isinstance(rows, list)
         or len(rows) != nrows
         or any(not isinstance(r, list) or len(r) != ncols for r in rows)
     ):
         raise ValueError(f"{what} must be {nrows} rows x {ncols} columns")
-    return Mat([[parse_rat(x) for x in row] for row in rows])
+    parts = [[_rat_parts(x) for x in row] for row in rows]
+    den = lcm(*[q for row in parts for _, q in row])
+    num = [[p * (den // q) for p, q in row] for row in parts]
+    return Mat._form(*reduced(num, den), ncols)
 
 
 def _format_matrix(m: Mat) -> list[list[str]]:

@@ -173,11 +173,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.n != b.n:
         raise DimensionMismatchError("ambient dimensions differ")
     if a.d == 0 or b.d == 0:
-        return Subspace(Mat._raw([[] for _ in range(a.n)]))
+        return Subspace(Mat._form([[] for _ in range(a.n)], 1, 0))
     stacked = hstack([a.basis, b.basis])
     kernel = stacked.nullspace_basis()  # (a.d + b.d) x k
     if kernel.cols == 0:
-        return Subspace(Mat._raw([[] for _ in range(a.n)]))
+        return Subspace(Mat._form([[] for _ in range(a.n)], 1, 0))
     coeffs = kernel.block(0, a.d, 0, kernel.cols)
     return canonicalize(Subspace(a.basis @ coeffs))
 

@@ -126,8 +126,7 @@ def frame_3e(nc: NormalizedColumns) -> Mat:
     for i in range(1, 4):
         c = nc.bottom(i)  # e x 2e for r = 1
         halves.append((c.block(0, e, 0, e), c.block(0, e, e, 2 * e)))
-    like = nc.blocks[0].data[0][0]
-    eye = Mat.identity(e, like=like)
+    eye = Mat.identity(e)
     rhs = vstack([eye, eye])
     sols = []
     for a, b in _PAIRS_3E:
@@ -394,7 +393,9 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
     """The (ids, mats) of the widest reduction the member count allows, checked.
 
     This is the constructive reading of general position: every kernel has
-    dimension e and every matrix the reduction inverts is invertible.  A
+    dimension e, every matrix the reduction inverts is invertible, and at
+    s = r + 1 every member block of the kernel of member r + 1 has rank e
+    (member r + 1 meets the sum of no r - 1 of the first r members).  A
     failure that leaves the letters undefined raises
     :class:`DegenerateConfigError`; a failed condition the letters do not
     need is returned, the first one found, next to them.
@@ -424,7 +425,12 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
         first = hstack([sub.basis for sub in config.subspaces[:r]])
         if first.rank() != r * config.d:
             return _NO_LETTERS, Degeneracy("the first r members are not in direct sum")
-        nullspace_component(nc, list(range(1, r + 1)), r + 1)
+        for m, block in enumerate(nullspace_component(nc, list(range(1, r + 1)), r + 1), start=1):
+            if block.rank() < nc.e:
+                return _NO_LETTERS, Degeneracy(
+                    f"member {r + 1} meets the sum of the first {r} members other than member {m}",
+                    block=r + 1,
+                )
         return _NO_LETTERS, None
     red = reduce_odd(nc, frame_odd(nc))
     found = letters_odd(red)

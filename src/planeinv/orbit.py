@@ -39,7 +39,7 @@ from .errors import (
 )
 from . import divisible, odd
 from .grassmann import Config, SplitMix64, Subspace, classify_case
-from .linalg import Jet, Mat, rank_mod_p
+from .linalg import Mat, rank_mod_p
 from .words import InvariantVector, enumerate_words, letter_size, trace_derivatives, word_len
 
 __all__ = [
@@ -211,18 +211,24 @@ def _jet_pass(config: Config, directions: Sequence[Sequence[int]], max_len: int 
     """The word traces' derivatives along all ``directions``, as ``(nums, den)`` pairs.
 
     Each direction holds one derivative per basis entry, in (member, row,
-    column) order, so basis entry c becomes a jet whose derivative vector is
-    ``(directions[0][c], ..., directions[-1][c])``.  Only the reduction runs
-    over jets; :func:`planeinv.words.trace_derivatives` takes the words.
+    column) order, so each jet basis is the basis's integer form with one
+    derivative segment per direction: basis entry c has the derivative
+    ``directions[t][c]`` along direction t.  Only the reduction runs over
+    jets; :func:`planeinv.words.trace_derivatives` takes the words.
     The jet bases skip the independence check: their value parts are the
     configuration's checked bases, and a jet pivots on its value alone.
     Raises the pass's degeneracy, which is the plain pass's.
     """
+    k = len(directions)
     per_entry = zip(*directions)
-    jet_subs = [
-        Subspace._raw(Mat._raw([[Jet(x, next(per_entry)) for x in row] for row in sub.basis.data]))
-        for sub in config.subspaces
-    ]
+    jet_subs = []
+    for sub in config.subspaces:
+        basis, den = sub.basis, sub.basis.den
+        rows = []
+        for row in basis.num:
+            derivs = [next(per_entry) for _ in row]
+            rows.append(row + [x * den for segment in zip(*derivs) for x in segment])
+        jet_subs.append(Subspace._raw(Mat._form(rows, den, basis.cols, k)))
     tag, _, letters, degeneracy = _reduction(config).letters(Config(jet_subs), max_len)
     if degeneracy is not None:
         raise degeneracy.error()

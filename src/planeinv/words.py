@@ -10,16 +10,16 @@ are generated directly, one length at a time, by the FKM algorithm
 length; lengths beyond 2**m - 1 are algebraically dependent on shorter ones,
 so that is the default and maximal truncation.
 
-Traces are evaluated over the integers: each letter is scaled once by the
-least common denominator of its entries, as one row-major row of the
-kernels' scaler (:func:`planeinv._kernels_py.scaled_rows`), so the integer
-format is the kernels' own.  Each word is split at its middle into a
-front and a back half-word, whose integer products come from one cache.
-The trace is one inner product of the front's product with the back's
-transposed product, divided back by the product of the letters'
-denominators, so each value costs one gcd and no word is multiplied out.
-The derivatives of the traces come from those of the letters by the chain
-rule, also over the integers (:func:`trace_derivatives`).
+Traces are evaluated over the integers: each letter's stored form
+(:class:`planeinv.linalg.Mat`) is already an integer matrix over the
+least common denominator of its entries, so the word stage reads it as it
+is.  Each word is split at its middle into a front and a back half-word,
+whose integer products come from one cache.  The trace is one inner
+product of the front's product with the back's transposed product, divided
+back by the product of the letters' denominators, so each value costs one
+gcd and no word is multiplied out.  The derivatives of the traces come
+from those of the letters by the chain rule, also over the integers
+(:func:`trace_derivatives`).
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from itertools import chain
 from operator import add, mul
 from typing import Sequence
 
-from ._kernels_py import scaled_rows
 from .errors import Degeneracy
 from .grassmann import CaseTag, Config
-from .linalg import Jet, Mat
+from .linalg import Mat
 
 
 def max_word_len_for(letter_size: int) -> int:
@@ -78,17 +77,19 @@ def enumerate_words(alphabet_size: int, max_len: int) -> list[tuple[int, ...]]:
     return [w for length in range(1, max_len + 1) for w in _necklaces(alphabet_size, length)]
 
 
-def _scaled(letters: Sequence[Mat], k: int | None = None) -> tuple[list[tuple[Mat, int]], list[list]]:
-    """Each letter times its denominator D, as ``(integer value matrix, D)``, and the flat rows.
+def _scaled(letters: Sequence[Mat]) -> list[tuple[Mat, int]]:
+    """Each letter times its denominator D, as ``(integer value matrix, D)``.
 
-    Each letter is one row-major row of :func:`planeinv._kernels_py.scaled_rows`
-    (with ``k`` directions for jet letters), so its flat row holds the
-    values, then the derivatives along each direction, all row-major.
+    A letter's stored form is an integer matrix over D, the lcm of its
+    entries' denominators, so the value rows of that form are the integer
+    value matrix, as a matrix over denominator 1.
     """
-    flats, dens = scaled_rows([[x for row in letter.data for x in row] for letter in letters], k)
-    m = letters[0].rows if letters else 0
-    values = [Mat._raw([flat[i : i + m] for i in range(0, m * m, m)]) for flat in flats]
-    return list(zip(values, dens)), flats
+    out = []
+    for letter in letters:
+        m = letter.cols
+        values = letter.num if not letter.k else [row[:m] for row in letter.num]
+        out.append((Mat._form(values, 1, m), letter.den))
+    return out
 
 
 def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
@@ -101,7 +102,7 @@ def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
     the product along ``v``.
     """
     m = scaled[0][0].rows if scaled else 0
-    cache = {(): (Mat._raw([[int(i == j) for j in range(m)] for i in range(m)]), 1)}
+    cache = {(): (Mat.identity(m), 1)}
     cache.update(((i,), pair) for i, pair in enumerate(scaled))
 
     def product(w: tuple[int, ...]) -> tuple[Mat, int]:
@@ -117,14 +118,14 @@ def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
 
 def _flat_t(mat: Mat) -> list:
     """The transpose of ``mat``, row-major: tr(A B) is A's row-major entries times these."""
-    return [x for col in zip(*mat.data) for x in col]
+    return [x for col in zip(*mat.num) for x in col]
 
 
 def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[Fraction]:
     """Traces of the letter products along each word, as exact rationals.
 
-    Each letter L_i is scaled once by the least common denominator D_i of
-    its entries, which makes it an integer matrix.  A word w of length l is
+    Each letter L_i is stored as an integer matrix over the least common
+    denominator D_i of its entries (:func:`_scaled`).  A word w of length l is
     split at h = ceil(l / 2), and tr(F B), with F and B the products along
     ``w[:h]`` and ``w[h:]``, is one inner product of F's entries with B's
     transposed entries (m**2 scalar products).  F and B come from one cache
@@ -133,7 +134,7 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     their length, so the longer half goes in front.  Each value is
     ``Fraction(t, D_w)`` with D_w the product of the D_i along the word.
     """
-    product = _products(_scaled(letters)[0])
+    product = _products(_scaled(letters))
     backs: dict[tuple[int, ...], tuple[list, int]] = {}
     values = []
     for w in words:
@@ -143,7 +144,7 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
         if back is None:
             mat, d_back = product(w[h:])
             back = backs[w[h:]] = (_flat_t(mat), d_back)
-        t = sum(map(mul, chain.from_iterable(front.data), back[0]))
+        t = sum(map(mul, chain.from_iterable(front.num), back[0]))
         values.append(Fraction(t, d_front * back[1]))
     return values
 
@@ -155,20 +156,27 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
     denominator, reduced by one gcd.  By the chain rule,
     d tr(L_{w_1} ... L_{w_l}) = sum_j tr(dL_{w_j} C_j) with
     C_j = L_{w_{j+1}} ... L_{w_l} L_{w_1} ... L_{w_{j-1}}, so no jet enters a
-    product: each letter is scaled once by its denominator D_i
-    (:func:`_scaled`) to an integer value matrix and row-major derivatives
+    product: each letter's stored form gives its integer value matrix over
+    its denominator D_i (:func:`_scaled`) and its row-major derivatives
     per direction, each C_j is a cached suffix times a cached prefix over
     ``int``, summed into the word's gradient G (one m x m block per letter),
     and each direction is one inner product with G, divided by D_w, the
     product of the D_i.
     """
-    entries = [x for letter in letters for row in letter.data for x in row]
-    k = max((len(x.nums) for x in entries if isinstance(x, Jet)), default=0)
-    pairs, flats = _scaled(letters, k)
+    k = max((letter.k or 0 for letter in letters), default=0)
+    pairs = _scaled(letters)
     prefix, suffix = _products(pairs), _products(pairs, reverse=True)
-    mm = letters[0].rows ** 2 if letters else 0
-    # Direction t's derivative matrices of all letters, in the layout of G.
-    along = [list(chain.from_iterable(flat[t * mm : t * mm + mm] for flat in flats)) for t in range(1, k + 1)]
+    m = letters[0].rows if letters else 0
+    mm = m * m
+    # Direction t's derivative matrices of all letters, row-major, in the
+    # layout of G; a letter in fewer directions has zero derivatives there.
+    along = [[] for _ in range(k)]
+    for letter in letters:
+        for t, seg in enumerate(along, start=1):
+            if t <= (letter.k or 0):
+                seg += [x for row in letter.num for x in row[t * m : t * m + m]]
+            else:
+                seg += [0] * mm
     out = []
     for w in words:
         grad = [0] * (len(letters) * mm)

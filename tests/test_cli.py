@@ -12,7 +12,7 @@ import pytest
 from planeinv import fileio, orbit
 from planeinv.cli import main
 from planeinv.divisible import ReducedDivisible, embed
-from planeinv.grassmann import Config, SplitMix64, Subspace, sample_config
+from planeinv.grassmann import Config, SplitMix64, Subspace, act_left, sample_config, sample_invertible
 from planeinv.linalg import Mat
 
 # ---------------------------------------------------------------------------
@@ -328,6 +328,17 @@ class TestOrbitTestCmd:
         deg, b = tmp_path / "deg.json", tmp_path / "b.json"
         fileio.write_json(deg, fileio.config_to_obj(Config(tuple(subs))))
         run("gen", "--n", n, "--d", d, "--s", 3, "--seed", 1, "--out", b)
+        assert run("orbit-test", "--a", deg, "--b", b) == 5
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "Inconclusive"
+
+    def test_meet_at_r_plus_one_members_exits_5(self, tmp_path, capsys):
+        # (5, 2, 3): V3 = <e1, e5> meets V1 = <e1, e2> in a line, V2 = <e3, e4>
+        unit = [[int(i == j) for j in range(5)] for i in range(5)]
+        pairs = ((0, 1), (2, 3), (0, 4))
+        subs = [Subspace(Mat([[unit[a][i], unit[b][i]] for i in range(5)])) for a, b in pairs]
+        deg, b = tmp_path / "deg.json", tmp_path / "b.json"
+        fileio.write_json(deg, fileio.config_to_obj(act_left(sample_invertible(SplitMix64(7), 5), Config(subs))))
+        run("gen", "--n", 5, "--d", 2, "--s", 3, "--seed", 1, "--out", b)
         assert run("orbit-test", "--a", deg, "--b", b) == 5
         assert capsys.readouterr().out.strip().splitlines()[-1] == "Inconclusive"
 

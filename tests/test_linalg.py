@@ -21,7 +21,6 @@ from planeinv.errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from planeinv._kernels_py import mat_mul, rank, rref_in_place
 from planeinv.linalg import Jet, Mat, hstack, vstack
 from planeinv.words import evaluate_traces
 
@@ -57,7 +56,7 @@ class TestMatBasics:
         assert e.data[2] == [0, 0, 1]
 
     def test_zero_cols_rejected_in_matmul(self):
-        empty = Mat._raw([[], []])
+        empty = Mat([[], []])
         with pytest.raises(DimensionMismatchError):
             empty @ Mat.identity(2)
 
@@ -212,40 +211,41 @@ def deriv(nums, den):
 
 
 class TestJet:
-    """Golden jets.  Products, quotients and constants meet jets only in the kernels."""
+    """Golden jets.  Jets meet arithmetic only as entries of matrices, in their integer form."""
 
     def test_product_rule_golden(self):
         # (2 + eps)(3 + eps) = 6 + 5 eps, as a 1 x 1 product
-        [[p]] = mat_mul([[jet(Fraction(2), [1])]], [[jet(Fraction(3), [1])]])
+        [[p]] = (Mat([[jet(Fraction(2), [1])]]) @ Mat([[jet(Fraction(3), [1])]])).data
         assert p.value == 6 and deriv(p.nums, p.den) == [5]
 
     def test_quotient_rule(self):
         # d/dx (x / (x + 1)) at x = 1 is 1/4: solve (x + 1) q = x
         x = jet(Fraction(1), [1])
-        [[q]] = Mat._raw([[x + Jet(Fraction(1))]]).solve(Mat._raw([[x]])).data
+        [[q]] = (Mat([[x]]) + Mat.identity(1)).solve(Mat([[x]])).data
         assert q.value == Fraction(1, 2)
         assert deriv(q.nums, q.den) == [Fraction(1, 4)]
 
     def test_bool_follows_value(self):
-        assert not jet(Fraction(0), [5])
-        assert jet(Fraction(1), [0])
+        # a zero test reads the values, as pivoting does
+        assert Mat([[jet(Fraction(0), [5])]]).is_zero()
+        assert not Mat([[jet(Fraction(1), [0])]]).is_zero()
 
     def test_mixed_arithmetic_with_ints(self):
         # 2x + 1 - x/3 at x = 3 + eps: int and Fraction entries are constants
         x = jet(Fraction(3), [1])
-        [[y]] = mat_mul([[2, 1, Fraction(-1, 3)]], [[x], [1], [x]])
+        [[y]] = (Mat([[2, 1, Fraction(-1, 3)]]) @ Mat([[x], [1], [x]])).data
         assert y.value == 6
         assert deriv(y.nums, y.den) == [Fraction(5, 3)]
 
     def test_epsilon_squared_vanishes(self):
         eps = jet(Fraction(0), [1, 2])
-        [[sq]] = mat_mul([[eps]], [[eps]])
+        [[sq]] = (Mat([[eps]]) @ Mat([[eps]])).data
         assert sq.value == 0 and not any(sq.nums)
 
     @given(rationals, rationals, rationals, rationals)
     def test_addition_componentwise(self, a, b, da, db):
-        s = jet(a, [da, 2 * da]) + jet(b, [db, -db])
-        assert s.value == a + b and deriv(s.nums, s.den) == [da + db, 2 * da - db]
+        s = Mat([[jet(a, [da, 2 * da])]]) + Mat([[jet(b, [db, -db])]])
+        assert as_duals(s.data, 2) == [[Dual(a, [da, 2 * da]) + Dual(b, [db, -db])]]
 
     def test_matrix_inverse_derivative(self):
         # d/dt inv(1 + t) at t = 1 is -1/4; embed as a 1x1 matrix of Jets
@@ -268,22 +268,27 @@ small_rationals = st.one_of(
 # ---------------------------------------------------------------------------
 
 
+def entry_rows(m):
+    """The entry rows of ``m``: its ``data`` for a ``Mat``, else ``m`` itself (rows of duals)."""
+    return m.data if isinstance(m, Mat) else m
+
+
 def trace_word(letters, word):
     """Trace of the product ``letters[word[0]] @ letters[word[1]] @ ...``.
 
     The uncached oracle for :func:`planeinv.words.evaluate_traces`: the
-    products run through ``field_mat_mul``, so letters of :class:`Dual`
-    entries give the derivatives too.  Letter indices are 0-based; an
-    out-of-range index raises ``IndexError``.
+    products run through ``field_mat_mul``, so letters given as rows of
+    :class:`Dual` entries give the derivatives too.  Letter indices are
+    0-based; an out-of-range index raises ``IndexError``.
     """
     if not word:
         raise IndexError("empty word")
     for k in word:
         if not 0 <= k < len(letters):
             raise IndexError(f"letter index {k} out of range for alphabet of {len(letters)}")
-    acc = letters[word[0]].data
+    acc = entry_rows(letters[word[0]])
     for k in word[1:]:
-        acc = field_mat_mul(acc, letters[k].data)
+        acc = field_mat_mul(acc, entry_rows(letters[k]))
     return sum((acc[i][i] for i in range(1, len(acc))), acc[0][0])
 
 
@@ -346,7 +351,7 @@ class TestSplitTraces:
 
 
 def field_mat_mul(a, b):
-    """The plain product loop: the oracle for ``mat_mul``."""
+    """The plain product loop: the oracle for ``Mat.__matmul__``."""
     out = []
     for arow in a:
         orow = []
@@ -362,7 +367,7 @@ def field_mat_mul(a, b):
 def field_rref(m):
     """Gauss-Jordan over the entries' own field or ring, first-nonzero pivoting, in place.
 
-    The oracle for ``rref_in_place``, over ``Fraction`` or :class:`Dual`.
+    The oracle for ``Mat.rref``, over ``Fraction`` or :class:`Dual`.
     The pivot is the first entry that is true (a dual's truthiness reads
     its value alone); the whole pivot row is divided by it, and every other
     row whose entry in the pivot column is ``!= 0`` (for a dual, a nonzero
@@ -523,7 +528,7 @@ class TestKernels:
     def test_mat_mul(self):
         a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
         b = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
-        assert mat_mul(a, b) == [
+        assert (Mat(a) @ Mat(b)).data == [
             [Fraction(2), Fraction(3)],
             [Fraction(4), Fraction(7)],
         ]
@@ -533,9 +538,9 @@ class TestKernels:
             [Fraction(0), Fraction(2), Fraction(4)],
             [Fraction(1), Fraction(1), Fraction(1)],
         ]
-        pivots = rref_in_place(rows)
+        red, pivots = Mat(rows).rref()
         assert tuple(pivots) == (0, 1)
-        assert rows == [
+        assert red.data == [
             [Fraction(1), Fraction(0), Fraction(-1)],
             [Fraction(0), Fraction(1), Fraction(2)],
         ]
@@ -545,9 +550,9 @@ class TestKernels:
     def test_rref_matches_field_loop(self, m):
         want = as_fractions(m)
         want_pivots = field_rref(want)
-        got = [row[:] for row in m]
-        assert rref_in_place(got) == want_pivots
-        assert got == want and only_fractions(got)
+        red, pivots = Mat(m).rref()
+        assert pivots == want_pivots
+        assert red.data == want and only_fractions(red.data)
 
     @given(
         st.tuples(st.integers(1, 7), st.integers(1, 9), st.integers(1, 7)).flatmap(
@@ -560,32 +565,32 @@ class TestKernels:
     @settings(max_examples=100, deadline=None)
     def test_mat_mul_matches_field_loop(self, ab):
         a, b = ab
-        got = mat_mul(a, b)
+        got = (Mat(a) @ Mat(b)).data
         assert got == field_mat_mul(as_fractions(a), as_fractions(b))
-        if any(type(x) is Fraction for row in a + b for x in row):
-            assert only_fractions(got)
+        assert only_fractions(got)
 
     @given(kernel_matrices())
     @settings(max_examples=300, deadline=None)
     def test_rank_matches_field_loop(self, m):
         want = len(field_rref(as_fractions(m)))
         before = [row[:] for row in m]
-        assert rank(m) == want == Mat._raw(m).rank()
+        assert Mat(m).rank() == want
         assert m == before and list(map(type, chain(*m))) == list(map(type, chain(*before)))
 
     @given(st.lists(st.lists(st.integers(-99, 99), min_size=3, max_size=3), min_size=3, max_size=3))
     def test_int_mat_mul_stays_int(self, a):
-        got = mat_mul(a, a)
-        assert got == field_mat_mul(a, a)
-        assert all(type(x) is int for row in got for x in row)
+        # an integer product stays an integer form over denominator 1
+        got = Mat(a) @ Mat(a)
+        assert got.den == 1 and got.num == field_mat_mul(a, a)
+        assert all(type(x) is int for row in got.num for x in row)
 
     def test_int_matrix_inverse_is_exact(self):
-        m = Mat._raw([[2, 1], [1, 1]])
+        m = Mat([[2, 1], [1, 1]])
         inv = m.inverse()
         assert inv.data == [[1, -1], [-1, 2]] and only_fractions(inv.data)
-        red, pivots = Mat._raw([[2, 1], [4, 3]]).rref()
+        red, pivots = Mat([[2, 1], [4, 3]]).rref()
         assert pivots == (0, 1) and only_fractions(red.data)
-        assert only_fractions(Mat._raw([[3, 1, 2]]).rref()[0].data)
+        assert only_fractions(Mat([[3, 1, 2]]).rref()[0].data)
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
         st.lists(st.tuples(jet_values, st.lists(small_rationals, min_size=2, max_size=2)),
@@ -594,7 +599,7 @@ class TestKernels:
     )))
     @settings(max_examples=100, deadline=None)
     def test_jet_rref_matches_field_loop(self, entries):
-        m = Mat._raw([[jet(Fraction(v), d) for v, d in row] for row in entries])
+        m = Mat([[jet(Fraction(v), d) for v, d in row] for row in entries])
         want = as_duals(m.data, 2)
         want_pivots = field_rref(want)
         red, pivots = m.rref()
@@ -642,14 +647,14 @@ class TestJetKernels:
 
     def test_zero_valued_entry_is_cleared(self):
         # [[1, 0], [eps, 1]]^-1 = [[1, 0], [-eps, 1]]: the (1, 0) entry has value 0.
-        inv = Mat._raw([[Jet(1), Jet(0)], [Jet(0, (1,)), Jet(1)]]).inverse()
+        inv = Mat([[Jet(1), Jet(0)], [Jet(0, (1,)), Jet(1)]]).inverse()
         assert as_duals(inv.data, 1) == [[1, 0], [Dual(0, [-1]), 1]]
 
     @given(st.data(), dims, dims, dims)
     @settings(max_examples=100, deadline=None)
     def test_mat_mul_matches_field_loop(self, data, n, inner, p):
         k, (a, b) = data.draw(jet_mats((n, inner), (inner, p)))
-        got = mat_mul(a, b)
+        got = (Mat(a) @ Mat(b)).data
         assert as_duals(got, k) == field_mat_mul(as_duals(a, k), as_duals(b, k))
         assert all(type(x) is Jet for row in got for x in row)
 
@@ -657,15 +662,15 @@ class TestJetKernels:
     @settings(max_examples=150, deadline=None)
     def test_inverse_and_solve(self, data, n, p):
         k, (a, b) = data.draw(jet_mats((n, n), (n, p)))
-        if rank(a) < n:
+        if Mat(a).rank() < n:
             with pytest.raises(SingularMatrixError):
-                Mat._raw(a).inverse()
+                Mat(a).inverse()
             return
         da = as_duals(a, k)
-        inv = as_duals(Mat._raw(a).inverse().data, k)
+        inv = as_duals(Mat(a).inverse().data, k)
         eye = as_duals(Mat.identity(n).data, k)
         assert field_mat_mul(da, inv) == eye == field_mat_mul(inv, da)
-        x = as_duals(Mat._raw(a).solve(Mat._raw(b)).data, k)
+        x = as_duals(Mat(a).solve(Mat(b)).data, k)
         assert field_mat_mul(da, x) == as_duals(b, k)
 
     @given(st.data(), dims, st.integers(1, 5))
@@ -675,7 +680,7 @@ class TestJetKernels:
         # have rank r too, its kernel basis is exact in the jet ring.
         r = data.draw(st.integers(1, min(n, p)))
         k, (b, c) = data.draw(jet_mats((n, r), (r, p)))
-        a = Mat._raw(b) @ Mat._raw(c)
+        a = Mat(b) @ Mat(c)
         if a.rank() < r:
             return
         kernel = a.nullspace_basis()
@@ -688,7 +693,7 @@ class TestJetKernels:
     def test_rank_is_rank_of_values(self, data, n, p):
         k, (a,) = data.draw(jet_mats((n, p)))
         values = [[x.value if type(x) is Jet else x for x in row] for row in a]
-        assert rank(a) == rank(values) == len(field_rref(as_duals(a, k)))
+        assert Mat(a).rank() == Mat(values).rank() == len(field_rref(as_duals(a, k)))
 
 
 def normalized(m, k):
@@ -716,11 +721,11 @@ class TestJetRecords:
     @settings(max_examples=100, deadline=None)
     def test_kernel_outputs_are_normalized(self, data, n, inner, p):
         k, (a, b, sq, rhs) = data.draw(jet_mats((n, inner), (inner, p), (n, n), (n, p)))
-        assert normalized(mat_mul(a, b), k)
-        assert normalized(Mat._raw(a).nullspace_basis().data, k)
-        if rank(sq) == n:
-            assert normalized(Mat._raw(sq).inverse().data, k)
-            assert normalized(Mat._raw(sq).solve(Mat._raw(rhs)).data, k)
+        assert normalized((Mat(a) @ Mat(b)).data, k)
+        assert normalized(Mat(a).nullspace_basis().data, k)
+        if Mat(sq).rank() == n:
+            assert normalized(Mat(sq).inverse().data, k)
+            assert normalized(Mat(sq).solve(Mat(rhs)).data, k)
 
 
 def zero_direction_matrices(rows, cols):
@@ -740,17 +745,17 @@ class TestZeroDirections:
     @settings(max_examples=100, deadline=None)
     def test_matches_rational_kernels(self, data, n, inner, p):
         a, b, sq = (data.draw(zero_direction_matrices(r, c)) for r, c in [(n, inner), (inner, p), (n, n)])
-        got = mat_mul(a, b)
-        assert normalized(got, 0) and values_of(got) == mat_mul(values_of(a), values_of(b))
-        work, want = [row[:] for row in a], values_of(a)
-        assert rref_in_place(work) == rref_in_place(want)
-        assert normalized(work, 0) and values_of(work) == want
-        if rank(values_of(sq)) < n:
+        got = (Mat(a) @ Mat(b)).data
+        assert normalized(got, 0) and values_of(got) == (Mat(values_of(a)) @ Mat(values_of(b))).data
+        (red, pivots), (want, want_pivots) = Mat(a).rref(), Mat(values_of(a)).rref()
+        assert pivots == want_pivots
+        assert normalized(red.data, 0) and values_of(red.data) == want.data
+        if Mat(values_of(sq)).rank() < n:
             with pytest.raises(SingularMatrixError):
-                Mat._raw(sq).inverse()
+                Mat(sq).inverse()
             return
-        inv = Mat._raw(sq).inverse().data
-        assert normalized(inv, 0) and values_of(inv) == Mat._raw(values_of(sq)).inverse().data
+        inv = Mat(sq).inverse().data
+        assert normalized(inv, 0) and values_of(inv) == Mat(values_of(sq)).inverse().data
 
 
 class TestJetVector:
@@ -760,7 +765,7 @@ class TestJetVector:
     @settings(max_examples=60, deadline=None)
     def test_chain_matches_scalar_duals(self, data, n, p, k):
         def draw():
-            other = Mat._raw(data.draw(jet_matrices(n, p, k, constants=False)))
+            other = Mat(data.draw(jet_matrices(n, p, k, constants=False)))
             return other, as_duals(other.data, k)
 
         acc, want = draw()
@@ -783,3 +788,80 @@ class TestJetVector:
             )
         if n == p:
             assert as_duals([[acc.trace()]], k) == [[sum((want[i][i] for i in range(1, n)), want[0][0])]]
+
+
+# ---------------------------------------------------------------------------
+# the stored form
+# ---------------------------------------------------------------------------
+
+
+def canonical(m):
+    """Whether ``m`` holds the canonical integer form of its value.
+
+    Integer rows of ``cols * (k + 1)`` entries over a positive ``int``
+    denominator, coprime to them all (so a zero matrix is over 1).
+    """
+    width = m.cols * (1 + (m.k or 0))
+    return (
+        type(m.den) is int
+        and m.den > 0
+        and math.gcd(m.den, *chain.from_iterable(m.num)) == 1
+        and len(m.num) == m.rows
+        and all(len(row) == width and all(type(x) is int for x in row) for row in m.num)
+    )
+
+
+def rebuilt(m):
+    """``m`` built again from its entries, with explicit zero derivative vectors for jets."""
+    if m.k is None:
+        return Mat(m.data)
+    return Mat([[Jet(x.value, x.nums or (0,) * m.k, x.den) for x in row] for row in m.data])
+
+
+class TestCanonicalForm:
+    """Every matrix an op returns is canonical, so ``==`` and ``hash`` follow the value."""
+
+    @given(st.data(), dims, dims, st.one_of(st.none(), st.integers(0, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_op_results_are_canonical(self, data, n, p, k):
+        def draw(rows, cols):
+            if k is None:
+                return Mat(data.draw(kernel_matrices(st.just(rows), st.just(cols))))
+            return Mat(data.draw(jet_matrices(rows, cols, k)))
+
+        a, c, b, sq = draw(n, p), draw(n, p), draw(p, n), draw(n, n)
+        r0 = data.draw(st.integers(0, n - 1))
+        c0 = data.draw(st.integers(0, p))
+        results = [
+            a @ b,
+            b @ a,
+            a @ Mat.identity(p),
+            a + c,
+            a - c,
+            c - a,
+            a - a,
+            -a,
+            a.transpose(),
+            a.block(r0, data.draw(st.integers(r0 + 1, n)), c0, data.draw(st.integers(c0, p))),
+            hstack([a, c]),
+            hstack([a, Mat.identity(n)]),
+            vstack([a, c]),
+            a.rref()[0],
+            a.nullspace_basis(),
+            b.nullspace_basis(),
+        ]
+        if sq.rank() == n:
+            inv = sq.inverse()
+            results += [inv, sq.solve(a)]
+            ones = [[int(i == j) for j in range(n)] for i in range(n)]
+            if sq.k is None:
+                eye = Mat([[Fraction(x) for x in row] for row in ones])
+            else:
+                eye = Mat([[Jet(Fraction(x), (0,) * sq.k) for x in row] for row in ones])
+            assert sq @ inv == eye == inv @ sq
+            assert hash(sq @ inv) == hash(eye)
+        assert all(canonical(m) for m in results)
+        assert (a + a) - a == a and hash((a + a) - a) == hash(a)
+        for m in results:
+            if m.cols:
+                assert rebuilt(m) == m and hash(rebuilt(m)) == hash(m)

@@ -346,6 +346,34 @@ class TestSingularFrameAtThreeMembers:
         assert same_orbit_test(generic, generic) is Verdict.EQUIVALENT
 
 
+def meeting_triple() -> Config:
+    """V1 = <e1, e2>, V2 = <e3, e4>, V3 = <e1, e5> in Q^5, moved by one fixed invertible matrix."""
+    unit = [[int(i == j) for j in range(5)] for i in range(5)]
+    pairs = ((0, 1), (2, 3), (0, 4))
+    subs = [Subspace(Mat([[unit[a][i], unit[b][i]] for i in range(5)])) for a, b in pairs]
+    return act_left(sample_invertible(SplitMix64(7), 5), Config(subs))
+
+
+class TestMeetAtRPlusOneMembers:
+    # r = 2, s = r + 1: members 1 and 2 are in direct sum and member 3 meets
+    # their sum in a plane, but it meets member 1 alone in a line; GL_n
+    # preserves dim(V_1 ∩ V_3), which is 0 for a generic triple
+    def test_meet_is_recorded(self):
+        c = meeting_triple()
+        blocks = nullspace_component(column_normalize(c), [1, 2], 3)
+        assert [b.rank() for b in blocks] == [1, 0]
+        assert not general_position(c)
+        v = invariants(c)
+        assert len(v) == 0
+        assert v.degeneracy == Degeneracy(
+            "member 3 meets the sum of the first 2 members other than member 2", block=3
+        )
+        generic = sample_config(5, 2, 3, seed=1)
+        assert [b.rank() for b in nullspace_component(column_normalize(generic), [1, 2], 3)] == [1, 1]
+        assert same_orbit_test(c, generic) is Verdict.INCONCLUSIVE
+        assert same_orbit_test(generic, generic) is Verdict.EQUIVALENT
+
+
 # ---------------------------------------------------------------------------
 # exact invariance of full vectors
 # ---------------------------------------------------------------------------

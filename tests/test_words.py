@@ -62,7 +62,7 @@ def letter(size, entry):
     identity = st.tuples(one, zero).map(
         lambda oz: [[oz[0] if i == j else oz[1] for j in range(size)] for i in range(size)]
     )
-    return st.one_of(square(entry), square(zero), identity).map(Mat._raw)
+    return st.one_of(square(entry), square(zero), identity).map(Mat)
 
 
 def alphabets(entry):
@@ -133,7 +133,7 @@ class TestTraceDerivatives:
         words = enumerate_words(len(letters), 5)
         got = trace_derivatives(letters, words)
         zeros = [Fraction(0)] * k
-        duals = [Mat._raw(as_duals(x.data, k)) for x in letters]
+        duals = [as_duals(x.data, k) for x in letters]
         want = [trace_word(duals, w).derivs for w in words]
         assert [deriv(*pair) or zeros for pair in got] == want
         assert len({len(nums) for nums, _ in got}) <= 1
