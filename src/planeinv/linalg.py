@@ -305,7 +305,7 @@ class Mat:
             out[f] = unit
         for row, p in zip(red, pivots):
             out[p] = [-row[lo + f] for lo in starts for f in free]
-        return Mat._form(out, den if free else 1, len(free), self.k)
+        return Mat._form(out, den, len(free), self.k)
 
 
 def hstack(mats: Iterable[Mat]) -> Mat:
