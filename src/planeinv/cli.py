@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="exact Jacobian rank of the invariant map")
     p.add_argument("--in", dest="infile", required=True, help="configuration file")
-    p.add_argument("--max-len", type=_word_length, default=None, help="word-length cap")
 
     p = sub.add_parser("embed", help="divisible normal form from a letter grid")
     p.add_argument("--in", dest="infile", required=True, help="letters file")
@@ -105,7 +104,7 @@ def _cmd_orbit_test(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = fileio.config_from_obj(fileio.load_json(args.infile))
-    rank = orbit.jacobian_rank(config, args.max_len)
+    rank = orbit.jacobian_rank(config)
     expected = orbit.expected_quotient_dim(config.n, config.d, config.s)
     print(f"rank {rank} / expected {expected}")
     return EXIT_OK

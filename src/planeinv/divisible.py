@@ -90,15 +90,8 @@ class ReducedDivisible:
                 if m.rows != self.d or m.cols != self.d:
                     raise ValueError(f"letters must be {self.d} x {self.d}")
 
-    @property
-    def n(self) -> int:
-        return self.r * self.d
-
     def letter(self, i: int, j: int) -> Mat:
         return self.grid[i - 2][j - 2]
-
-    def letter_ids(self) -> tuple[str, ...]:
-        return _letter_ids(self.r, self.s)
 
     def letters(self) -> tuple[Mat, ...]:
         return tuple(m for row in self.grid for m in row)

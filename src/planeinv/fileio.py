@@ -18,9 +18,7 @@ import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring
-from math import lcm
 
-from ._kernels_py import reduced
 from .divisible import ReducedDivisible
 from .errors import RankDeficientError
 from .grassmann import Config, Subspace
@@ -40,7 +38,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _rat_parts(value) -> tuple[int, int]:
-    """``(p, q)`` with ``q > 0`` and ``value == p / q``, or the :func:`parse_rat` error."""
+    """``(p, q)`` with ``q > 0`` and ``value == p / q``; any other value raises ``ValueError``, naming it."""
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         num, _, den = value.partition("/")
         try:
@@ -55,10 +53,6 @@ def _rat_parts(value) -> tuple[int, int]:
     raise ValueError(f"not a rational value: {value!r:.40}")
 
 
-def parse_rat(value) -> Fraction:
-    return Fraction(*_rat_parts(value))
-
-
 def _parse_matrix(rows, nrows: int, ncols: int, what: str) -> Mat:
     """The matrix of ``rows`` of rational values, built in its integer form with no ``Fraction``."""
     if (
@@ -67,10 +61,7 @@ def _parse_matrix(rows, nrows: int, ncols: int, what: str) -> Mat:
         or any(not isinstance(r, list) or len(r) != ncols for r in rows)
     ):
         raise ValueError(f"{what} must be {nrows} rows x {ncols} columns")
-    parts = [[_rat_parts(x) for x in row] for row in rows]
-    den = lcm(*[q for row in parts for _, q in row])
-    num = [[p * (den // q) for p, q in row] for row in parts]
-    return Mat._form(*reduced(num, den), ncols)
+    return Mat._ratios([[_rat_parts(x) for x in row] for row in rows], ncols)
 
 
 def _format_matrix(m: Mat) -> list[list[str]]:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
-    CaseMismatchError,
     DegenerateConfigError,
     DegenerateSamplingExhausted,
     DimensionMismatchError,
@@ -231,9 +230,6 @@ class Config:
         """All bases side by side: the n x (s*d) matrix of the configuration."""
         return hstack([sub.basis for sub in self.subspaces])
 
-    def case(self) -> CaseTag:
-        return classify_case(self.n, self.d)
-
 
 def act_left(g: Mat, config: Config) -> Config:
     """Apply an invertible n x n matrix to every subspace."""
@@ -259,19 +255,15 @@ def act_right(hs: Sequence[Mat], config: Config) -> Config:
     return Config([Subspace(sub.basis @ h) for sub, h in zip(config, hs)])
 
 
-def general_position(config: Config, tag: CaseTag | None = None) -> bool:
+def general_position(config: Config) -> bool:
     """Whether every genericity condition of the applicable reduction holds.
 
     This is exactly the set of conditions under which the invariant letters
     of the configuration are defined.  The reduction pass of the case's
     ``letters`` decides it constructively; it runs here with ``max_len=0``,
-    so no trace vector is built.  ``tag``, when given, must match
-    ``classify_case(config.n, config.d)``.  Unsupported (n, d) raises
+    so no trace vector is built.  Unsupported (n, d) raises
     :class:`UnsupportedCaseError`.
     """
-    actual = classify_case(config.n, config.d)
-    if tag is not None and tag != actual:
-        raise CaseMismatchError(f"tag {tag} does not match the configuration's case {actual}")
     from .orbit import _reduction
     try:
         return _reduction(config).letters(config, max_len=0)[3] is None

@@ -1,33 +1,39 @@
-"""Exact linear algebra over the rationals (and over jets of rationals).
+"""Exact linear algebra over the rationals and over jets of rationals.
 
 Everything downstream -- subspace normal forms, invariant letters, Jacobian
-ranks -- is built from the handful of operations here.  There is no floating
-point anywhere: scalars are ``fractions.Fraction`` (gcd-reduced arbitrary
-precision rationals from the stdlib, exposed as :data:`Rat`) or
-:class:`Jet` records.  A jet carries one value and a derivative vector,
-one entry per direction, as integer numerators over one common
-denominator, so a single pass differentiates along every direction.
+ranks -- is built from the handful of operations here.  There is no
+floating point anywhere.
 
-A :class:`Mat` stores one canonical integer form: integer rows ``num``
-over one positive common denominator ``den``, with ``gcd(den, entries) ==
-1``, so equal matrices have equal forms.  A matrix of jets in ``k``
-directions (:mod:`planeinv.jet`, the scalars of the reduction that builds
+A :class:`Mat` stores one canonical integer form: integer rows ``num`` over
+one positive common denominator ``den``, with ``gcd(den, entries) == 1``,
+so equal matrices have equal forms.  ``k`` is None for a rational matrix.
+A matrix of jets in ``k`` directions (dual numbers with one value and a
+derivative along each direction: the scalars of the reduction that builds
 the letters of the Jacobian pass) keeps the same form, each row flat: the
-values, then the derivatives along each direction in turn.  Loop overhead
-is not the cost over ``Fraction``; the rational arithmetic and the growth
-of entry bit-size are.  So the kernels in :mod:`planeinv._kernels_py`
-(``mat_mul``, ``rref``, and the rank-only eliminations ``rank`` and
-``rank_mod_p``) take and return the form, fraction-free, with one gcd per
-output matrix, and a chain of products, inverses and kernels stays over
-the integers from end to end.  Elimination pivots on values but clears
-every entry that is a nonzero jet, so the derivatives are exact.
-``+``, ``-``, negation, blocks, stacks, transposes, ``is_zero``,
-``trace``, ``==`` and ``hash`` act on the form too; a rational operand
-meets a jet operand as a jet with zero derivatives.  ``Fraction`` and
-``Jet`` entries are built only when :attr:`Mat.data` is first read (file
-writers, ``repr``, tests) and for one scalar by :meth:`Mat.trace`; the word
-traces (:mod:`planeinv.words`) read each letter's form as an integer
-matrix and its denominator.
+``cols`` values, then the ``cols`` derivatives along each direction in
+turn.  ``Mat(entries)`` reads ``int`` and ``Fraction`` entries; a jet
+matrix is built in its form.
+
+Over ``Fraction`` the cost is the rational arithmetic and the growth of
+entry bit-size, not loop overhead.  So the kernels (:func:`_mat_mul`,
+:func:`_rref`, and the rank-only eliminations :func:`_rank` and
+:func:`_rank_mod_p`) take and return the form, fraction-free, with one gcd
+per output matrix (:func:`_reduced`), and a chain of products, inverses
+and kernels stays over the integers from end to end.  Elimination
+(:func:`_eliminate`; Bareiss 1968) keeps each integer row a nonzero
+multiple of the row a field loop with the same first-nonzero pivoting would
+hold, so the pivots are the same at every step.  The pivot is the first
+nonzero *value*, so a jet run takes the pivots of the plain run it
+shadows, but every row whose entry is a nonzero *jet* is cleared: an entry
+of value 0 with a nonzero derivative still carries a derivative of the
+result.
+
+``+``, ``-``, negation, blocks, stacks, transposes, ``is_zero``, ``==`` and
+``hash`` act on the form too; a rational operand meets a jet operand as a
+jet with zero derivatives.  ``Fraction`` entries, and :class:`Jet` records
+for a jet matrix, are built only when :attr:`Mat.data` is first read (file
+writers, ``repr``, tests); the word traces (:mod:`planeinv.words`) read
+each letter's form as an integer matrix and its denominator.
 """
 
 from __future__ import annotations
@@ -35,37 +41,214 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from ._kernels_py import mat_mul as _mat_mul, rank as _rank, rank_mod_p, reduced as _reduced
-from ._kernels_py import rref as _rref, scaled_rows
 from .errors import DimensionMismatchError, RankDeficientError, SingularMatrixError
-from .jet import Jet
 
 Rat = Fraction
 """Exact rational scalar type: arbitrary precision, always gcd-reduced."""
 
 
-def as_scalar(x):
-    """Coerce ``x`` to a package scalar: a ``str`` becomes ``Rat``.
+class Jet:
+    """Dual number ``value + sum_i deriv[i] * eps_i`` with ``eps_i * eps_j == 0``.
 
-    An ``int``, a ``Fraction`` or a ``Jet`` is kept as it is.
+    The entry type :attr:`Mat.data` shows for a jet matrix.  Carrying jets
+    through an exact computation yields the exact derivative of every
+    output along each of several input directions at once (vector forward
+    mode; Griewank-Walther, *Evaluating Derivatives*).  A jet is a record of
+    one value and a derivative vector: integer numerators ``nums`` over one
+    common positive denominator ``den``, reduced by one gcd.  An empty
+    ``nums`` is the zero derivative.
+
+    A jet has no arithmetic: sums, products, quotients and zero tests
+    happen on whole matrices in their integer form, which pivot on values,
+    so a differentiated run takes the same pivots as the plain run it
+    shadows.  Jets define no equality and compare by identity; to compare
+    two jets, compare their values and derivative vectors.
     """
-    if isinstance(x, (int, Fraction, Jet)):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
+
+    __slots__ = ("value", "nums", "den")
+
+    def __init__(self, value, nums: tuple = (), den: int = 1):
+        self.value = value
+        self.nums = nums
+        self.den = den
+
+    def __repr__(self):
+        return f"Jet({self.value!r}, {self.nums!r}, {self.den!r})"
 
 
-def _scalar(value: int, nums, den: int):
-    """The entry ``value / den``, with the derivatives ``nums / den`` when ``nums`` is not None."""
-    if nums is None:
-        return Fraction(value, den)
+def _jet(value: int, nums: list, den: int) -> Jet:
+    """The entry ``value / den`` with the derivatives ``nums / den``, as a reduced record."""
     g = gcd(den, *nums)
     if g == den:
         return Jet(Fraction(value, den), tuple([x // g for x in nums]) if any(nums) else ())
     return Jet(Fraction(value, den), tuple([x // g for x in nums]), den // g)
+
+
+def _reduced(num, den):
+    """The form ``num / den`` divided by ``gcd(den, entries)``: the canonical form of its value."""
+    if den > 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            return [[x // g for x in row] for row in num], den // g
+    return num, den
+
+
+def _mat_mul(a, ad, b, bd, cols, k):
+    """The form of ``(a / ad) @ (b / bd)``, with ``cols`` columns; the inner dimension is >= 1.
+
+    One integer inner product per output component, over ``ad * bd``, then
+    one gcd.  With ``k`` directions, column j of ``b`` has the values
+    ``b_0`` and the derivatives ``b_t``, row i of ``a`` has ``a_0`` and
+    ``a_t``, and the derivative of entry (i, j) along t is one inner product
+    of ``a_0 ++ a_t`` with ``b_t ++ b_0``.
+    """
+    bcols = [list(col) for col in zip(*b)]
+    if not (k and cols):
+        num = [[sum(map(mul, arow, bcol)) for bcol in bcols] for arow in a]
+        return _reduced(num, ad * bd)
+    n = len(b)
+    b0s = bcols[:cols]
+    rights = [[bcols[lo + j] + b0 for j, b0 in enumerate(b0s)] for lo in range(cols, (k + 1) * cols, cols)]
+    num = []
+    for row in a:
+        a0 = row[:n]
+        flat = [sum(map(mul, a0, b0)) for b0 in b0s]
+        for lo, bts in zip(range(n, (k + 1) * n, n), rights):
+            at = a0 + row[lo : lo + n]
+            flat += [sum(map(mul, at, bt)) for bt in bts]
+        num.append(flat)
+    return _reduced(num, ad * bd)
+
+
+def _eliminate(rows, cols, k, full):
+    """Fraction-free elimination of the integer ``rows`` of a form: the new rows and the pivots.
+
+    Each row is divided by the gcd of all its components first and after
+    every update ``row <- p * row - f * pivot_row``.  For jets that is the
+    product in the jet ring truncated at eps^2: the flat update gives
+    ``p_0 x - f_0 y`` in every segment, and segment t gains ``p_t x_0 -
+    f_t y_0``.  The pivot is the first nonzero value, and every row with a
+    nonzero component in the pivot column is cleared.  With ``full``
+    every other row is cleared in each pivot column (Gauss-Jordan),
+    otherwise only the rows below the pivot row; the pivots are the same
+    either way.  ``rows`` is left unchanged.
+    """
+    n = len(rows)
+    work = []
+    for row in rows:
+        g = gcd(*row)
+        work.append([x // g for x in row] if g > 1 else row)
+    # Where each derivative segment of a flat row starts.
+    segs = range(cols, (k + 1) * cols, cols) if k and cols else ()
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        if pr == n:
+            break
+        hit = -1
+        for i in range(pr, n):
+            if work[i][pc]:
+                hit = i
+                break
+        if hit < 0:
+            continue
+        if hit != pr:
+            work[pr], work[hit] = work[hit], work[pr]
+        prow = work[pr]
+        pv = prow[pc]
+        pts = prow[pc + cols :: cols]
+        for i in range(0 if full else pr + 1, n):
+            if i == pr:
+                continue
+            row = work[i]
+            f = row[pc]
+            if f or segs and any(row[pc + cols :: cols]):
+                new = [pv * x - f * y for x, y in zip(row, prow)]
+                if segs:  # a rational row skips the slicing below
+                    for lo, pt, ft in zip(segs, pts, row[pc + cols :: cols]):
+                        hi = lo + cols
+                        new[lo:hi] = [z + pt * x - ft * y for z, x, y in zip(new[lo:hi], row, prow)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                work[i] = new
+        pivots.append(pc)
+        pr += 1
+    return work, tuple(pivots)
+
+
+def _rref(rows, cols, k, lo=0):
+    """Reduced row echelon form of the form with integer ``rows``: ``(num, den, pivots)``.
+
+    Gauss-Jordan with first-nonzero pivoting (no magnitude comparisons:
+    entries are exact, any nonzero pivot is as good as another).  The form
+    returned holds columns ``lo`` onwards of every segment, so an inverse
+    or a solve keeps only its right-hand block; the rows below the rank are
+    zero.  Rational pivot rows are ``row * (L / p)`` over the lcm L of the
+    pivots p.  A jet pivot row, over the lcm L of the squared pivot values,
+    has the values ``x p_0 (L / p_0^2)`` and along direction t the
+    derivatives ``(p_0 d_t - p_t x) (L / p_0^2)``.
+    """
+    work, pivots = _eliminate(rows, cols, k, full=True)
+    num = []
+    if not k:
+        den = lcm(*[work[i][pc] for i, pc in enumerate(pivots)])
+        for i, pc in enumerate(pivots):
+            f = den // work[i][pc]
+            num.append([x * f for x in work[i][lo:]])
+    else:
+        den = lcm(*[work[i][pc] ** 2 for i, pc in enumerate(pivots)])
+        for i, pc in enumerate(pivots):
+            row = work[i]
+            pv = row[pc]
+            f = den // (pv * pv)
+            fv = f * pv
+            vals = row[lo:cols]
+            flat = [x * fv for x in vals]
+            for start, pt in zip(range(cols, (k + 1) * cols, cols), row[pc + cols :: cols]):
+                ft = f * pt
+                flat += [fv * d - ft * x for d, x in zip(row[start + lo : start + cols], vals)]
+            num.append(flat)
+    width = (cols - lo) * (1 + (k or 0))
+    num += [[0] * width for _ in range(len(rows) - len(pivots))]
+    return (*_reduced(num, den), pivots)
+
+
+def _rank(rows, cols, k):
+    """Rank of the form with integer ``rows``, which are left unchanged.
+
+    The fraction-free elimination below each pivot.  A jet matrix has the
+    rank of its values, since its pivots are those of its values.
+    """
+    if k:
+        rows = [row[:cols] for row in rows]
+    return len(_eliminate(rows, cols, None, full=False)[1])
+
+
+def _rank_mod_p(m, p):
+    """Rank of the integer matrix ``m`` (list of lists) over the field Z/p.
+
+    ``p`` must be prime.  Only the rank is kept: each nonzero row in turn
+    becomes a pivot row and its pivot column is cleared from the rows
+    still waiting, all over plain ``int``.  ``m`` is left unchanged.
+    """
+    rows = [[x % p for x in row] for row in m]
+    rank = 0
+    while rows:
+        prow = rows.pop()
+        pc = next((j for j, x in enumerate(prow) if x), -1)
+        if pc < 0:
+            continue
+        rank += 1
+        inv = pow(prow[pc], -1, p)
+        for i, row in enumerate(rows):
+            f = row[pc] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+    return rank
 
 
 def _joint_k(mats) -> int | None:
@@ -98,9 +281,8 @@ def _rows_in(m: "Mat", k: int | None, scale: int = 1) -> list:
 class Mat:
     """Dense rows*cols matrix over exact scalars, stored as its canonical integer form.
 
-    ``num`` holds the integer rows and ``den`` the common denominator; ``k``
-    is None for a rational matrix and the number of directions for a jet
-    matrix.  Immutable by convention: operations return new matrices and
+    The form (``num``, ``den``, ``k``) is the one the module docstring
+    describes.  Immutable by convention: operations return new matrices and
     never change the receiver's rows.  A matrix may have zero columns
     (kernels of injective maps) but never zero rows.
     """
@@ -108,15 +290,24 @@ class Mat:
     __slots__ = ("rows", "cols", "k", "den", "num", "_data")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = [[as_scalar(x) for x in row] for row in data]
+        """The matrix of rows of ``int`` or ``Fraction`` entries; any other entry raises ``TypeError``."""
+        rows = [list(row) for row in data]
         if not rows:
             raise DimensionMismatchError("matrix needs at least one row")
         cols = len(rows[0])
         if any(len(r) != cols for r in rows):
             raise DimensionMismatchError("ragged rows")
+        entries = list(chain.from_iterable(rows))
+        for x in entries:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
+        # Over the lcm of the reduced denominators the form is canonical.
+        den = lcm(*[x.denominator for x in entries])
         self.rows = len(rows)
         self.cols = cols
-        self.num, self.den, self.k = scaled_rows(rows)
+        self.k = None
+        self.den = den
+        self.num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
         self._data = None
 
     @classmethod
@@ -132,6 +323,12 @@ class Mat:
         return m
 
     @classmethod
+    def _ratios(cls, parts: list, cols: int) -> "Mat":
+        """The matrix of rows of ``(p, q)`` pairs, each the entry ``p / q`` with ``q > 0``."""
+        den = lcm(*[q for row in parts for _, q in row])
+        return cls._form(*_reduced([[p * (den // q) for p, q in row] for row in parts], den), cols)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
         return cls._form([[0] * cols for _ in range(rows)], 1, cols)
 
@@ -141,7 +338,7 @@ class Mat:
 
     @property
     def data(self) -> list:
-        """The entries as lists of ``Fraction`` (or ``Jet``) rows, built on first read."""
+        """The entries as rows of ``Fraction``, or of :class:`Jet` records for a jet matrix, built on first read."""
         if self._data is None:
             cols, den = self.cols, self.den
             if self.k is None:
@@ -149,7 +346,7 @@ class Mat:
             else:
                 starts = _starts(self)[1:]
                 self._data = [
-                    [_scalar(row[j], [row[lo + j] for lo in starts], den) for j in range(cols)]
+                    [_jet(row[j], [row[lo + j] for lo in starts], den) for j in range(cols)]
                     for row in self.num
                 ]
         return self._data
@@ -226,12 +423,6 @@ class Mat:
         else:
             num = [[x for lo in _starts(self) for x in row[lo + c0 : lo + c1]] for row in self.num[r0:r1]]
         return Mat._form(*_reduced(num, self.den), c1 - c0, self.k)
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise DimensionMismatchError("trace needs a square matrix")
-        diagonal = [sum(row[lo + i] for i, row in enumerate(self.num)) for lo in _starts(self)]
-        return _scalar(diagonal[0], None if self.k is None else diagonal[1:], self.den)
 
     def is_zero(self) -> bool:
         """Whether every value is 0; a jet's derivatives are not read, as in pivoting."""

@@ -39,8 +39,8 @@ from .errors import (
 )
 from . import divisible, odd
 from .grassmann import Config, SplitMix64, Subspace, classify_case
-from .linalg import Mat, rank_mod_p
-from .words import InvariantVector, enumerate_words, letter_size, trace_derivatives, word_len
+from .linalg import Mat, _rank_mod_p
+from .words import InvariantVector, enumerate_words, letter_size, max_word_len_for, trace_derivatives
 
 __all__ = [
     "Verdict",
@@ -101,8 +101,9 @@ def expected_quotient_dim(n: int, d: int, s: int) -> int:
     m-dimensional centralizer, and the coefficients of its characteristic
     polynomial generate its invariants.  The count is 0 in the trivial
     ranges where the letter alphabet is empty.  For k >= 2 this agrees with
-    the naive dimension count s*d*(n-d) - (n^2 - 1) of
-    :func:`naive_quotient_dim`; for k = 1 it exceeds it by m - 1.
+    the naive dimension count s*d*(n-d) - (n^2 - 1), configuration space
+    less the projectivized group; for k = 1 it exceeds it by m - 1, the
+    dimension of the letter's centralizer modulo scalars.
     """
     k = letter_count(n, d, s)  # raises UnsupportedCaseError first
     if k < 1:
@@ -111,20 +112,6 @@ def expected_quotient_dim(n: int, d: int, s: int) -> int:
     if k == 1:
         return m
     return k * m * m - (m * m - 1)
-
-
-def naive_quotient_dim(n: int, d: int, s: int) -> int:
-    """Configuration-space dimension minus the group dimension.
-
-    s copies of the Grassmannian contribute s*d*(n-d); the projectivized
-    group has dimension n^2 - 1.  Valid as an orbit-space dimension exactly
-    where generic stabilizers are finite modulo scalars: the nontrivial
-    ranges with k >= 2 letters, where it agrees with
-    :func:`expected_quotient_dim`.  With k = 1 the generic stabilizer is the
-    letter's centralizer modulo scalars, of dimension m - 1, and the naive
-    count falls short of the quotient dimension by that much.
-    """
-    return s * d * (n - d) - (n * n - 1)
 
 
 def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict:
@@ -174,14 +161,15 @@ def _sketch(coords: int, count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rng.next_int(_SKETCH_BOUND) for _ in range(coords)) for _ in range(count))
 
 
-def jacobian_rank(config: Config, max_len: int | None = None) -> int:
+def jacobian_rank(config: Config) -> int:
     """Exact rank of the invariant map's Jacobian J at ``config``.
 
-    One reduction over jets and the chain rule on the words give the exact
-    derivative of every word value along all directions at once (in the
-    n*d*s basis entries); no word value is evaluated.  With ``expected =
-    expected_quotient_dim``, that pass takes the first ``min(expected + 1,
-    n*d*s)`` fixed pseudo-random integer directions R: rank(J R) <= rank(J)
+    One reduction over jets and the chain rule on every word up to the
+    generating length 2**m - 1 give the exact derivative of every word value
+    along all directions at once (in the n*d*s basis entries); no word value
+    is evaluated.  With ``expected = expected_quotient_dim``, that pass
+    takes the first ``min(expected + 1, n*d*s)`` fixed pseudo-random
+    integer directions R: rank(J R) <= rank(J)
     <= ``bound = min(expected, words, n*d*s)`` (see the module docstring),
     so a sketch rank equal to ``bound`` is the exact rank.  Each word's
     derivatives share one denominator, so scaling each word's column by it
@@ -197,17 +185,17 @@ def jacobian_rank(config: Config, max_len: int | None = None) -> int:
     """
     coords = config.n * config.d * config.s
     expected = expected_quotient_dim(config.n, config.d, config.s)
-    rows = _derivative_rows(config, _sketch(coords, min(expected + 1, coords)), max_len)
+    rows = _derivative_rows(config, _sketch(coords, min(expected + 1, coords)))
     if not rows:
         return 0
     bound = min(expected, len(rows[0]), coords)
-    if rank_mod_p(rows, _RANK_PRIME) == bound or Mat(rows).rank() == bound:
+    if _rank_mod_p(rows, _RANK_PRIME) == bound or Mat(rows).rank() == bound:
         return bound
     units = [[int(c == k) for c in range(coords)] for k in range(coords)]
-    return Mat(_derivative_rows(config, units, max_len)).rank()
+    return Mat(_derivative_rows(config, units)).rank()
 
 
-def _jet_pass(config: Config, directions: Sequence[Sequence[int]], max_len: int | None) -> list:
+def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:
     """The word traces' derivatives along all ``directions``, as ``(nums, den)`` pairs.
 
     Each direction holds one derivative per basis entry, in (member, row,
@@ -229,19 +217,19 @@ def _jet_pass(config: Config, directions: Sequence[Sequence[int]], max_len: int 
             derivs = [next(per_entry) for _ in row]
             rows.append(row + [x * den for segment in zip(*derivs) for x in segment])
         jet_subs.append(Subspace._raw(Mat._form(rows, den, basis.cols, k)))
-    tag, _, letters, degeneracy = _reduction(config).letters(Config(jet_subs), max_len)
+    tag, _, letters, degeneracy = _reduction(config).letters(Config(jet_subs))
     if degeneracy is not None:
         raise degeneracy.error()
-    words = enumerate_words(len(letters), word_len(tag, config.d, max_len))
+    words = enumerate_words(len(letters), max_word_len_for(letter_size(tag, config.d)))
     return trace_derivatives(letters, words)
 
 
-def _derivative_rows(config: Config, directions: Sequence[Sequence[int]], max_len: int | None) -> list:
+def _derivative_rows(config: Config, directions: Sequence[Sequence[int]]) -> list:
     """The rows of J R, one per direction, as integers; empty when there are no words.
 
     Each word's column is scaled by the common denominator of its
     derivatives, which leaves the rank unchanged.
     """
     zeros = (0,) * len(directions)
-    columns = [nums or zeros for nums, _ in _jet_pass(config, directions, max_len)]
+    columns = [nums or zeros for nums, _ in _jet_pass(config, directions)]
     return [list(row) for row in zip(*columns)]

@@ -36,9 +36,13 @@ from planeinv.orbit import (
     invariant_vector,
     jacobian_rank,
     letter_count,
-    naive_quotient_dim,
     same_orbit_test,
 )
+
+
+def naive_quotient_dim(n, d, s):
+    """Configuration-space dimension s*d*(n-d) less the projectivized group's n^2 - 1."""
+    return s * d * (n - d) - (n * n - 1)
 
 
 def _report(num, ok, what, elapsed, budget):

@@ -41,23 +41,23 @@ class TestRationalFormat:
     )
     def test_roundtrip(self, value, text):
         assert fileio.format_rat(value) == text
-        assert fileio.parse_rat(text) == value
+        assert Fraction(*fileio._rat_parts(text)) == value
 
     def test_parse_integer_json_number(self):
-        assert fileio.parse_rat(7) == Fraction(7)
+        assert fileio._rat_parts(7) == (7, 1)
 
     def test_reject_garbage(self):
         for bad in ("1/0", "a/b", "", "1.5.2", True, None, [1]):
             with pytest.raises((ValueError, ZeroDivisionError)):
-                fileio.parse_rat(bad)
+                fileio._rat_parts(bad)
 
     @pytest.mark.parametrize(
         "text,value",
         [("+3/4", Fraction(3, 4)), ("-0/5", Fraction(0)), ("-6/4", Fraction(-3, 2)), ("007/010", Fraction(7, 10))],
     )
     def test_signs_and_zeros(self, text, value):
-        got = fileio.parse_rat(text)
-        assert got == value and type(got) is Fraction
+        p, q = fileio._rat_parts(text)
+        assert Fraction(p, q) == value and type(p) is type(q) is int and q > 0
 
     @pytest.mark.parametrize(
         "text",
@@ -72,7 +72,7 @@ class TestRationalFormat:
         with pytest.raises((ValueError, ZeroDivisionError)) as stdlib:
             Fraction(text)
         with pytest.raises(ValueError) as got:
-            fileio.parse_rat(text)
+            fileio._rat_parts(text)
         assert str(got.value) == f"not a rational value: {text[:40]!r} ({stdlib.value})"
 
 
@@ -263,19 +263,26 @@ class TestInvariantsCmd:
         assert obj["invariants"] == []
         assert "note" in obj
 
-    @pytest.mark.parametrize("command", ["invariants", "orbit-test", "rank"])
+    @pytest.mark.parametrize("command", ["invariants", "orbit-test"])
     def test_negative_max_len_exits_2(self, tmp_path, capsys, command):
         cfg, vec = tmp_path / "c.json", tmp_path / "v.json"
         run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg)
         files = {
             "invariants": ("--in", cfg, "--out", vec),
             "orbit-test": ("--a", cfg, "--b", cfg),
-            "rank": ("--in", cfg),
         }[command]
         capsys.readouterr()
         assert run(command, *files, "--max-len", -3) == 2
         assert "--max-len: must be a nonnegative integer" in capsys.readouterr().err
         assert not vec.exists()
+
+    def test_rank_takes_no_max_len(self, tmp_path, capsys):
+        # the rank always takes every word up to the generating length
+        cfg = tmp_path / "c.json"
+        run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg)
+        capsys.readouterr()
+        assert run("rank", "--in", cfg, "--max-len", 3) == 2
+        assert "unrecognized arguments: --max-len 3" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = run("invariants", "--in", tmp_path / "nope.json",

@@ -30,6 +30,7 @@ from planeinv.grassmann import (
     sample_invertible,
 )
 from planeinv.linalg import Mat
+from planeinv.words import evaluate_traces
 
 # ---------------------------------------------------------------------------
 # ratio maps
@@ -120,7 +121,6 @@ class TestMatrixData:
         rd = matrix_data(c)
         assert (rd.d, rd.r, rd.s) == (2, 2, 5)
         assert len(rd.grid) == 1 and len(rd.grid[0]) == 2
-        assert rd.letter_ids() == ("G_2_2", "G_2_3")
 
     def test_letter_accessor_matches_grid(self):
         c = sample_config(6, 2, 6, seed=2)
@@ -160,12 +160,9 @@ class TestMatrixData:
         hs = [sample_invertible(rng, 2) for _ in range(5)]
         a = matrix_data(c)
         b = matrix_data(act_right(hs, c))
-        # conjugator from the first letter, then check it works for the rest
-        x = a.grid[0][0]
-        y = b.grid[0][0]
-        # y = q^-1 x q for some q: recover q from the trace identity instead
-        assert y.trace() == x.trace()
-        assert (y @ b.grid[0][1]).trace() == (x @ a.grid[0][1]).trace()
+        # y = q^-1 x q for one common q, so traces of words agree
+        words = [(0,), (0, 1)]
+        assert evaluate_traces(b.letters(), words) == evaluate_traces(a.letters(), words)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from planeinv.errors import (
     UnsupportedCaseError,
 )
 from planeinv.grassmann import (
-    CaseTag,
     Config,
     SplitMix64,
     Subspace,
@@ -290,11 +289,6 @@ class TestGeneralPosition:
         for seed in range(10):
             c = sample_config(n, d, s, seed=seed)
             assert general_position(c)
-
-    def test_tag_mismatch_rejected(self):
-        c = sample_config(4, 2, 5, seed=1)
-        with pytest.raises(ValueError):
-            general_position(c, CaseTag("odd_multiple", 1, 1))
 
     def test_unsupported_raises(self):
         cols = Mat.identity(5)

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from planeinv.cli import main
 from planeinv.errors import Degeneracy, DegenerateConfigError, WrongKernelDimension
-from planeinv.fileio import format_rat
+from planeinv.fileio import config_to_obj, format_rat, write_json
 from planeinv.grassmann import (
     Config,
     SplitMix64,
@@ -372,6 +373,34 @@ class TestMeetAtRPlusOneMembers:
         assert [b.rank() for b in nullspace_component(column_normalize(generic), [1, 2], 3)] == [1, 1]
         assert same_orbit_test(c, generic) is Verdict.INCONCLUSIVE
         assert same_orbit_test(generic, generic) is Verdict.EQUIVALENT
+
+
+def moved_pair(n: int, second: tuple) -> Config:
+    """Planes <e1, e2> and <e_i, e_j> of Q^n, moved by one fixed invertible matrix."""
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    subs = [Subspace(Mat([[unit[a][i], unit[b][i]] for i in range(n)])) for a, b in ((0, 1), second)]
+    return act_left(sample_invertible(SplitMix64(7), n), Config(subs))
+
+
+class TestTrivialRangeGeneralPosition:
+    # with no letters the members must still span as much as generic ones:
+    # two equal planes at (3,2,2) (r = 1), two planes sharing a line at
+    # (5,2,2) (r = 2)
+    @pytest.mark.parametrize("n,second", [(3, (0, 1)), (5, (0, 2))], ids=["equal", "shared-line"])
+    def test_recorded_and_inconclusive(self, tmp_path, capsys, n, second):
+        c = moved_pair(n, second)
+        v = invariants(c)
+        assert len(v) == 0
+        assert v.degeneracy == Degeneracy("members are not in general position")
+        assert not general_position(c)
+        generic = sample_config(n, 2, 2, seed=1)
+        assert general_position(generic) and invariants(generic).degeneracy is None
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(str(a), config_to_obj(c))
+        write_json(str(b), config_to_obj(generic))
+        capsys.readouterr()
+        assert main(["orbit-test", "--a", str(a), "--b", str(b)]) == 5
+        assert capsys.readouterr().out == "Inconclusive\n"
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,14 @@ from planeinv.orbit import (
     invariant_vector,
     jacobian_rank,
     letter_count,
-    naive_quotient_dim,
     same_orbit_test,
 )
 from planeinv.words import enumerate_words, max_word_len_for
+
+
+def naive_quotient_dim(n, d, s):
+    """Configuration-space dimension s*d*(n-d) less the projectivized group's n^2 - 1."""
+    return s * d * (n - d) - (n * n - 1)
 
 # ---------------------------------------------------------------------------
 # cyclic word enumeration
@@ -246,7 +250,7 @@ def exhaustive_rank(config):
     rows = []
     for k in range(coords):
         unit = [[int(c == k) for c in range(coords)]]
-        rows.append([(deriv(*pair) or [0])[0] for pair in orbit._jet_pass(config, unit, None)])
+        rows.append([(deriv(*pair) or [0])[0] for pair in orbit._jet_pass(config, unit)])
     return Mat(rows).rank()
 
 
@@ -306,9 +310,9 @@ class TestRankSketch:
 
         letters = divisible.letters
 
-        def counted(config, max_len=None):
+        def counted(config):
             calls.append(config)
-            return letters(config, max_len)
+            return letters(config)
 
         monkeypatch.setattr(divisible, "letters", counted)
         assert jacobian_rank(c) == 5
@@ -379,7 +383,7 @@ class TestBatchedSketch:
         directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
         columns = [
             deriv(*pair) or [Fraction(0)] * len(directions)
-            for pair in orbit._jet_pass(sample_config(n, d, s, seed=seed), directions, None)
+            for pair in orbit._jet_pass(sample_config(n, d, s, seed=seed), directions)
         ]
         rows = [list(row) for row in zip(*columns)]
         text = ";".join(",".join(str(x) for x in row) for row in rows)
@@ -401,8 +405,8 @@ class TestBatchedSketch:
         c = sample_config(n, d, s, seed=seed, bound=bound)
         coords = n * d * s
         directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
-        dens = [den for _, den in orbit._jet_pass(c, directions, None)]
-        rows = orbit._derivative_rows(c, directions, None)
+        dens = [den for _, den in orbit._jet_pass(c, directions)]
+        rows = orbit._derivative_rows(c, directions)
         want = difference_quotients(c, directions, Fraction(1, 10**30))
         assert len(rows) == len(want) and all(len(row) == len(dens) for row in want)
         for row, quotients in zip(rows, want):
@@ -413,12 +417,12 @@ class TestBatchedSketch:
         """A sketch whose integer rows lose rank mod 2**61 - 1 is certified over Q."""
         p = orbit._RANK_PRIME
         assert p == 2**61 - 1
-        assert orbit.rank_mod_p([[p, 0], [0, 1]], p) == 1
+        assert orbit._rank_mod_p([[p, 0], [0, 1]], p) == 1
         assert Mat([[p, 0], [0, 1]]).rank() == 2
 
         passes = []
 
-        def crafted(config, directions, max_len):
+        def crafted(config, directions):
             passes.append(len(directions))
             return [((p, 0, 0), 1), ((0, 1, 0), 1)]
 
@@ -431,5 +435,5 @@ class TestBatchedSketch:
     def test_mod_p_rank_agrees_with_rational_rank(self, n, d, s, seed, pinned):
         coords = n * d * s
         directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
-        rows = orbit._derivative_rows(sample_config(n, d, s, seed=seed), directions, None)
-        assert orbit.rank_mod_p(rows, orbit._RANK_PRIME) == Mat(rows).rank() == pinned
+        rows = orbit._derivative_rows(sample_config(n, d, s, seed=seed), directions)
+        assert orbit._rank_mod_p(rows, orbit._RANK_PRIME) == Mat(rows).rank() == pinned

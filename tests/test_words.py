@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import as_duals, deriv, jet, trace_word
+from test_linalg import as_duals, deriv, jet, jet_mat, trace_word
 
 from planeinv.cli import main
 from planeinv.linalg import Jet, Mat
@@ -62,7 +62,7 @@ def letter(size, entry):
     identity = st.tuples(one, zero).map(
         lambda oz: [[oz[0] if i == j else oz[1] for j in range(size)] for i in range(size)]
     )
-    return st.one_of(square(entry), square(zero), identity).map(Mat)
+    return st.one_of(square(entry), square(zero), identity).map(jet_mat)
 
 
 def alphabets(entry):
@@ -147,7 +147,7 @@ class TestTraceDerivatives:
         assert trace_derivatives(letters, enumerate_words(1, 3)) == [((), 1)] * 3
 
     def test_no_words(self):
-        assert trace_derivatives([Mat([[jet(Fraction(1), [1])]])], []) == []
+        assert trace_derivatives([jet_mat([[jet(Fraction(1), [1])]])], []) == []
 
 
 def test_invariants_file_pinned(tmp_path):
