@@ -24,6 +24,22 @@ it is the exact rank.  That rank is computed modulo a prime first, which
 can only lower it, so a match there is already a proof.  Any other outcome
 falls back to the rational rank of the same rows, then to one more pass
 along every coordinate direction.
+
+The sketch directions vanish on the first F = min(s, (n^2 - 1) //
+(d (n - d))) members: F Grassmannians of dimension d (n - d) fit in PGL_n,
+and F is exactly the number of leading members the normal forms fix
+(r + 1 in the divisible case; 4 in the odd case at r = 1 and r = 2, and
+r + 1 at r >= 3).  Generic F-tuples of those members form one open orbit
+of GL_n x prod GL_d, so the orbit tangent and the directions that move only
+the free members span the whole tangent space, and the invariants, being
+constant on orbits, have a Jacobian that vanishes on the orbit tangent.
+The rank is therefore reached along the free members alone.  The fixed
+members reach the reduction as plain rational subspaces, so what it builds
+from them alone (A^-1 in the divisible case, the frame of the odd case at
+r <= 2) is computed over the rationals.  Neither the certificate nor the
+fallback depends on F: any directions R give rank(J R) <= rank(J), and the
+fallback still runs along all n*d*s coordinates; F decides only how often
+it has to run.
 """
 
 from __future__ import annotations
@@ -152,13 +168,34 @@ _RANK_PRIME = (1 << 61) - 1
 
 
 @functools.cache
-def _sketch(coords: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """The first ``count`` sketch directions, each with ``coords`` entries.
+def _sketch(coords: int, count: int, fixed: int) -> tuple[tuple[int, ...], ...]:
+    """The first ``count`` sketch directions of ``coords`` entries, the first ``fixed`` of them 0.
 
-    Drawn once per shape and shared by every call, hence tuples.
+    The other entries are drawn in turn from one stream, once per shape and
+    shared by every call, hence tuples.
     """
     rng = SplitMix64(_SKETCH_SEED)
-    return tuple(tuple(rng.next_int(_SKETCH_BOUND) for _ in range(coords)) for _ in range(count))
+    zeros = (0,) * fixed
+    return tuple(
+        zeros + tuple(rng.next_int(_SKETCH_BOUND) for _ in range(coords - fixed)) for _ in range(count)
+    )
+
+
+def _fixed_members(n: int, d: int, s: int) -> int:
+    """F = min(s, (n^2 - 1) // (d (n - d))): the leading members the group normalizes."""
+    return min(s, (n * n - 1) // (d * (n - d)))
+
+
+def _sketch_directions(n: int, d: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The directions of the sketch pass of :func:`jacobian_rank` for shape (n, d, s).
+
+    ``min(expected + 1, free)`` directions, with ``free = n*d*(s - F)``
+    coordinates outside the first F members, where every direction is 0.
+    """
+    size = n * d
+    fixed = size * _fixed_members(n, d, s)
+    count = min(expected_quotient_dim(n, d, s) + 1, size * s - fixed)
+    return _sketch(size * s, count, fixed)
 
 
 def jacobian_rank(config: Config) -> int:
@@ -168,9 +205,11 @@ def jacobian_rank(config: Config) -> int:
     generating length 2**m - 1 give the exact derivative of every word value
     along all directions at once (in the n*d*s basis entries); no word value
     is evaluated.  With ``expected = expected_quotient_dim``, that pass
-    takes the first ``min(expected + 1, n*d*s)`` fixed pseudo-random
-    integer directions R: rank(J R) <= rank(J)
-    <= ``bound = min(expected, words, n*d*s)`` (see the module docstring),
+    takes ``min(expected + 1, free)`` fixed pseudo-random integer
+    directions R that vanish on the first F members the group normalizes
+    (see the module docstring), ``free`` being the n*d*(s - F) coordinates
+    of the others: rank(J R) <= rank(J)
+    <= ``bound = min(expected, words, n*d*s)`` for any R,
     so a sketch rank equal to ``bound`` is the exact rank.  Each word's
     derivatives share one denominator, so scaling each word's column by it
     gives an integer matrix of the same rank.  Its rank modulo the prime
@@ -183,16 +222,15 @@ def jacobian_rank(config: Config) -> int:
     degeneracy; a configuration out of general position raises
     :class:`DegenerateConfigError`, naming the failed condition.
     """
-    coords = config.n * config.d * config.s
-    expected = expected_quotient_dim(config.n, config.d, config.s)
-    rows = _derivative_rows(config, _sketch(coords, min(expected + 1, coords)))
-    if not rows:
-        return 0
-    bound = min(expected, len(rows[0]), coords)
-    if _rank_mod_p(rows, _RANK_PRIME) == bound or Mat(rows).rank() == bound:
+    n, d, s = config.n, config.d, config.s
+    coords = n * d * s
+    expected = expected_quotient_dim(n, d, s)
+    rows, words = _derivative_rows(config, _sketch_directions(n, d, s))
+    bound = min(expected, words, coords)
+    if _rank_mod_p(rows, _RANK_PRIME) == bound or rows and Mat(rows).rank() == bound:
         return bound
     units = [[int(c == k) for c in range(coords)] for k in range(coords)]
-    return Mat(_derivative_rows(config, units)).rank()
+    return Mat(_derivative_rows(config, units)[0]).rank()
 
 
 def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:
@@ -201,22 +239,28 @@ def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:
     Each direction holds one derivative per basis entry, in (member, row,
     column) order, so each jet basis is the basis's integer form with one
     derivative segment per direction: basis entry c has the derivative
-    ``directions[t][c]`` along direction t.  Only the reduction runs over
-    jets; :func:`planeinv.words.trace_derivatives` takes the words.
-    The jet bases skip the independence check: their value parts are the
-    configuration's checked bases, and a jet pivots on its value alone.
-    Raises the pass's degeneracy, which is the plain pass's.
+    ``directions[t][c]`` along direction t.  A member whose entries have
+    derivative 0 along every direction stays a rational subspace, and the
+    kernels meet it as a jet with zero derivatives.  Only the reduction
+    runs over jets; :func:`planeinv.words.trace_derivatives` takes the
+    words.  The jet bases skip the independence check: their value parts
+    are the configuration's checked bases, and a jet pivots on its value
+    alone.  Raises the pass's degeneracy, which is the plain pass's.
     """
     k = len(directions)
-    per_entry = zip(*directions)
+    size = config.n * config.d
     jet_subs = []
-    for sub in config.subspaces:
+    for lo, sub in zip(range(0, config.s * size, size), config.subspaces):
+        slices = [direction[lo : lo + size] for direction in directions]
+        if not any(map(any, slices)):
+            jet_subs.append(sub)
+            continue
         basis, den = sub.basis, sub.basis.den
+        cols = basis.cols
         rows = []
-        for row in basis.num:
-            derivs = [next(per_entry) for _ in row]
-            rows.append(row + [x * den for segment in zip(*derivs) for x in segment])
-        jet_subs.append(Subspace._raw(Mat._form(rows, den, basis.cols, k)))
+        for at, row in zip(range(0, size, cols), basis.num):
+            rows.append(row + [x * den for part in slices for x in part[at : at + cols]])
+        jet_subs.append(Subspace._raw(Mat._form(rows, den, cols, k)))
     tag, _, letters, degeneracy = _reduction(config).letters(Config(jet_subs))
     if degeneracy is not None:
         raise degeneracy.error()
@@ -224,12 +268,13 @@ def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:
     return trace_derivatives(letters, words)
 
 
-def _derivative_rows(config: Config, directions: Sequence[Sequence[int]]) -> list:
-    """The rows of J R, one per direction, as integers; empty when there are no words.
+def _derivative_rows(config: Config, directions: Sequence[Sequence[int]]) -> tuple[list, int]:
+    """The rows of J R, one per direction, as integers, and the number of words.
 
-    Each word's column is scaled by the common denominator of its
-    derivatives, which leaves the rank unchanged.
+    The rows are empty when there are no words or no directions.  Each
+    word's column is scaled by the common denominator of its derivatives,
+    which leaves the rank unchanged.
     """
     zeros = (0,) * len(directions)
     columns = [nums or zeros for nums, _ in _jet_pass(config, directions)]
-    return [list(row) for row in zip(*columns)]
+    return [list(row) for row in zip(*columns)], len(columns)

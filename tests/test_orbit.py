@@ -7,7 +7,7 @@ import pytest
 from test_acceptance import RANK_CELLS
 from test_linalg import deriv
 
-from planeinv import divisible, orbit
+from planeinv import divisible, odd, orbit
 from planeinv.errors import (
     DegenerateConfigError,
     ShapeMismatchError,
@@ -240,18 +240,24 @@ class TestVectorAndRank:
 
 
 # ---------------------------------------------------------------------------
-# the rank sketch: bound + 1 random directions, exhaustive fallback
+# the rank sketch: bound + 1 random directions off the fixed members,
+# exhaustive fallback
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_rank(config):
-    """The rank from one one-direction jet pass per coordinate."""
+def unit_rows(config):
+    """The Jacobian J, one row per coordinate: one one-direction jet pass each, as ``Fraction``s."""
     coords = config.n * config.d * config.s
     rows = []
     for k in range(coords):
         unit = [[int(c == k) for c in range(coords)]]
-        rows.append([(deriv(*pair) or [0])[0] for pair in orbit._jet_pass(config, unit)])
-    return Mat(rows).rank()
+        rows.append([(deriv(*pair) or [Fraction(0)])[0] for pair in orbit._jet_pass(config, unit)])
+    return rows
+
+
+def exhaustive_rank(config):
+    """The rank from one one-direction jet pass per coordinate."""
+    return Mat(unit_rows(config)).rank()
 
 
 def difference_quotients(config, directions, t):
@@ -298,6 +304,44 @@ BOUND_ONE_POINTS = [
 ]
 
 
+# (n, d, s, F): the members the normal forms fix, per family.
+FIXED_MEMBERS = [
+    # divisible, n = r*d: embed's coordinate blocks and diagonal, r + 1
+    (4, 2, 5, 3),
+    (6, 3, 5, 3),
+    (6, 2, 6, 4),
+    (8, 2, 7, 5),
+    # odd, r = 1: the frame's three members and member 4, whose pair normalizes
+    (3, 2, 6, 4),
+    (6, 4, 6, 4),
+    # odd, r = 2: the frame's members 1..r + 2
+    (5, 2, 5, 4),
+    (10, 4, 6, 4),
+    # odd, r >= 3: members 1..r + 1; member r + 2 already carries Z letters
+    (7, 2, 7, 4),
+    (9, 2, 7, 5),
+    # fewer members than the group can fix: all of them
+    (4, 2, 3, 3),
+    (7, 2, 3, 3),
+]
+
+# The shapes of the jacobian benchmark workload.
+JACOBIAN_BENCH_SHAPES = [(3, 2, 6), (4, 2, 5), (5, 2, 5)]
+
+
+def counted_passes(monkeypatch):
+    """The number of directions of every jet pass from now on, in order."""
+    passes = []
+    jet_pass = orbit._jet_pass
+
+    def counted(config, directions):
+        passes.append(len(directions))
+        return jet_pass(config, directions)
+
+    monkeypatch.setattr(orbit, "_jet_pass", counted)
+    return passes
+
+
 class TestRankSketch:
     def test_special_point_falls_back(self):
         c = diag_pair_config()
@@ -305,18 +349,84 @@ class TestRankSketch:
         assert jacobian_rank(c) == exhaustive_rank(c) == 4
 
     def test_certified_rank_takes_bound_plus_one_passes(self, monkeypatch):
-        c = sample_config(4, 2, 5, seed=101)
+        """One reduction per family, with the F fixed members rational and the others jets."""
+        points = [(4, 2, 5, 101, 3), (3, 2, 6, 303, 4), (5, 2, 5, 404, 4), (7, 2, 7, 1, 4)]
+        configs = [sample_config(n, d, s, seed=seed) for n, d, s, seed, _ in points]
         calls = []
 
-        letters = divisible.letters
+        def counting(letters):
+            def counted(config):
+                calls.append(config)
+                return letters(config)
 
-        def counted(config):
-            calls.append(config)
-            return letters(config)
+            return counted
 
-        monkeypatch.setattr(divisible, "letters", counted)
-        assert jacobian_rank(c) == 5
-        assert len(calls) == 1  # one reduction over jets carries all 5 + 1 directions
+        for module in (divisible, odd):
+            monkeypatch.setattr(module, "letters", counting(module.letters))
+        for (n, d, s, _, fixed), c in zip(points, configs):
+            calls.clear()
+            expected = expected_quotient_dim(n, d, s)
+            assert jacobian_rank(c) == expected
+            # one reduction over jets carries all expected + 1 directions
+            (reduced,) = calls
+            ks = [sub.basis.k for sub in reduced.subspaces]
+            assert ks == [None] * fixed + [expected + 1] * (s - fixed), (n, d, s)
+
+    @pytest.mark.parametrize("n,d,s,fixed", FIXED_MEMBERS)
+    def test_fixed_members_pinned_per_family(self, n, d, s, fixed):
+        assert orbit._fixed_members(n, d, s) == fixed
+
+    @pytest.mark.parametrize("n,d,s,fixed", [p for p in FIXED_MEMBERS if p[3] < p[2]])
+    def test_fixed_members_are_the_normal_forms(self, n, d, s, fixed):
+        """F members carry no letter, and one more member does: the reduction fixes exactly F."""
+        assert expected_quotient_dim(n, d, fixed) == 0 < expected_quotient_dim(n, d, fixed + 1)
+        for count, lettered in [(fixed, False), (fixed + 1, True)]:
+            c = sample_config(n, d, count, seed=1)
+            _, ids, _, degeneracy = orbit._reduction(c).letters(c)
+            assert bool(ids) is lettered and degeneracy is None
+
+    @pytest.mark.parametrize("n,d,s", [(4, 2, 5), (6, 2, 6), (6, 3, 5)])
+    def test_embed_fixes_the_first_members(self, n, d, s):
+        """embed's first F members are the same for every letter grid, and member F + 1 is not."""
+        a, b = (embed(divisible.matrix_data(sample_config(n, d, s, seed=seed))) for seed in (1, 2))
+        fixed = orbit._fixed_members(n, d, s)
+        assert a.subspaces[:fixed] == b.subspaces[:fixed]
+        assert a.subspaces[fixed] != b.subspaces[fixed]
+
+    @pytest.mark.parametrize(
+        "n,d,s,seed",
+        [cell[:4] for cell in RANK_CELLS]
+        + [(*shape, seed) for shape in JACOBIAN_BENCH_SHAPES for seed in range(1, 9)],
+    )
+    def test_one_pass_without_fallback(self, monkeypatch, n, d, s, seed):
+        passes = counted_passes(monkeypatch)
+        assert jacobian_rank(sample_config(n, d, s, seed=seed)) == expected_quotient_dim(n, d, s)
+        assert passes == [len(orbit._sketch_directions(n, d, s))]
+
+    @pytest.mark.parametrize("extra", [1, 5])
+    @pytest.mark.parametrize("n,d,s,seed,true_rank", [(4, 2, 5, 101, 5), (5, 2, 5, 404, 6)])
+    def test_wrong_fixed_count_stays_exact(self, monkeypatch, n, d, s, seed, true_rank, extra):
+        """Fixing too many members (all of them at ``extra = 5``) only costs the fallback pass."""
+        fixed = orbit._fixed_members
+        monkeypatch.setattr(orbit, "_fixed_members", lambda *shape: min(shape[2], fixed(*shape) + extra))
+        passes = counted_passes(monkeypatch)
+        assert jacobian_rank(sample_config(n, d, s, seed=seed)) == true_rank
+        assert passes[1:] == [n * d * s]
+
+    @pytest.mark.parametrize("point", [(4, 2, 5, 101), (3, 2, 6, 303), (5, 2, 5, 404)], ids=point_id)
+    def test_sliced_rows_match_unit_oracle(self, point):
+        """The sketch rows are R J exactly, J from one unit-direction pass per coordinate."""
+        n, d, s, seed = point
+        c = sample_config(n, d, s, seed=seed)
+        directions = orbit._sketch_directions(n, d, s)
+        fixed = n * d * orbit._fixed_members(n, d, s)
+        assert all(not any(r[:fixed]) and any(r[fixed:]) for r in directions)
+        jac = unit_rows(c)
+        want = [[sum(x * row[w] for x, row in zip(r, jac)) for w in range(len(jac[0]))] for r in directions]
+        columns = [
+            deriv(*pair) or [Fraction(0)] * len(directions) for pair in orbit._jet_pass(c, directions)
+        ]
+        assert [list(row) for row in zip(*columns)] == want
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_agrees_with_exhaustive_on_rank_cells(self, n, d, s, seed, pinned):
@@ -353,9 +463,10 @@ class TestRankSketch:
         assert jacobian_rank(sample_config(n, d, s, seed=seed)) == true_rank
 
 
-# sha256 of the exact sketch rows (one row per direction, one entry per word)
-# at each point, computed by one one-direction jet pass per sketch direction;
-# test_rows_match_difference_quotients checks the same rows at every point.
+# sha256 of the exact rows of one jet pass along the first
+# min(expected + 1, n*d*s) sketch directions with every entry drawn, none
+# fixed at 0 (one row per direction, one entry per word), at each point: a
+# pin of the reduction over jets with every member differentiated.
 SKETCH_ROWS_SHA256 = {
     (4, 2, 4, 505): "52f64069f07cd4aa6d5908347ba1659af8d94c26fb595ca478825a723967b907",
     (4, 2, 5, 101): "5dc70de101fd82d0e4778c2f22e5976c02e14e81113d8ee0f37ee10d401b3083",
@@ -380,7 +491,7 @@ class TestBatchedSketch:
     def test_sketch_rows_pinned(self, point):
         n, d, s, seed = point
         coords = n * d * s
-        directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
+        directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords), 0)
         columns = [
             deriv(*pair) or [Fraction(0)] * len(directions)
             for pair in orbit._jet_pass(sample_config(n, d, s, seed=seed), directions)
@@ -403,10 +514,9 @@ class TestBatchedSketch:
         """
         n, d, s, seed = point
         c = sample_config(n, d, s, seed=seed, bound=bound)
-        coords = n * d * s
-        directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
+        directions = orbit._sketch_directions(n, d, s)
         dens = [den for _, den in orbit._jet_pass(c, directions)]
-        rows = orbit._derivative_rows(c, directions)
+        rows, _ = orbit._derivative_rows(c, directions)
         want = difference_quotients(c, directions, Fraction(1, 10**30))
         assert len(rows) == len(want) and all(len(row) == len(dens) for row in want)
         for row, quotients in zip(rows, want):
@@ -433,7 +543,6 @@ class TestBatchedSketch:
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_mod_p_rank_agrees_with_rational_rank(self, n, d, s, seed, pinned):
-        coords = n * d * s
-        directions = orbit._sketch(coords, min(expected_quotient_dim(n, d, s) + 1, coords))
-        rows = orbit._derivative_rows(sample_config(n, d, s, seed=seed), directions)
+        directions = orbit._sketch_directions(n, d, s)
+        rows, _ = orbit._derivative_rows(sample_config(n, d, s, seed=seed), directions)
         assert orbit._rank_mod_p(rows, orbit._RANK_PRIME) == Mat(rows).rank() == pinned
