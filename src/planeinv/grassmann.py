@@ -30,6 +30,7 @@ from .errors import (
     DegenerateSamplingExhausted,
     DimensionMismatchError,
     RankDeficientError,
+    SingularMatrixError,
     UnsupportedCaseError,
 )
 from .linalg import Mat, hstack
@@ -235,7 +236,8 @@ def act_left(g: Mat, config: Config) -> Config:
     """Apply an invertible n x n matrix to every subspace."""
     if g.rows != g.cols or g.rows != config.n:
         raise DimensionMismatchError("left action needs an n x n matrix")
-    g.inverse()  # raises SingularMatrixError if g is not invertible
+    if g.rank() != g.rows:
+        raise SingularMatrixError("left action needs an invertible matrix")
     return Config([Subspace(g @ sub.basis) for sub in config])
 
 
@@ -251,7 +253,8 @@ def act_right(hs: Sequence[Mat], config: Config) -> Config:
     for h in hs:
         if h.rows != h.cols or h.rows != config.d:
             raise DimensionMismatchError("right action needs d x d matrices")
-        h.inverse()
+        if h.rank() != h.rows:
+            raise SingularMatrixError("right action needs invertible matrices")
     return Config([Subspace(sub.basis @ h) for sub, h in zip(config, hs)])
 
 
@@ -259,7 +262,10 @@ def general_position(config: Config) -> bool:
     """Whether every genericity condition of the applicable reduction holds.
 
     This is exactly the set of conditions under which the invariant letters
-    of the configuration are defined.  The reduction pass of the case's
+    of the configuration are defined.  The conditions read the members'
+    own bases through no coordinate chart, so the verdict is a property of
+    the orbit: it is the same for ``config`` and for
+    ``act_right(hs, act_left(g, config))``.  The reduction pass of the case's
     ``letters`` decides it constructively; it runs here with ``max_len=0``,
     so no trace vector is built.  Unsupported (n, d) raises
     :class:`UnsupportedCaseError`.

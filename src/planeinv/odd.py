@@ -1,34 +1,35 @@
 """Invariant letters for the odd-multiple case: n = (2r+1)e, d = 2e.
 
-Every member of a configuration is first column-normalized to the shape
-(E; C_i) with an identity top (:func:`column_normalize`).  All further
-structure is extracted from intersections with sums of the leading members,
-computed as canonical kernels:
+The reduction reads each member's own basis B_i and picks no coordinate
+chart, so every condition it checks is a property of the configuration:
+it holds for c exactly when it holds for g c h.  All structure is
+extracted from intersections with sums of the leading members, computed
+as canonical kernels of [B_m ... | B_target] (:func:`nullspace_component`).
+Three such kernels give the column blocks of the frame matrix H
+(:func:`frame_odd`) at every r >= 1; at r = 1 they are the pairwise meets
+1∩2, 1∩3 and 2∩3 of the first three members.
 
-* r = 1 (n = 3e): the three pairwise intersections of the first three
-  members assemble the frame matrix H (:func:`frame_3e`); expressing the
-  remaining members in H-coordinates yields pairs (alpha_{2i-1}, alpha_{2i})
-  of e x e blocks, and normalizing by the fourth member's pair gives the
-  letters sigma_9..sigma_{2s} (:func:`sigma_data`).
+* r = 1 (n = 3e): expressing the remaining members in H-coordinates yields
+  pairs (alpha_{2i-1}, alpha_{2i}) of e x e blocks, and normalizing by the
+  fourth member's pair gives the letters sigma_9..sigma_{2s}
+  (:func:`sigma_data`).
 
-* r >= 2: three kernel systems (:func:`nullspace_component`) produce the
-  column blocks of the frame matrix H (:func:`frame_odd`); in
-  H-coordinates, members r+1 and onward are right-normalized by canonical
-  kernels into a/b/c column blocks with provable zero patterns
-  (:func:`reduce_odd`), from which block ratios build the Z and Theta
-  letters (:func:`letters_odd`).
+* r >= 2: in H-coordinates, members r+1 and onward are right-normalized
+  by canonical kernels into a/b/c column blocks with provable zero
+  patterns (:func:`reduce_odd`), from which block ratios build the Z and
+  Theta letters (:func:`letters_odd`).
 
 The stages hand plain values to each other: a frame is its matrix H and
 a letter set is a pair (ids, mats) in the alphabet order of the trace
-words.  Each stage trusts the (r, s) range :func:`letters` chose for it.
-A matrix that must be inverted and is singular raises
-:class:`DegenerateConfigError` through
+words.  Each stage reads (r, e) from the case tag and trusts the (r, s)
+range :func:`letters` chose for it.  A matrix that must be inverted and is
+singular raises :class:`DegenerateConfigError` through
 :func:`~planeinv.errors.inverse_or_degenerate`.
 
-All kernel and solve steps use the canonical reduced-echelon basis.  The
-residual ambiguity of every frame choice is a single right GL_e factor, so
-the letters transform by one common conjugation under both group actions
-and their word traces are exact invariants; the property suite tests that
+Every kernel step uses the canonical reduced-echelon basis.  The residual
+ambiguity of every frame choice is a single right GL_e factor, so the
+letters transform by one common conjugation under both group actions and
+their word traces are exact invariants; the property suite tests that
 invariance rather than relying on it.
 """
 
@@ -41,13 +42,12 @@ from .errors import (
     CaseMismatchError,
     Degeneracy,
     DegenerateConfigError,
-    RankDeficientError,
     WrongKernelDimension,
     ZeroPatternViolation,
     inverse_or_degenerate,
 )
 from .grassmann import CaseTag, Config, classify_case
-from .linalg import Mat, hstack, vstack
+from .linalg import Mat, hstack
 from .words import InvariantVector, trace_vector
 
 
@@ -60,99 +60,70 @@ def _require_odd(config: Config) -> CaseTag:
     return tag
 
 
-@dataclass(frozen=True)
-class NormalizedColumns:
-    """Members rewritten as (E; C_i): identity top, (2r-1)e x 2e bottom."""
-
-    e: int
-    r: int
-    s: int
-    blocks: tuple[Mat, ...]  # n x 2e each, top identity
-    bottoms: tuple[Mat, ...]  # the C_i, (2r-1)e x 2e each
-
-    @property
-    def d(self) -> int:
-        return 2 * self.e
-
-    @property
-    def n(self) -> int:
-        return (2 * self.r + 1) * self.e
-
-    def block(self, i: int) -> Mat:
-        """Normalized member i (1-based)."""
-        return self.blocks[i - 1]
-
-    def bottom(self, i: int) -> Mat:
-        """C_i (1-based)."""
-        return self.bottoms[i - 1]
+def _basis(config: Config, i: int) -> Mat:
+    """The basis B_i of member i (1-based)."""
+    return config.subspaces[i - 1].basis
 
 
-def column_normalize(config: Config) -> NormalizedColumns:
-    """Normalize every member to identity-top form; spans are unchanged.
+def nullspace_component(
+    config: Config, tag: CaseTag, members: Sequence[int], target: int
+) -> list[Mat]:
+    """Canonical kernel of [B_m ... | B_target], split per member.
 
-    Raises :class:`DegenerateConfigError` (with the 1-based block index)
-    when some member's top d x d minor is singular.
+    A kernel vector (u_m ..., w) puts sum_m B_m u_m = -B_target w in member
+    ``target``.  The members are distinct and exclude the target.  The
+    kernel must have dimension exactly e (:class:`WrongKernelDimension`
+    otherwise); its canonical basis is returned as one d x e block X_m per
+    member, and summing B_m X_m over the members spans
+    target ∩ (sum of members).
     """
-    tag = _require_odd(config)
-    d = config.d
-    blocks, bottoms = [], []
-    for i, sub in enumerate(config, start=1):
-        top = sub.basis.block(0, d, 0, d)
-        normalized = sub.basis @ inverse_or_degenerate(
-            top, f"top {d}x{d} minor of block {i} is singular", i
+    members = list(members)
+    kernel = hstack([_basis(config, m) for m in (*members, target)]).nullspace_basis()
+    e, d = tag.e, config.d
+    if kernel.cols != e:
+        raise WrongKernelDimension(
+            f"intersection kernel of blocks {members} with block {target} "
+            f"has dimension {kernel.cols}, expected {e}",
+            expected=e,
+            actual=kernel.cols,
+            block=target,
         )
-        blocks.append(normalized)
-        bottoms.append(normalized.block(d, config.n, 0, d))
-    return NormalizedColumns(
-        e=tag.e, r=tag.r, s=config.s, blocks=tuple(blocks), bottoms=tuple(bottoms)
-    )
+    return [kernel.block(k * d, (k + 1) * d, 0, e) for k in range(len(members))]
 
 
-_PAIRS_3E = ((1, 2), (3, 1), (2, 3))
+def frame_odd(config: Config, tag: CaseTag) -> Mat:
+    """The n x n intersection frame H, for every r >= 1 (s >= r + 2).
 
-
-def frame_3e(nc: NormalizedColumns) -> Mat:
-    """The 3e x 3e pairwise-intersection frame H of the r = 1 case.
-
-    Column block k of H is (x_k; y_k; E) and spans the intersection of
-    members (1,2), (3,1), (2,3) respectively.  For each pair (a, b) the
-    block system [[c_a, d_a], [c_b, d_b]] is solved against (E; E): the
-    solution (x; y) puts the column (x; y; E) in both members.  Solving
-    against the stacked identity is the order that makes the containment
-    true with noncommuting e x e blocks.
+    Column pairs 2i-1, 2i of H are B_i X_i and B_i Y_i for i = 1..r; the
+    final column is B_{r+1} Z_{r+1}.  X targets member r+1, Y and Z target
+    member r+2 (:func:`nullspace_component`).  At r = 1 the three column
+    blocks span the meets 1∩2, 1∩3 and 2∩3.
     """
-    e = nc.e
-    halves = []
-    for i in range(1, 4):
-        c = nc.bottom(i)  # e x 2e for r = 1
-        halves.append((c.block(0, e, 0, e), c.block(0, e, e, 2 * e)))
-    eye = Mat.identity(e)
-    rhs = vstack([eye, eye])
-    sols = []
-    for a, b in _PAIRS_3E:
-        ca, da = halves[a - 1]
-        cb, db = halves[b - 1]
-        system = vstack([hstack([ca, da]), hstack([cb, db])])
-        try:
-            sols.append(system.solve(rhs))
-        except RankDeficientError:
-            raise DegenerateConfigError(
-                f"members {a} and {b} are not transverse enough to intersect in dimension e"
-            ) from None
-    return vstack([hstack(sols), hstack([eye, eye, eye])])
+    r = tag.r
+    first_r = list(range(1, r + 1))
+    x = nullspace_component(config, tag, first_r, r + 1)
+    y = nullspace_component(config, tag, first_r, r + 2)
+    z = nullspace_component(config, tag, list(range(1, r)) + [r + 1], r + 2)
+    cols = []
+    for i in range(1, r + 1):
+        basis = _basis(config, i)
+        cols.append(basis @ x[i - 1])
+        cols.append(basis @ y[i - 1])
+    cols.append(_basis(config, r + 1) @ z[-1])
+    return hstack(cols)
 
 
-def _alpha_pairs(nc: NormalizedColumns, h: Mat) -> dict[int, Mat]:
+def _alpha_pairs(config: Config, tag: CaseTag, h: Mat) -> dict[int, Mat]:
     """The e x e blocks alpha_7..alpha_{2s} of members 4..s in the coordinates of frame ``h``.
 
-    Member i becomes H^-1 M_i; right-normalizing by its top 2e x 2e block
+    Member i becomes H^-1 B_i; right-normalizing by its top 2e x 2e block
     leaves (E; 0 / 0; E / alpha_{2i-1} alpha_{2i}).
     """
-    e, d, n = nc.e, nc.d, nc.n
+    e, d, n = tag.e, config.d, config.n
     h_inv = inverse_or_degenerate(h, "intersection frame is singular")
     alphas: dict[int, Mat] = {}
-    for i in range(4, nc.s + 1):
-        t = h_inv @ nc.block(i)
+    for i in range(4, config.s + 1):
+        t = h_inv @ _basis(config, i)
         top = t.block(0, d, 0, d)
         pair = t.block(d, n, 0, d) @ inverse_or_degenerate(
             top, f"block {i} is not transverse to the frame plane", i
@@ -162,72 +133,23 @@ def _alpha_pairs(nc: NormalizedColumns, h: Mat) -> dict[int, Mat]:
     return alphas
 
 
-def sigma_data(nc: NormalizedColumns, h: Mat) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
+def sigma_data(config: Config, tag: CaseTag, h: Mat) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
     """The r = 1 letters sigma_9..sigma_{2s} (s >= 5) from frame ``h``, as (ids, mats).
 
     sigma_{2i-1} = alpha_{2i-1} alpha_7^-1 and sigma_{2i} = alpha_{2i}
     alpha_8^-1 for i = 5..s: member 4's pair normalizes all later pairs,
     which uses up the last of the group freedom and leaves exact invariants.
     """
-    alphas = _alpha_pairs(nc, h)
+    alphas = _alpha_pairs(config, tag, h)
     a7_inv, a8_inv = (
         inverse_or_degenerate(alphas[k], "block 4 normalization blocks are singular", 4)
         for k in (7, 8)
     )
     mats = []
-    for i in range(5, nc.s + 1):
+    for i in range(5, config.s + 1):
         mats.append(alphas[2 * i - 1] @ a7_inv)
         mats.append(alphas[2 * i] @ a8_inv)
-    return tuple(f"sigma_{k}" for k in range(9, 2 * nc.s + 1)), tuple(mats)
-
-
-def nullspace_component(
-    nc: NormalizedColumns, member_blocks: Sequence[int], target_block: int
-) -> list[Mat]:
-    """Canonical kernel of the stacked difference system, split per member.
-
-    Solves sum_m (E; C_m) u_m in member ``target_block`` by eliminating the
-    target coefficient:  sum_m (C_m - C_t) u_m = 0.  The members are
-    distinct and exclude the target.  The kernel must have dimension
-    exactly e (:class:`WrongKernelDimension` otherwise); its canonical basis
-    is returned as one 2e x e block per member, and stacking (E; C_m) X_m
-    over the members spans target ∩ (sum of members).
-    """
-    members = list(member_blocks)
-    ct = nc.bottom(target_block)
-    system = hstack([nc.bottom(m) - ct for m in members])
-    kernel = system.nullspace_basis()
-    if kernel.cols != nc.e:
-        raise WrongKernelDimension(
-            f"intersection kernel of blocks {members} with block {target_block} "
-            f"has dimension {kernel.cols}, expected {nc.e}",
-            expected=nc.e,
-            actual=kernel.cols,
-            block=target_block,
-        )
-    d = nc.d
-    return [kernel.block(k * d, (k + 1) * d, 0, nc.e) for k in range(len(members))]
-
-
-def frame_odd(nc: NormalizedColumns) -> Mat:
-    """The n x n intersection frame H of the r >= 2 case (s >= r + 2).
-
-    Column pairs 2i-1, 2i of H are (E; C_i) X_i and (E; C_i) Y_i for
-    i = 1..r; the final column is (E; C_{r+1}) Z_{r+1}.  X targets member
-    r+1, Y and Z target member r+2 (:func:`nullspace_component`).
-    """
-    r = nc.r
-    first_r = list(range(1, r + 1))
-    x = nullspace_component(nc, first_r, r + 1)
-    y = nullspace_component(nc, first_r, r + 2)
-    z = nullspace_component(nc, list(range(1, r)) + [r + 1], r + 2)
-    cols = []
-    for i in range(1, r + 1):
-        block = nc.block(i)
-        cols.append(block @ x[i - 1])
-        cols.append(block @ y[i - 1])
-    cols.append(nc.block(r + 1) @ z[-1])
-    return hstack(cols)
+    return tuple(f"sigma_{k}" for k in range(9, 2 * config.s + 1)), tuple(mats)
 
 
 @dataclass(frozen=True)
@@ -264,11 +186,11 @@ def _row_block(m: Mat, k: int, e: int) -> Mat:
     return m.block((k - 1) * e, k * e, 0, m.cols)
 
 
-def reduce_odd(nc: NormalizedColumns, h: Mat) -> ReducedOdd:
+def reduce_odd(config: Config, tag: CaseTag, h: Mat) -> ReducedOdd:
     """Express members r+1..s in the coordinates of frame ``h`` and normalize columns.
 
-    ``h`` is :func:`frame_odd` of ``nc``.  Member j in H-coordinates is
-    N_j = H^-1 (E; C_j).  Right-normalization picks canonical column
+    ``h`` is :func:`frame_odd` of ``config``.  Member j in H-coordinates is
+    N_j = H^-1 B_j.  Right-normalization picks canonical column
     combinations: for member r+1, the e columns killed at row block 2r+1
     (the a-column; the complementary e columns land on the identity at row
     block 2r+1, which is possible exactly because that row block has full
@@ -280,12 +202,12 @@ def reduce_odd(nc: NormalizedColumns, h: Mat) -> ReducedOdd:
     positions and at 2r+1, and the b-column of member r+2 vanishes at all
     odd positions; a violation raises :class:`ZeroPatternViolation`.
     """
-    e, r, s = nc.e, nc.r, nc.s
+    e, r, s = tag.e, tag.r, config.s
     h_inv = inverse_or_degenerate(h, "intersection frame is singular")
 
     # Each member in H-coordinates, computed once: members j >= r+2 give
     # both a b-column and a c-column.
-    in_frame = {j: h_inv @ nc.block(j) for j in range(r + 1, s + 1)}
+    in_frame = {j: h_inv @ _basis(config, j) for j in range(r + 1, s + 1)}
 
     def normalized_column(j: int, kill_row_block: int) -> Mat:
         n_j = in_frame[j]
@@ -401,38 +323,37 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
     need is returned, the first one found, next to them.
     """
     r, s = tag.r, config.s
-    nc = column_normalize(config)
     if s <= (2 if r == 1 else r):
         if config.matrix().rank() != min(config.n, s * config.d):
             return _NO_LETTERS, Degeneracy("members are not in general position")
         return _NO_LETTERS, None
-    if r == 1:
-        h = frame_3e(nc)
-        if s == 3:
-            # three members through one common line meet pairwise, but the
-            # meets do not span
-            return _NO_LETTERS, (
-                Degeneracy("intersection frame is singular") if h.rank() < nc.n else None
-            )
-        if s == 4:
-            alphas = _alpha_pairs(nc, h)
-            return _NO_LETTERS, (
-                _singular(alphas[7], "alpha_7 of block 4", 4)
-                or _singular(alphas[8], "alpha_8 of block 4", 4)
-            )
-        return sigma_data(nc, h), None
     if s == r + 1:
         first = hstack([sub.basis for sub in config.subspaces[:r]])
         if first.rank() != r * config.d:
             return _NO_LETTERS, Degeneracy("the first r members are not in direct sum")
-        for m, block in enumerate(nullspace_component(nc, list(range(1, r + 1)), r + 1), start=1):
-            if block.rank() < nc.e:
+        for m, block in enumerate(nullspace_component(config, tag, range(1, r + 1), r + 1), start=1):
+            if block.rank() < tag.e:
                 return _NO_LETTERS, Degeneracy(
                     f"member {r + 1} meets the sum of the first {r} members other than member {m}",
                     block=r + 1,
                 )
         return _NO_LETTERS, None
-    red = reduce_odd(nc, frame_odd(nc))
+    h = frame_odd(config, tag)
+    if r == 1:
+        if s == 3:
+            # three members through one common line meet pairwise, but the
+            # meets do not span
+            return _NO_LETTERS, (
+                Degeneracy("intersection frame is singular") if h.rank() < config.n else None
+            )
+        if s == 4:
+            alphas = _alpha_pairs(config, tag, h)
+            return _NO_LETTERS, (
+                _singular(alphas[7], "alpha_7 of block 4", 4)
+                or _singular(alphas[8], "alpha_8 of block 4", 4)
+            )
+        return sigma_data(config, tag, h), None
+    red = reduce_odd(config, tag, h)
     found = letters_odd(red)
     # letters_odd inverts c-block (2r+1, r+2) only when s >= r + 3
     return found, (

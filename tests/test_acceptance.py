@@ -29,7 +29,7 @@ from planeinv.grassmann import (
     sample_invertible,
 )
 from planeinv.linalg import Mat, hstack
-from planeinv.odd import column_normalize, frame_odd, nullspace_component, reduce_odd
+from planeinv.odd import frame_odd, nullspace_component, reduce_odd
 from planeinv.orbit import (
     Verdict,
     expected_quotient_dim,
@@ -193,8 +193,8 @@ def test_criterion_4_zero_patterns():
     checked = 0
     for trial in range(50):
         c = sample_config(n, d, s, seed=trial)
-        nc = column_normalize(c)
-        red = reduce_odd(nc, frame_odd(nc))
+        tag = classify_case(n, d)
+        red = reduce_odd(c, tag, frame_odd(c, tag))
         r = red.r
         for pos in range(2, 2 * r + 2, 2):
             assert red.a_block(pos).is_zero(), (trial, "a", pos)
@@ -300,9 +300,8 @@ def test_criterion_8_intersection_oracle():
     agreed = 0
     for trial in range(50):
         c = sample_config(n, d, s, seed=trial)
-        nc = column_normalize(c)
-        comps = nullspace_component(nc, (1, 2), 3)
-        combined = nc.block(1) @ comps[0] + nc.block(2) @ comps[1]
+        comps = nullspace_component(c, classify_case(n, d), (1, 2), 3)
+        combined = c.subspaces[0].basis @ comps[0] + c.subspaces[1].basis @ comps[1]
         lhs = canonicalize(Subspace(combined))
         rhs = intersect(
             c.subspaces[2],

@@ -17,7 +17,6 @@ from planeinv.linalg import Mat
 _RAISED = "DegenerateConfigError"
 _RECORDED = "Degeneracy"
 
-_TOPS = [(f"top 2x2 minor of block {i} is singular", i) for i in range(1, 8)]
 _FRAME = ("intersection frame is singular", None)
 
 CENSUS = {
@@ -31,12 +30,10 @@ CENSUS = {
         (_RECORDED, "the first r = 3 members do not span the ambient space", None),
     ],
     (3, 2, 4): [
-        *((_RECORDED, *t) for t in _TOPS[:4]),
         (_RECORDED, *_FRAME),
         (_RECORDED, "block 4 is not transverse to the frame plane", 4),
     ],
     (3, 2, 6): [
-        *((_RAISED, *t) for t in _TOPS[:6]),
         (_RAISED, *_FRAME),
         (_RAISED, "block 4 is not transverse to the frame plane", 4),
         (_RAISED, "block 5 is not transverse to the frame plane", 5),
@@ -45,13 +42,11 @@ CENSUS = {
         (_RAISED, "block 4 normalization blocks are singular", 4),
     ],
     (5, 2, 4): [
-        *((_RECORDED, *t) for t in _TOPS[:4]),
         (_RECORDED, *_FRAME),
         (_RECORDED, "c-block (1, r+2) is singular", 4),
         (_RECORDED, "c-block (2, r+2) is singular", 4),
     ],
     (5, 2, 6): [
-        *((_RAISED, *t) for t in _TOPS[:6]),
         (_RAISED, *_FRAME),
         (_RAISED, "c-block (1, r+2) is singular", 4),
         (_RAISED, "c-block (2, r+2) is singular", 4),
@@ -62,7 +57,6 @@ CENSUS = {
         (_RAISED, "c-block difference (1, 6) - (3, 6) is singular", 6),
     ],
     (7, 2, 7): [
-        *((_RAISED, *t) for t in _TOPS[:7]),
         (_RAISED, *_FRAME),
         (_RAISED, "c-block (1, r+2) is singular", 5),
         (_RAISED, "c-block (2, r+2) is singular", 5),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from planeinv.errors import (
     DegenerateSamplingExhausted,
     RankDeficientError,
+    SingularMatrixError,
     UnsupportedCaseError,
 )
 from planeinv.grassmann import (
@@ -267,8 +268,16 @@ class TestActions:
 
     def test_singular_g_rejected(self):
         c = sample_config(4, 2, 5, seed=5)
-        with pytest.raises(Exception):
-            act_left(Mat([[0] * 4 for _ in range(4)]), c)
+        rank_3 = Mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 0], [0, 0, 1, 0]])
+        for g in (Mat([[0] * 4 for _ in range(4)]), rank_3):
+            with pytest.raises(SingularMatrixError):
+                act_left(g, c)
+
+    def test_singular_h_rejected(self):
+        c = sample_config(4, 2, 5, seed=5)
+        hs = [Mat.identity(2)] * 4 + [Mat([[1, 2], [2, 4]])]
+        with pytest.raises(SingularMatrixError):
+            act_right(hs, c)
 
     def test_wrong_sizes_rejected(self):
         c = sample_config(4, 2, 5, seed=5)
@@ -307,6 +316,28 @@ class TestGeneralPosition:
             hs = [sample_invertible(rng, d) for _ in range(s)]
             assert general_position(act_left(g, c))
             assert general_position(act_right(hs, c))
+
+    @pytest.mark.parametrize(
+        "n,d,s",
+        [
+            (3, 2, 3), (3, 2, 4), (3, 2, 6), (6, 4, 4), (6, 4, 6), (5, 2, 3),
+            (5, 2, 5), (5, 2, 6), (7, 2, 7), (4, 2, 5), (6, 3, 6),
+        ],
+    )
+    def test_property_of_the_orbit(self, n, d, s):
+        # raw draws, generic or not, get the verdict of a group move of themselves
+        for bound in (1, 2):
+            for seed in range(1, 6):
+                rng = SplitMix64(seed)
+                raw = [[[rng.next_int(bound) for _ in range(d)] for _ in range(n)] for _ in range(s)]
+                try:
+                    c = Config([Subspace(Mat(block)) for block in raw])
+                except RankDeficientError:
+                    continue
+                g = sample_invertible(rng, n)
+                hs = [sample_invertible(rng, d) for _ in range(s)]
+                moved = act_right(hs, act_left(g, c))
+                assert general_position(c) == general_position(moved), (bound, seed)
 
     def test_duplicate_member_fails(self):
         c = sample_config(4, 2, 5, seed=3)
