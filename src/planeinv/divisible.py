@@ -101,12 +101,12 @@ def _block(phi: Mat, i: int, j: int, d: int) -> Mat:
     return phi.block((i - 1) * d, i * d, (j - 1) * d, j * d)
 
 
-def _block_inverses(phi: Mat, r: int, d: int, s: int) -> tuple[list[Mat], list[Mat]]:
-    """Inverses of the blocks (i, 1), i = 2..r, and (1, j), j = 2..s-r, of phi.
+def _letter_grid(phi: Mat, r: int, d: int, s: int) -> ReducedDivisible:
+    """The letters D_ij(phi), inverting each block (1, j) and then each block (i, 1) once.
 
-    These are the blocks the letters invert, so inverting them is also the
-    general-position check on them; a singular one raises
-    :class:`DegenerateConfigError`.  Both lists are empty when s <= r + 1.
+    Inverting those blocks is also the general-position check on them; a
+    singular one raises :class:`DegenerateConfigError`.  The grid is empty
+    when s <= r + 1.
     """
 
     def inv(i: int, j: int) -> Mat:
@@ -114,19 +114,13 @@ def _block_inverses(phi: Mat, r: int, d: int, s: int) -> tuple[list[Mat], list[M
         return inverse_or_degenerate(_block(phi, i, j, d), message, r + j)
 
     cols = [inv(1, j) for j in range(2, s - r + 1)]
-    rows = [inv(i, 1) for i in range(2, r + 1)] if cols else []
-    return rows, cols
-
-
-def _letter_grid(phi: Mat, r: int, d: int, s: int) -> ReducedDivisible:
-    """The letters D_ij(phi), inverting each block (i, 1) and (1, j) once."""
-    rows, cols = _block_inverses(phi, r, d, s)
     if not cols:
         return ReducedDivisible(d=d, r=r, s=s, grid=((),) * (r - 1))
     head = _block(phi, 1, 1, d)
+    lefts = [head @ inv(i, 1) for i in range(2, r + 1)]
     grid = tuple(
         tuple(left @ _block(phi, i, j, d) @ col for j, col in enumerate(cols, start=2))
-        for i, left in enumerate((head @ row for row in rows), start=2)
+        for i, left in enumerate(lefts, start=2)
     )
     return ReducedDivisible(d=d, r=r, s=s, grid=grid)
 
@@ -181,7 +175,7 @@ def embed(rd: ReducedDivisible) -> Config:
     return Config(members)
 
 
-def letters(config: Config, max_len: int | None = None) -> tuple:
+def letters(config: Config) -> tuple:
     """(tag, letter ids, letters, degeneracy) of a divisible-case configuration, in one pass.
 
     No letters in the almost-homogeneous range s <= r + 1, where all
@@ -191,9 +185,7 @@ def letters(config: Config, max_len: int | None = None) -> tuple:
     first r members must span and every d x d block of phi must be
     invertible.  A failure that leaves the letters undefined raises
     :class:`DegenerateConfigError` instead, except in the empty range, where
-    every failure is recorded.  When ``max_len < 1`` no word needs the
-    letters, so the blocks they invert are inverted, as that check, but the
-    letters are not multiplied out.
+    every failure is recorded.
     """
     tag = _require_divisible(config)
     r, d, s = tag.r, config.d, config.s
@@ -206,10 +198,7 @@ def letters(config: Config, max_len: int | None = None) -> tuple:
             phi = phi_left(config)
             degeneracy = _singular_block(phi, r, d, s)
             ids = _letter_ids(r, s)
-            if max_len is not None and max_len < 1:
-                _block_inverses(phi, r, d, s)  # the check; no word needs the products
-            else:
-                mats = _letter_grid(phi, r, d, s).letters()
+            mats = _letter_grid(phi, r, d, s).letters()
         except DegenerateConfigError as exc:
             if s > r + 1:
                 raise
@@ -219,4 +208,4 @@ def letters(config: Config, max_len: int | None = None) -> tuple:
 
 def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
     """Trace-invariant vector of a divisible-case configuration, in one pass of :func:`letters`."""
-    return trace_vector(config, *letters(config, max_len), max_len)
+    return trace_vector(config, *letters(config), max_len)

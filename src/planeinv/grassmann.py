@@ -265,14 +265,14 @@ def general_position(config: Config) -> bool:
     of the configuration are defined.  The conditions read the members'
     own bases through no coordinate chart, so the verdict is a property of
     the orbit: it is the same for ``config`` and for
-    ``act_right(hs, act_left(g, config))``.  The reduction pass of the case's
-    ``letters`` decides it constructively; it runs here with ``max_len=0``,
-    so no trace vector is built.  Unsupported (n, d) raises
+    ``act_right(hs, act_left(g, config))``.  It is decided constructively
+    by the case's ``letters``, the same reduction pass every command runs;
+    no trace vector is built.  Unsupported (n, d) raises
     :class:`UnsupportedCaseError`.
     """
     from .orbit import _reduction
     try:
-        return _reduction(config).letters(config, max_len=0)[3] is None
+        return _reduction(config).letters(config)[3] is None
     except DegenerateConfigError:
         return False
 

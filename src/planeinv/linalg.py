@@ -413,16 +413,21 @@ class Mat:
         return Mat._form([list(chain(*segs)) for segs in zip(*parts)], self.den, self.rows, self.k)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
-        """Submatrix of rows ``r0:r1`` and columns ``c0:c1`` (half-open)."""
+        """Submatrix of rows ``r0:r1`` and columns ``c0:c1`` (half-open).
+
+        A jet block whose derivatives are all 0 is returned rational, so the
+        kernels it meets run over the rationals.
+        """
         if not (0 <= r0 < r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise IndexError(
                 f"block [{r0}:{r1}, {c0}:{c1}] out of range for {self.rows}x{self.cols}"
             )
-        if not self.k:
-            num = [row[c0:c1] for row in self.num[r0:r1]]
+        rows, starts = self.num[r0:r1], _starts(self)
+        if self.k and any(any(row[lo + c0 : lo + c1]) for row in rows for lo in starts[1:]):
+            num, k = [[x for lo in starts for x in row[lo + c0 : lo + c1]] for row in rows], self.k
         else:
-            num = [[x for lo in _starts(self) for x in row[lo + c0 : lo + c1]] for row in self.num[r0:r1]]
-        return Mat._form(*_reduced(num, self.den), c1 - c0, self.k)
+            num, k = [row[c0:c1] for row in rows], None
+        return Mat._form(*_reduced(num, self.den), c1 - c0, k)
 
     def is_zero(self) -> bool:
         """Whether every value is 0; a jet's derivatives are not read, as in pivoting."""

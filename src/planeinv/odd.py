@@ -362,7 +362,7 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
     )
 
 
-def letters(config: Config, max_len: int | None = None) -> tuple:
+def letters(config: Config) -> tuple:
     """(tag, letter ids, letters, degeneracy) of an odd-multiple configuration, in one pass.
 
     No letters in the almost-homogeneous ranges: s <= 4 for r = 1; s <= r+1
@@ -371,7 +371,6 @@ def letters(config: Config, max_len: int | None = None) -> tuple:
     and returns the first failed condition (``None`` if none); a failure
     that leaves the letters undefined raises :class:`DegenerateConfigError`
     instead, except in the empty ranges, where every failure is recorded.
-    ``max_len`` is unused: it keeps the signature of the divisible case.
     """
     tag = _require_odd(config)
     r, s = tag.r, config.s
@@ -387,4 +386,4 @@ def letters(config: Config, max_len: int | None = None) -> tuple:
 
 def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
     """Trace-invariant vector of an odd-multiple configuration, in one pass of :func:`letters`."""
-    return trace_vector(config, *letters(config, max_len), max_len)
+    return trace_vector(config, *letters(config), max_len)

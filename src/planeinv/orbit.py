@@ -20,10 +20,10 @@ therefore takes derivatives along ``bound + 1`` pseudo-random integer
 directions only: one reduction over jets differentiates the letters along
 all of them, and the chain rule gives the word traces' derivatives over the
 integers.  Their rank is a lower bound, and when it meets the upper bound
-it is the exact rank.  That rank is computed modulo a prime first, which
-can only lower it, so a match there is already a proof.  Any other outcome
-falls back to the rational rank of the same rows, then to one more pass
-along every coordinate direction.
+it is the exact rank.  That rank is computed modulo a prime, which can
+only lower it, so a match there is already a proof.  Any other outcome
+falls back to one more pass along every coordinate direction, whose rank
+is computed exactly.
 
 The sketch directions vanish on the first F = min(s, (n^2 - 1) //
 (d (n - d))) members: F Grassmannians of dimension d (n - d) fit in PGL_n,
@@ -163,7 +163,7 @@ def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict
 _SKETCH_SEED = 0x6A6163
 _SKETCH_BOUND = 9
 
-# The prime of the first certification attempt: 2**61 - 1.
+# The prime of the sketch's rank certificate: 2**61 - 1.
 _RANK_PRIME = (1 << 61) - 1
 
 
@@ -213,13 +213,13 @@ def jacobian_rank(config: Config) -> int:
     so a sketch rank equal to ``bound`` is the exact rank.  Each word's
     derivatives share one denominator, so scaling each word's column by it
     gives an integer matrix of the same rank.  Its rank modulo the prime
-    2**61 - 1 is at most its rank over the rationals, so that rank is tried
-    first; if it falls short of ``bound``, the exact rational rank of the
-    same matrix is.  A sketch that still falls short (a special point, or an
-    unlucky draw) or exceeds ``bound`` (a wrong count) is discarded, and the
-    rank is that of one more pass with the n*d*s unit directions, by exact
-    elimination.  The pass pivots on values, so it records the plain pass's
-    degeneracy; a configuration out of general position raises
+    2**61 - 1 is at most its rank over the rationals, so a rank there equal
+    to ``bound`` is the certificate.  A sketch that falls short (a special
+    point, an unlucky draw, or a prime that divides a minor) or exceeds
+    ``bound`` (a wrong count) is discarded, and the rank is that of one more
+    pass with the n*d*s unit directions, by exact elimination.  The pass
+    pivots on values, so it records the plain pass's degeneracy; a
+    configuration out of general position raises
     :class:`DegenerateConfigError`, naming the failed condition.
     """
     n, d, s = config.n, config.d, config.s
@@ -227,7 +227,7 @@ def jacobian_rank(config: Config) -> int:
     expected = expected_quotient_dim(n, d, s)
     rows, words = _derivative_rows(config, _sketch_directions(n, d, s))
     bound = min(expected, words, coords)
-    if _rank_mod_p(rows, _RANK_PRIME) == bound or rows and Mat(rows).rank() == bound:
+    if _rank_mod_p(rows, _RANK_PRIME) == bound:
         return bound
     units = [[int(c == k) for c in range(coords)] for k in range(coords)]
     return Mat(_derivative_rows(config, units)[0]).rank()

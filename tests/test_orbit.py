@@ -372,6 +372,29 @@ class TestRankSketch:
             ks = [sub.basis.k for sub in reduced.subspaces]
             assert ks == [None] * fixed + [expected + 1] * (s - fixed), (n, d, s)
 
+    @pytest.mark.parametrize("n,d,s", [(4, 2, 5), (6, 3, 5)])
+    def test_no_jet_kernel_on_zero_derivatives(self, monkeypatch, n, d, s):
+        """No jet inverse or product has only operands whose derivatives are all 0.
+
+        Member r + 1 is fixed, so its blocks of A^-1 B are rational.
+        """
+        wasted = []
+
+        def watched(kernel):
+            def run(*operands):
+                if any(m.k for m in operands) and not any(
+                    any(row[m.cols :]) for m in operands for row in m.num
+                ):
+                    wasted.append(kernel.__name__)
+                return kernel(*operands)
+
+            return run
+
+        for name in ("inverse", "__matmul__"):
+            monkeypatch.setattr(Mat, name, watched(getattr(Mat, name)))
+        assert jacobian_rank(sample_config(n, d, s, seed=1)) == expected_quotient_dim(n, d, s)
+        assert wasted == []
+
     @pytest.mark.parametrize("n,d,s,fixed", FIXED_MEMBERS)
     def test_fixed_members_pinned_per_family(self, n, d, s, fixed):
         assert orbit._fixed_members(n, d, s) == fixed
@@ -523,8 +546,8 @@ class TestBatchedSketch:
             for x, den, q in zip(row, dens, quotients):
                 assert abs(Fraction(x, den) - q) <= Fraction(1, 10**10) * max(abs(q), 1)
 
-    def test_rank_drop_mod_p_reaches_rational_rank(self, monkeypatch):
-        """A sketch whose integer rows lose rank mod 2**61 - 1 is certified over Q."""
+    def test_rank_drop_mod_p_falls_back(self, monkeypatch):
+        """A sketch whose integer rows lose rank mod 2**61 - 1 is not certified: the unit pass decides."""
         p = orbit._RANK_PRIME
         assert p == 2**61 - 1
         assert orbit._rank_mod_p([[p, 0], [0, 1]], p) == 1
@@ -539,7 +562,7 @@ class TestBatchedSketch:
         monkeypatch.setattr(orbit, "expected_quotient_dim", lambda *shape: 2)
         monkeypatch.setattr(orbit, "_jet_pass", crafted)
         assert jacobian_rank(sample_config(4, 2, 5, seed=101)) == 2
-        assert passes == [3]  # the sketch pass only: no unit-direction fallback
+        assert passes == [3, 40]  # the sketch pass, then the unit-direction fallback
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_mod_p_rank_agrees_with_rational_rank(self, n, d, s, seed, pinned):
