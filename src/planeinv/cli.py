@@ -34,13 +34,6 @@ EXIT_DEGENERATE = 4
 EXIT_INCONCLUSIVE = 5
 
 
-def _word_length(text: str) -> int:
-    """A ``--max-len`` value: a nonnegative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planeinv",
@@ -58,13 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="compute the invariant vector")
     p.add_argument("--in", dest="infile", required=True, help="configuration file")
-    p.add_argument("--max-len", type=_word_length, default=None, help="word-length cap")
     p.add_argument("--out", required=True, help="output invariants file")
 
     p = sub.add_parser("orbit-test", help="compare two configurations")
     p.add_argument("--a", required=True, help="first configuration file")
     p.add_argument("--b", required=True, help="second configuration file")
-    p.add_argument("--max-len", type=_word_length, default=None, help="word-length cap")
 
     p = sub.add_parser("rank", help="exact Jacobian rank of the invariant map")
     p.add_argument("--in", dest="infile", required=True, help="configuration file")
@@ -84,7 +75,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_invariants(args) -> int:
     config = fileio.config_from_obj(fileio.load_json(args.infile))
-    vec = orbit.invariant_vector(config, args.max_len)
+    vec = orbit.invariant_vector(config)
     fileio.write_invariants(args.out, vec)
     print(f"wrote {args.out} ({len(vec)} invariants over {len(vec.letter_ids)} letters)")
     return EXIT_OK
@@ -93,7 +84,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_orbit_test(args) -> int:
     a = fileio.config_from_obj(fileio.load_json(args.a))
     b = fileio.config_from_obj(fileio.load_json(args.b))
-    verdict = orbit.same_orbit_test(a, b, args.max_len)
+    verdict = orbit.same_orbit_test(a, b)
     print(verdict)
     if verdict is Verdict.DISTINCT:
         return EXIT_DISTINCT

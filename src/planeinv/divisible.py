@@ -206,6 +206,6 @@ def letters(config: Config) -> tuple:
     return tag, ids, mats, degeneracy
 
 
-def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
+def invariants(config: Config) -> InvariantVector:
     """Trace-invariant vector of a divisible-case configuration, in one pass of :func:`letters`."""
-    return trace_vector(config, *letters(config), max_len)
+    return trace_vector(config, *letters(config))

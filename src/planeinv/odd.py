@@ -384,6 +384,6 @@ def letters(config: Config) -> tuple:
     return tag, ids, mats, degeneracy
 
 
-def invariants(config: Config, max_len: int | None = None) -> InvariantVector:
+def invariants(config: Config) -> InvariantVector:
     """Trace-invariant vector of an odd-multiple configuration, in one pass of :func:`letters`."""
-    return trace_vector(config, *letters(config), max_len)
+    return trace_vector(config, *letters(config))

@@ -56,7 +56,7 @@ from .errors import (
 from . import divisible, odd
 from .grassmann import Config, SplitMix64, Subspace, classify_case
 from .linalg import Mat, _rank_mod_p
-from .words import InvariantVector, enumerate_words, letter_size, max_word_len_for, trace_derivatives
+from .words import InvariantVector, enumerate_words, letter_size, trace_derivatives, words_for
 
 __all__ = [
     "Verdict",
@@ -89,9 +89,9 @@ def _reduction(config: Config):
     return module
 
 
-def invariant_vector(config: Config, max_len: int | None = None) -> InvariantVector:
+def invariant_vector(config: Config) -> InvariantVector:
     """Dispatch to the case pipeline and return the trace-invariant vector."""
-    return _reduction(config).invariants(config, max_len)
+    return _reduction(config).invariants(config)
 
 
 def letter_count(n: int, d: int, s: int) -> int:
@@ -130,29 +130,28 @@ def expected_quotient_dim(n: int, d: int, s: int) -> int:
     return k * m * m - (m * m - 1)
 
 
-def same_orbit_test(a: Config, b: Config, max_len: int | None = None) -> Verdict:
+def same_orbit_test(a: Config, b: Config) -> Verdict:
     """Compare two configurations by their invariant vectors.
 
     Distinct is a certificate (the invariants are constant on orbits).
     Equivalent is asserted only when both configurations are in general
-    position, as recorded by the reduction pass that built each vector, and
-    the words reach the generating length 2**m - 1: then the letters
-    generate the invariant field and separate generic orbits.  Anything
-    degenerate, or agreement on a vector that ``max_len`` truncated, is
-    Inconclusive.
+    position, as recorded by the reduction pass that built each vector:
+    then the letters generate the invariant field, the words reach the
+    generating length 2**m - 1, and the vectors separate generic orbits.
+    Anything degenerate is Inconclusive.
     """
     if (a.n, a.d, a.s) != (b.n, b.d, b.s):
         raise ShapeMismatchError(
             f"shapes differ: ({a.n}, {a.d}, {a.s}) vs ({b.n}, {b.d}, {b.s})"
         )
     try:
-        va = invariant_vector(a, max_len)
-        vb = invariant_vector(b, max_len)
+        va = invariant_vector(a)
+        vb = invariant_vector(b)
     except DegenerateConfigError:
         return Verdict.INCONCLUSIVE
     if va.values != vb.values:
         return Verdict.DISTINCT
-    if va.degeneracy or vb.degeneracy or va.truncated:
+    if va.degeneracy or vb.degeneracy:
         return Verdict.INCONCLUSIVE
     return Verdict.EQUIVALENT
 
@@ -264,8 +263,7 @@ def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:
     tag, _, letters, degeneracy = _reduction(config).letters(Config(jet_subs))
     if degeneracy is not None:
         raise degeneracy.error()
-    words = enumerate_words(len(letters), max_word_len_for(letter_size(tag, config.d)))
-    return trace_derivatives(letters, words)
+    return trace_derivatives(letters, words_for(tag, config.d, len(letters)))
 
 
 def _derivative_rows(config: Config, directions: Sequence[Sequence[int]]) -> tuple[list, int]:

@@ -6,9 +6,9 @@ rotation give the same trace, so only one representative per rotation class
 is evaluated: the lexicographically least rotation, a necklace.  Necklaces
 are generated directly, one length at a time, by the FKM algorithm
 (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang, *Generating necklaces*,
-1992), so the words come in (length, lexicographic) order up to a truncation
-length; lengths beyond 2**m - 1 are algebraically dependent on shorter ones,
-so that is the default and maximal truncation.
+1992), so the words come in (length, lexicographic) order.  Traces of
+words longer than 2**m - 1 are algebraically dependent on shorter ones, so
+every vector stops at that generating length (:func:`words_for`).
 
 Traces are evaluated over the integers: each letter's stored form
 (:class:`planeinv.linalg.Mat`) is already an integer matrix over the
@@ -37,7 +37,7 @@ from .linalg import Mat
 
 
 def max_word_len_for(letter_size: int) -> int:
-    """Default truncation: traces of words up to length 2**m - 1 generate."""
+    """The generating length: traces of words up to length 2**m - 1 generate."""
     return 2**letter_size - 1
 
 
@@ -197,16 +197,22 @@ def letter_size(tag: CaseTag, d: int) -> int:
     return tag.e if tag.kind == "odd_multiple" else d
 
 
+def words_for(tag: CaseTag, d: int, count: int) -> list[tuple[int, ...]]:
+    """The words of a case over ``count`` letters: all up to the generating length."""
+    return enumerate_words(count, max_word_len_for(letter_size(tag, d)))
+
+
 @dataclass(frozen=True)
 class InvariantVector:
     """The ordered trace-invariant vector of a configuration.
 
     ``entries`` pairs each word (tuple of 0-based indices into
-    ``letter_ids``) with its exact trace value.  Two vectors are comparable
-    entry-for-entry iff they share (n, d, s) and ``max_word_len``; the word
-    list is then identical by construction.  ``degeneracy`` is the first
-    genericity condition the configuration fails (``None`` in general
-    position): the reduction pass that built the letters also checked it.
+    ``letter_ids``) with its exact trace value, over the words of
+    :func:`words_for`.  Two vectors are comparable entry-for-entry iff they
+    share (n, d, s); the word list is then identical by construction.
+    ``degeneracy`` is the first genericity condition the configuration fails
+    (``None`` in general position): the reduction pass that built the
+    letters also checked it.
     """
 
     case: CaseTag
@@ -214,7 +220,6 @@ class InvariantVector:
     d: int
     s: int
     letter_ids: tuple[str, ...]
-    max_word_len: int
     entries: tuple[tuple[tuple[int, ...], object], ...]
     degeneracy: Degeneracy | None = None
 
@@ -223,19 +228,12 @@ class InvariantVector:
         return tuple(v for _, v in self.entries)
 
     @property
-    def truncated(self) -> bool:
-        """Whether the words stop short of the generating length 2**m - 1."""
-        bound = max_word_len_for(letter_size(self.case, self.d))
-        return bool(self.letter_ids) and self.max_word_len < bound
+    def max_word_len(self) -> int:
+        """The generating length that bounds the case's words (:func:`words_for`), also with no letters."""
+        return max_word_len_for(letter_size(self.case, self.d))
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def word_len(tag: CaseTag, d: int, max_len: int | None) -> int:
-    """The word length of a case: ``max_len`` clamped to the default (longer words add nothing)."""
-    bound = max_word_len_for(letter_size(tag, d))
-    return bound if max_len is None else max(0, min(max_len, bound))
 
 
 def trace_vector(
@@ -244,11 +242,9 @@ def trace_vector(
     letter_ids: Sequence[str],
     letters: Sequence[Mat],
     degeneracy: Degeneracy | None,
-    max_len: int | None,
 ) -> InvariantVector:
     """The :class:`InvariantVector` of a configuration from what its case's ``letters`` returned."""
-    effective = word_len(tag, config.d, max_len)
-    words = enumerate_words(len(letters), effective)
+    words = words_for(tag, config.d, len(letters))
     values = evaluate_traces(letters, words)
     return InvariantVector(
         case=tag,
@@ -256,7 +252,6 @@ def trace_vector(
         d=config.d,
         s=config.s,
         letter_ids=tuple(letter_ids),
-        max_word_len=effective,
         entries=tuple(zip(words, values)),
         degeneracy=degeneracy,
     )
