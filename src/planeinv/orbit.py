@@ -8,10 +8,26 @@ k*m^2 - (m^2 - 1); a single letter (k = 1, the shapes (2d, d, 4)) has an
 m-dimensional centralizer, and its invariants are the m coefficients of its
 characteristic polynomial, so the dimension is m.
 :func:`expected_quotient_dim` computes that count, and :func:`jacobian_rank`
-measures the actual number of independent invariants at a point by exact
-differentiation, with no floating point and no thresholds.
+measures the actual number of independent invariants at a point, exactly,
+with no floating point and no thresholds.
 
-That count is also an upper bound on the Jacobian rank at *every* point:
+In the divisible case the letters are coordinates on the quotient:
+:func:`planeinv.divisible.embed` is a section, ``letters(embed(x)) == x``,
+and a configuration in general position lies in the orbit of the normal
+form of its letters, so the letters' differential is onto there and the
+Jacobian rank is the rank of the word-trace map at the letters.  At an
+absolutely irreducible tuple of k >= 2 letters that rank is
+k*m^2 - (m^2 - 1): the stabilizer is the scalars, so by Luna's slice
+theorem the quotient is smooth at the tuple's image, and the word traces,
+which generate the invariants, embed the quotient (Le Bruyn-Procesi,
+*Semisimple representations of quivers*, 1990).  For k = 1 it is m at a
+regular letter (Kostant, 1963).  Both conditions are spans of integer
+matrices built from the letters, so :func:`jacobian_rank` certifies them by
+a rank modulo a prime and takes no derivative at all.  The odd family's
+letters are not onto everywhere, so its points, and divisible points that
+fail the certificate, take the jet pass below.
+
+The count is also an upper bound on the Jacobian rank at *every* point:
 the invariants are traces of words in the letters, which are
 conjugation-invariant polynomials, so the Jacobian factors through the
 Jacobian of the trace map at the letters, whose rank nowhere exceeds its
@@ -36,16 +52,17 @@ constant on orbits, have a Jacobian that vanishes on the orbit tangent.
 The rank is therefore reached along the free members alone.  The fixed
 members reach the reduction as plain rational subspaces, so what it builds
 from them alone (A^-1 in the divisible case, the frame of the odd case at
-r <= 2) is computed over the rationals.  Neither the certificate nor the
-fallback depends on F: any directions R give rank(J R) <= rank(J), and the
-fallback still runs along all n*d*s coordinates; F decides only how often
-it has to run.
+r <= 2) is computed over the rationals.  Neither the sketch's certificate
+nor the fallback depends on F: any directions R give rank(J R) <= rank(J),
+and the fallback still runs along all n*d*s coordinates; F decides only
+how often it has to run.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -56,7 +73,15 @@ from .errors import (
 from . import divisible, odd
 from .grassmann import Config, SplitMix64, Subspace, classify_case
 from .linalg import Mat, _rank_mod_p
-from .words import InvariantVector, enumerate_words, letter_size, trace_derivatives, words_for
+from .words import (
+    InvariantVector,
+    _products,
+    _scaled,
+    enumerate_words,
+    letter_size,
+    trace_derivatives,
+    words_for,
+)
 
 __all__ = [
     "Verdict",
@@ -200,6 +225,15 @@ def _sketch_directions(n: int, d: int, s: int) -> tuple[tuple[int, ...], ...]:
 def jacobian_rank(config: Config) -> int:
     """Exact rank of the invariant map's Jacobian J at ``config``.
 
+    In the divisible case with k >= 1 letters the one rational pass of
+    :func:`planeinv.divisible.letters` comes first, and the letters certify
+    the rank when they can (:func:`_irreducible_rank`; the module docstring
+    has the argument): k*m^2 - (m^2 - 1) when the words L_1^i L_2^j span all
+    m x m matrices, m when k = 1 and the commutators [E_ab, L] span
+    m^2 - m dimensions.  That rank comes from the letters' own k and m,
+    never from :func:`expected_quotient_dim`, so a wrong count cannot
+    certify itself.  Anything else falls through to the jet pass.
+
     One reduction over jets and the chain rule on every word up to the
     generating length 2**m - 1 give the exact derivative of every word value
     along all directions at once (in the n*d*s basis entries); no word value
@@ -216,12 +250,20 @@ def jacobian_rank(config: Config) -> int:
     to ``bound`` is the certificate.  A sketch that falls short (a special
     point, an unlucky draw, or a prime that divides a minor) or exceeds
     ``bound`` (a wrong count) is discarded, and the rank is that of one more
-    pass with the n*d*s unit directions, by exact elimination.  The pass
-    pivots on values, so it records the plain pass's degeneracy; a
+    pass with the n*d*s unit directions, by exact elimination.  The jet
+    pass pivots on values, so it records the plain pass's degeneracy; a
     configuration out of general position raises
-    :class:`DegenerateConfigError`, naming the failed condition.
+    :class:`DegenerateConfigError`, naming the failed condition, from
+    whichever pass comes first.
     """
     n, d, s = config.n, config.d, config.s
+    if _reduction(config) is divisible:
+        _, _, letters, degeneracy = divisible.letters(config)
+        if degeneracy is not None:
+            raise degeneracy.error()
+        rank = _irreducible_rank(letters) if letters else None
+        if rank is not None:
+            return rank
     coords = n * d * s
     expected = expected_quotient_dim(n, d, s)
     rows, words = _derivative_rows(config, _sketch_directions(n, d, s))
@@ -230,6 +272,37 @@ def jacobian_rank(config: Config) -> int:
         return bound
     units = [[int(c == k) for c in range(coords)] for k in range(coords)]
     return Mat(_derivative_rows(config, units)[0]).rank()
+
+
+def _irreducible_rank(letters: Sequence[Mat]) -> int | None:
+    """The rank of the word traces' Jacobian at k >= 1 m x m ``letters``, if they certify it.
+
+    For k >= 2 the certificate is that the m^2 words L_1^i L_2^j
+    (0 <= i, j < m) span all m x m matrices, so the letters generate the
+    full matrix algebra and the tuple is absolutely irreducible; the rank
+    is then k*m^2 - (m^2 - 1).  For k = 1 it is that the commutators
+    [E_ab, L] with the matrix units span a space of dimension m^2 - m, so L
+    is regular; the rank is then m.  Both spans are ranks of integer
+    matrices (each letter scaled by its denominator, which changes no span)
+    taken modulo :data:`_RANK_PRIME`, which can only lower them, and
+    neither rank can exceed its target over the rationals, so a match is a
+    proof.  Anything else gives None.  k and m are read from the letters
+    themselves, never from :func:`expected_quotient_dim`.
+    """
+    k, m = len(letters), letters[0].rows
+    pairs = _scaled(letters)
+    if k == 1:
+        value = pairs[0][0]
+        rows = []
+        for a in range(m):
+            for b in range(m):
+                unit = Mat._form([[int((i, j) == (a, b)) for j in range(m)] for i in range(m)], 1, m)
+                rows.append(list(chain.from_iterable((unit @ value - value @ unit).num)))
+        return m if _rank_mod_p(rows, _RANK_PRIME) == m * m - m else None
+    product = _products(pairs[:2])
+    words = [(0,) * i + (1,) * j for i in range(m) for j in range(m)]
+    rows = [list(chain.from_iterable(product(w)[0].num)) for w in words]
+    return k * m * m - (m * m - 1) if _rank_mod_p(rows, _RANK_PRIME) == m * m else None
 
 
 def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:

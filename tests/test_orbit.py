@@ -20,6 +20,7 @@ from planeinv.grassmann import (
     Subspace,
     act_left,
     act_right,
+    classify_case,
     sample_config,
     sample_invertible,
 )
@@ -278,8 +279,25 @@ def difference_quotients(config, directions, t):
 
 def diag_pair_config():
     """A (4,2,5) point where two commuting letters make the rank fall to 4."""
-    grid = ((Mat([[1, 0], [0, 2]]), Mat([[2, 0], [0, 1]])),)
-    return embed(ReducedDivisible(d=2, r=2, s=5, grid=grid))
+    return diag_grid_config(4, 2, 5)
+
+
+def diag_grid_config(n, d, s):
+    """The divisible normal form whose letters are diagonal: letter t holds 1..d rotated by t.
+
+    Diagonal letters commute, so the tuple is reducible and its rank is
+    below the count.
+    """
+    r = n // d
+    letters = [
+        Mat([[((i + t) % d + 1) * (i == j) for j in range(d)] for i in range(d)]) for t in range(s - r - 1)
+    ]
+    return embed(ReducedDivisible(d=d, r=r, s=s, grid=(tuple(letters),) * (r - 1)))
+
+
+def one_letter_config(letter):
+    """The (4,2,4) normal form whose one letter is ``letter``."""
+    return embed(ReducedDivisible(d=2, r=2, s=4, grid=((Mat(letter),),)))
 
 
 def point_id(value):
@@ -326,6 +344,11 @@ FIXED_MEMBERS = [
 JACOBIAN_BENCH_SHAPES = [(3, 2, 6), (4, 2, 5), (5, 2, 5)]
 
 
+def without_certificate(monkeypatch):
+    """Send every divisible rank through the sketch, as at a point the letters cannot certify."""
+    monkeypatch.setattr(orbit, "_irreducible_rank", lambda letters: None)
+
+
 def counted_passes(monkeypatch):
     """The number of directions of every jet pass from now on, in order."""
     passes = []
@@ -346,8 +369,8 @@ class TestRankSketch:
         assert jacobian_rank(c) == exhaustive_rank(c) == 4
 
     def test_certified_rank_takes_bound_plus_one_passes(self, monkeypatch):
-        """One reduction per family, with the F fixed members rational and the others jets."""
-        points = [(4, 2, 5, 101, 3), (3, 2, 6, 303, 4), (5, 2, 5, 404, 4), (7, 2, 7, 1, 4)]
+        """One reduction per odd point, with the F fixed members rational and the others jets."""
+        points = [(3, 2, 6, 303, 4), (5, 2, 5, 404, 4), (7, 2, 7, 1, 4)]
         configs = [sample_config(n, d, s, seed=seed) for n, d, s, seed, _ in points]
         calls = []
 
@@ -373,8 +396,12 @@ class TestRankSketch:
     def test_no_jet_kernel_on_zero_derivatives(self, monkeypatch, n, d, s):
         """No jet inverse or product has only operands whose derivatives are all 0.
 
-        Member r + 1 is fixed, so its blocks of A^-1 B are rational.
+        Commuting letters fail the certificate, so the sketch pass runs,
+        then the unit-direction pass.  Member r + 1 is fixed in the sketch,
+        so its blocks of A^-1 B are rational there.
         """
+        c = diag_grid_config(n, d, s)
+        passes = counted_passes(monkeypatch)
         wasted = []
 
         def watched(kernel):
@@ -389,7 +416,8 @@ class TestRankSketch:
 
         for name in ("inverse", "__matmul__"):
             monkeypatch.setattr(Mat, name, watched(getattr(Mat, name)))
-        assert jacobian_rank(sample_config(n, d, s, seed=1)) == expected_quotient_dim(n, d, s)
+        assert jacobian_rank(c) == {(4, 2, 5): 4, (6, 3, 5): 6}[n, d, s]
+        assert passes == [len(orbit._sketch_directions(n, d, s)), n * d * s]
         assert wasted == []
 
     @pytest.mark.parametrize("n,d,s,fixed", FIXED_MEMBERS)
@@ -419,6 +447,8 @@ class TestRankSketch:
         + [(*shape, seed) for shape in JACOBIAN_BENCH_SHAPES for seed in range(1, 9)],
     )
     def test_one_pass_without_fallback(self, monkeypatch, n, d, s, seed):
+        """The sketch certifies in one pass; divisible points go without their certificate here."""
+        without_certificate(monkeypatch)
         passes = counted_passes(monkeypatch)
         assert jacobian_rank(sample_config(n, d, s, seed=seed)) == expected_quotient_dim(n, d, s)
         assert passes == [len(orbit._sketch_directions(n, d, s))]
@@ -427,6 +457,7 @@ class TestRankSketch:
     @pytest.mark.parametrize("n,d,s,seed,true_rank", [(4, 2, 5, 101, 5), (5, 2, 5, 404, 6)])
     def test_wrong_fixed_count_stays_exact(self, monkeypatch, n, d, s, seed, true_rank, extra):
         """Fixing too many members (all of them at ``extra = 5``) only costs the fallback pass."""
+        without_certificate(monkeypatch)
         fixed = orbit._fixed_members
         monkeypatch.setattr(orbit, "_fixed_members", lambda *shape: min(shape[2], fixed(*shape) + extra))
         passes = counted_passes(monkeypatch)
@@ -481,6 +512,72 @@ class TestRankSketch:
             orbit, "expected_quotient_dim", lambda *shape: expected_quotient_dim(*shape) + shift
         )
         assert jacobian_rank(sample_config(n, d, s, seed=seed)) == true_rank
+
+
+# The divisible points the letters' certificate decides: the divisible rank
+# cells and the (4,2,5) points of the jacobian benchmark workload.
+CERTIFIED_POINTS = [cell[:4] for cell in RANK_CELLS if classify_case(*cell[:2]).kind == "divisible"] + [
+    (4, 2, 5, seed) for seed in range(1, 9)
+]
+
+
+class TestIrreducibleCertificate:
+    @pytest.mark.parametrize("n,d,s,seed", CERTIFIED_POINTS)
+    def test_divisible_rank_takes_no_jet_pass(self, monkeypatch, n, d, s, seed):
+        """One rational reduction certifies the count, with no jet pass."""
+        c = sample_config(n, d, s, seed=seed)
+        calls = []
+        letters = divisible.letters
+        monkeypatch.setattr(divisible, "letters", lambda config: calls.append(config) or letters(config))
+        passes = counted_passes(monkeypatch)
+        assert jacobian_rank(c) == expected_quotient_dim(n, d, s)
+        assert passes == []
+        (reduced,) = calls
+        assert all(sub.basis.k is None for sub in reduced.subspaces)
+
+    @pytest.mark.parametrize(
+        "make,rank",
+        [
+            (diag_pair_config, 4),
+            (lambda: one_letter_config([[3, 0], [0, 3]]), 1),
+            (lambda: sample_config(4, 2, 5, seed=42, bound=1), 4),
+        ],
+        ids=["diag-pair", "scalar-letter", "equal-letters"],
+    )
+    def test_uncertified_letters_fall_back(self, monkeypatch, make, rank):
+        """Commuting letters, a scalar letter and a draw with two equal letters fail the certificate.
+
+        The sketch pass falls short, and the unit-direction pass decides.
+        """
+        c = make()
+        passes = counted_passes(monkeypatch)
+        assert jacobian_rank(c) == rank
+        assert passes == [len(orbit._sketch_directions(c.n, c.d, c.s)), c.n * c.d * c.s]
+        assert exhaustive_rank(c) == rank
+
+    def test_jordan_block_letter_certified(self, monkeypatch):
+        """A single Jordan block is regular, so its rank m = 2 needs no jet pass."""
+        c = one_letter_config([[2, 1], [0, 2]])
+        passes = counted_passes(monkeypatch)
+        assert jacobian_rank(c) == 2
+        assert passes == []
+        assert exhaustive_rank(c) == 2
+
+    def test_one_by_one_letters_always_certified(self):
+        assert orbit._irreducible_rank([Mat([[0]])]) == 1
+        assert orbit._irreducible_rank([Mat([[0]]), Mat([[Fraction(1, 3)]]), Mat([[5]])]) == 3
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    @pytest.mark.parametrize("shape", [(4, 2, 4), (4, 2, 5), (4, 2, 6)])
+    def test_agrees_with_exhaustive_on_bound_one_grid(self, shape, seed):
+        c = sample_config(*shape, seed=seed, bound=1)
+        assert jacobian_rank(c) == exhaustive_rank(c)
+
+    @pytest.mark.parametrize("n,d,s,rank", [(9, 3, 6, 28), (8, 4, 5, 17)])
+    def test_wide_ranks_take_no_jet_pass(self, monkeypatch, n, d, s, rank):
+        passes = counted_passes(monkeypatch)
+        assert jacobian_rank(sample_config(n, d, s, seed=1)) == rank
+        assert passes == []
 
 
 # sha256 of the exact rows of one jet pass along the first
@@ -558,8 +655,8 @@ class TestBatchedSketch:
 
         monkeypatch.setattr(orbit, "expected_quotient_dim", lambda *shape: 2)
         monkeypatch.setattr(orbit, "_jet_pass", crafted)
-        assert jacobian_rank(sample_config(4, 2, 5, seed=101)) == 2
-        assert passes == [3, 40]  # the sketch pass, then the unit-direction fallback
+        assert jacobian_rank(sample_config(5, 2, 5, seed=404)) == 2
+        assert passes == [3, 50]  # the sketch pass, then the unit-direction fallback
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_mod_p_rank_agrees_with_rational_rank(self, n, d, s, seed, pinned):
