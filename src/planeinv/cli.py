@@ -16,7 +16,6 @@ unparseable or unsupported input), 3 Distinct, 4 degenerate configuration
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import fileio, orbit
@@ -35,9 +34,7 @@ EXIT_DEGENERATE = 4
 EXIT_INCONCLUSIVE = 5
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="planeinv",
         description="Exact rational invariants of subspace configurations.",

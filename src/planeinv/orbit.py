@@ -21,9 +21,18 @@ k*m^2 - (m^2 - 1): the stabilizer is the scalars, so by Luna's slice
 theorem the quotient is smooth at the tuple's image, and the word traces,
 which generate the invariants, embed the quotient (Le Bruyn-Procesi,
 *Semisimple representations of quivers*, 1990).  For k = 1 it is m at a
-regular letter (Kostant, 1963).  Both conditions are spans of integer
-matrices built from the letters, so :func:`jacobian_rank` certifies them by
-a rank modulo a prime and takes no derivative at all.  The odd family's
+regular letter (Kostant, 1963).  Both conditions are the linear
+independence of words in the letters: for k >= 2 the m^2 words
+L_1^i L_2^j (0 <= i, j < m) span all m x m matrices exactly when the
+letters generate the full matrix algebra, i.e. the tuple is absolutely
+irreducible; for k = 1, I, L, ..., L^(m-1) are independent exactly when
+L's minimal polynomial is its characteristic polynomial, i.e. L is
+regular.  Scaling a letter by its denominator changes no span, so these
+are ranks of integer matrices; :func:`jacobian_rank` takes them modulo a
+prime, which can only lower a rank, and a rank equal to the number of
+words is a proof.  The returned rank comes from the letters' own k and m,
+never from :func:`expected_quotient_dim`, so a wrong count cannot certify
+itself, and no derivative is taken at all.  The odd family's
 letters are not onto everywhere, so its points, and divisible points that
 fail the certificate, take the jet pass below.
 
@@ -226,13 +235,10 @@ def jacobian_rank(config: Config) -> int:
     """Exact rank of the invariant map's Jacobian J at ``config``.
 
     In the divisible case with k >= 1 letters the one rational pass of
-    :func:`planeinv.divisible.letters` comes first, and the letters certify
-    the rank when they can (:func:`_irreducible_rank`; the module docstring
-    has the argument): k*m^2 - (m^2 - 1) when the words L_1^i L_2^j span all
-    m x m matrices, m when k = 1 and the commutators [E_ab, L] span
-    m^2 - m dimensions.  That rank comes from the letters' own k and m,
-    never from :func:`expected_quotient_dim`, so a wrong count cannot
-    certify itself.  Anything else falls through to the jet pass.
+    :func:`planeinv.divisible.letters` comes first, and
+    :func:`_irreducible_rank` returns the rank when the letters certify it
+    (the module docstring has the argument).  Anything else falls through
+    to the jet pass.
 
     One reduction over jets and the chain rule on every word up to the
     generating length 2**m - 1 give the exact derivative of every word value
@@ -275,34 +281,19 @@ def jacobian_rank(config: Config) -> int:
 
 
 def _irreducible_rank(letters: Sequence[Mat]) -> int | None:
-    """The rank of the word traces' Jacobian at k >= 1 m x m ``letters``, if they certify it.
+    """The rank of the word traces' Jacobian at k >= 1 m x m ``letters``, or None.
 
-    For k >= 2 the certificate is that the m^2 words L_1^i L_2^j
-    (0 <= i, j < m) span all m x m matrices, so the letters generate the
-    full matrix algebra and the tuple is absolutely irreducible; the rank
-    is then k*m^2 - (m^2 - 1).  For k = 1 it is that the commutators
-    [E_ab, L] with the matrix units span a space of dimension m^2 - m, so L
-    is regular; the rank is then m.  Both spans are ranks of integer
-    matrices (each letter scaled by its denominator, which changes no span)
-    taken modulo :data:`_RANK_PRIME`, which can only lower them, and
-    neither rank can exceed its target over the rationals, so a match is a
-    proof.  Anything else gives None.  k and m are read from the letters
-    themselves, never from :func:`expected_quotient_dim`.
+    Checks, modulo :data:`_RANK_PRIME`, that the words L_1^i L_2^j
+    (0 <= i, j < m; j = 0 alone when k = 1) are linearly independent, and
+    then returns k*m^2 - (m^2 - 1), or m when k = 1.
     """
     k, m = len(letters), letters[0].rows
-    pairs = _scaled(letters)
-    if k == 1:
-        value = pairs[0][0]
-        rows = []
-        for a in range(m):
-            for b in range(m):
-                unit = Mat._form([[int((i, j) == (a, b)) for j in range(m)] for i in range(m)], 1, m)
-                rows.append(list(chain.from_iterable((unit @ value - value @ unit).num)))
-        return m if _rank_mod_p(rows, _RANK_PRIME) == m * m - m else None
-    product = _products(pairs[:2])
-    words = [(0,) * i + (1,) * j for i in range(m) for j in range(m)]
+    product = _products(_scaled(letters[:2]))
+    words = [(0,) * i + (1,) * j for i in range(m) for j in range(m if k > 1 else 1)]
     rows = [list(chain.from_iterable(product(w)[0].num)) for w in words]
-    return k * m * m - (m * m - 1) if _rank_mod_p(rows, _RANK_PRIME) == m * m else None
+    if _rank_mod_p(rows, _RANK_PRIME) < len(words):
+        return None
+    return m if k == 1 else k * m * m - (m * m - 1)
 
 
 def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:

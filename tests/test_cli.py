@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeinv import cli, fileio, orbit
+from planeinv import fileio, orbit
 from planeinv.cli import main
 from planeinv.divisible import ReducedDivisible, embed
 from planeinv.grassmann import Config, SplitMix64, Subspace, act_left, sample_config, sample_invertible
@@ -507,24 +507,3 @@ class TestArgparseBehavior:
     def test_help_exits_0(self, capsys):
         assert run("--help") == 0
         assert "planeinv" in capsys.readouterr().out
-
-    def test_shared_parser_matches_fresh_parsers(self, tmp_path, capsys):
-        """Calls through the one cached parser print and exit as with a new parser each."""
-        cfg = tmp_path / "c.json"
-        assert run("gen", "--n", 4, "--d", 2, "--s", 5, "--seed", 1, "--out", cfg) == 0
-        calls = [("rank", "--in", cfg), ("rank", "--in", cfg, "--bogus", 1), ("rank", "--in", cfg), ("--help",)]
-
-        def outcomes(fresh):
-            got = []
-            for argv in calls:
-                if fresh:
-                    cli._build_parser.cache_clear()
-                got.append((run(*argv), *capsys.readouterr()))
-            return got
-
-        capsys.readouterr()
-        shared = outcomes(fresh=False)
-        assert [code for code, _, _ in shared] == [0, 2, 0, 0]
-        assert shared[0] == shared[2] and "--bogus" in shared[1][2]
-        assert outcomes(fresh=True) == shared
-        assert cli._build_parser() is cli._build_parser()
