@@ -32,9 +32,9 @@ are ranks of integer matrices; :func:`jacobian_rank` takes them modulo a
 prime, which can only lower a rank, and a rank equal to the number of
 words is a proof.  The returned rank comes from the letters' own k and m,
 never from :func:`expected_quotient_dim`, so a wrong count cannot certify
-itself, and no derivative is taken at all.  The odd family's
-letters are not onto everywhere, so its points, and divisible points that
-fail the certificate, take the jet pass below.
+itself, and no derivative is taken at all.  The odd family's letters are
+not onto everywhere, so its points, and divisible points that fail the
+certificate, take the jet pass below.
 
 The count is also an upper bound on the Jacobian rank at *every* point:
 the invariants are traces of words in the letters, which are
