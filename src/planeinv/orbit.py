@@ -32,9 +32,22 @@ are ranks of integer matrices; :func:`jacobian_rank` takes them modulo a
 prime, which can only lower a rank, and a rank equal to the number of
 words is a proof.  The returned rank comes from the letters' own k and m,
 never from :func:`expected_quotient_dim`, so a wrong count cannot certify
-itself, and no derivative is taken at all.  The odd family's letters are
-not onto everywhere, so its points, and divisible points that fail the
-certificate, take the jet pass below.
+itself, and no derivative is taken at all.
+
+The odd family at r = 1 (n = 3e) has a normal form as well.  Let E(x) be
+the configuration whose members 1-3 are the coordinate blocks (1,2), (1,3)
+and (2,3) of (Q^e)^3, whose member 4 is graph(I, I), and whose member
+i >= 5 is graph(x_{2i-1}, x_{2i}), where graph(A, B) spans (u, v, A u + B v).
+A point p that passes the reduction, with frame H and member 4's pair
+(alpha_7, alpha_8), is moved to E(sigma(p)) by block-diag(alpha_7,
+alpha_8, I) H^-1.  The letters of E(x) are x conjugated by one common
+matrix, so T(L(E(x))) = T(x) for the word-trace map T and the letters L,
+and the rank at p is at least the rank of T at sigma(p), which the same
+certificate decides; the count bounds it from above.  At r >= 2 no such
+argument holds, and it fails in fact: (5,2,5) at bound 1, seeds 6 and 33,
+has rank 3 although its letters pass the certificate's check, which would
+give 6.  So r >= 2 points, and points that fail the certificate, take the
+jet pass below.
 
 The count is also an upper bound on the Jacobian rank at *every* point:
 the invariants are traces of words in the letters, which are
@@ -234,11 +247,13 @@ def _sketch_directions(n: int, d: int, s: int) -> tuple[tuple[int, ...], ...]:
 def jacobian_rank(config: Config) -> int:
     """Exact rank of the invariant map's Jacobian J at ``config``.
 
-    In the divisible case with k >= 1 letters the one rational pass of
-    :func:`planeinv.divisible.letters` comes first, and
+    In the divisible case and in the odd case at r = 1, where the letters
+    are the coordinates of a normal form, the one rational ``letters`` pass
+    comes first: with no letters the rank is 0, and otherwise
     :func:`_irreducible_rank` returns the rank when the letters certify it
-    (the module docstring has the argument).  Anything else falls through
-    to the jet pass.
+    (the module docstring has the argument, E(x) at r = 1).  At r >= 2 the
+    letters' differential is not onto everywhere, so those points, and
+    anything the letters do not certify, fall through to the jet pass.
 
     One reduction over jets and the chain rule on every word up to the
     generating length 2**m - 1 give the exact derivative of every word value
@@ -263,11 +278,12 @@ def jacobian_rank(config: Config) -> int:
     whichever pass comes first.
     """
     n, d, s = config.n, config.d, config.s
-    if _reduction(config) is divisible:
-        _, _, letters, degeneracy = divisible.letters(config)
+    module = _reduction(config)
+    if module is divisible or classify_case(n, d).r == 1:
+        _, _, letters, degeneracy = module.letters(config)
         if degeneracy is not None:
             raise degeneracy.error()
-        rank = _irreducible_rank(letters) if letters else None
+        rank = _irreducible_rank(letters) if letters else 0
         if rank is not None:
             return rank
     coords = n * d * s

@@ -399,6 +399,18 @@ class TestRankCmd:
         assert run("rank", "--in", deg) == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_degenerate_odd_r1_names_the_kernel(self, tmp_path, capsys):
+        # the rational pass at r = 1 raises what the reduction over jets raised
+        deg = tmp_path / "deg.json"
+        c = sample_config(3, 2, 6, seed=1)
+        subs = list(c.subspaces)
+        subs[1] = subs[0]
+        fileio.write_json(deg, fileio.config_to_obj(Config(tuple(subs))))
+        assert run("rank", "--in", deg) == 4
+        assert capsys.readouterr().err.strip() == (
+            "error: intersection kernel of blocks [1] with block 2 has dimension 2, expected 1"
+        )
+
 
 class TestEmbedCmd:
     def _letters_file(self, tmp_path):

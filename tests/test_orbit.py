@@ -24,7 +24,7 @@ from planeinv.grassmann import (
     sample_config,
     sample_invertible,
 )
-from planeinv.linalg import Mat
+from planeinv.linalg import Mat, hstack, vstack
 from planeinv.orbit import (
     Verdict,
     expected_quotient_dim,
@@ -33,7 +33,7 @@ from planeinv.orbit import (
     letter_count,
     same_orbit_test,
 )
-from planeinv.words import enumerate_words, max_word_len_for
+from planeinv.words import enumerate_words, evaluate_traces, max_word_len_for
 
 
 def naive_quotient_dim(n, d, s):
@@ -220,9 +220,12 @@ class TestVectorAndRank:
         assert [w for w, _ in v.entries] == enumerate_words(letter_count(n, d, s), 2**m - 1)
         assert v.max_word_len == 2**m - 1
 
-    def test_rank_zero_on_trivial(self):
+    def test_rank_zero_on_trivial(self, monkeypatch):
+        """No letters, no words: the rational pass answers 0 and no jet pass runs."""
+        passes = counted_passes(monkeypatch)
         assert jacobian_rank(sample_config(4, 2, 3, seed=1)) == 0
         assert jacobian_rank(sample_config(3, 2, 4, seed=1)) == 0
+        assert passes == []
 
     def test_rank_requires_general_position(self):
         c = sample_config(4, 2, 5, seed=3)
@@ -295,6 +298,36 @@ def diag_grid_config(n, d, s):
     return embed(ReducedDivisible(d=d, r=r, s=s, grid=(tuple(letters),) * (r - 1)))
 
 
+def odd_normal_form(letters):
+    """E(x) at r = 1: a configuration whose sigma letters are ``letters`` up to one common conjugation.
+
+    In (Q^e)^3, members 1-3 are the coordinate blocks (1,2), (1,3) and
+    (2,3), member 4 is graph(I, I), and member i >= 5 is graph(x_{2i-1},
+    x_{2i}), where graph(A, B) spans (u, v, A u + B v) and x_9, x_10, ...
+    are ``letters`` in order.
+    """
+    e = letters[0].rows
+    eye = [[int(i == j) for j in range(e)] for i in range(e)]
+    zero = [[0] * e for _ in range(e)]
+
+    def member(*block_rows):
+        return Subspace(Mat([a + b for left, right in block_rows for a, b in zip(left, right)]))
+
+    subs = [
+        member((eye, zero), (zero, eye), (zero, zero)),
+        member((eye, zero), (zero, zero), (zero, eye)),
+        member((zero, zero), (eye, zero), (zero, eye)),
+        member((eye, zero), (zero, eye), (eye, eye)),
+    ]
+    pairs = [(x.data, y.data) for x, y in zip(letters[::2], letters[1::2])]
+    return Config(subs + [member((eye, zero), (zero, eye), pair) for pair in pairs])
+
+
+def odd_diag_config():
+    """A (6,4,6) normal form E(x) whose four sigma letters are diagonal, so they commute."""
+    return odd_normal_form([Mat([[a, 0], [0, b]]) for a, b in [(1, 2), (2, 3), (3, 5), (5, 7)]])
+
+
 def one_letter_config(letter):
     """The (4,2,4) normal form whose one letter is ``letter``."""
     return embed(ReducedDivisible(d=2, r=2, s=4, grid=((Mat(letter),),)))
@@ -345,7 +378,7 @@ JACOBIAN_BENCH_SHAPES = [(3, 2, 6), (4, 2, 5), (5, 2, 5)]
 
 
 def without_certificate(monkeypatch):
-    """Send every divisible rank through the sketch, as at a point the letters cannot certify."""
+    """Send every certified family's rank through the sketch, as at a point the letters cannot certify."""
     monkeypatch.setattr(orbit, "_irreducible_rank", lambda letters: None)
 
 
@@ -369,7 +402,12 @@ class TestRankSketch:
         assert jacobian_rank(c) == exhaustive_rank(c) == 4
 
     def test_certified_rank_takes_bound_plus_one_passes(self, monkeypatch):
-        """One reduction per odd point, with the F fixed members rational and the others jets."""
+        """One reduction over jets per odd point, with the F fixed members rational and the others jets.
+
+        Without its certificate, the r = 1 point runs the rational pass
+        first; the reduction over jets is the last ``letters`` call.
+        """
+        without_certificate(monkeypatch)
         points = [(3, 2, 6, 303, 4), (5, 2, 5, 404, 4), (7, 2, 7, 1, 4)]
         configs = [sample_config(n, d, s, seed=seed) for n, d, s, seed, _ in points]
         calls = []
@@ -388,7 +426,8 @@ class TestRankSketch:
             expected = expected_quotient_dim(n, d, s)
             assert jacobian_rank(c) == expected
             # one reduction over jets carries all expected + 1 directions
-            (reduced,) = calls
+            reduced = calls[-1]
+            assert len(calls) == (2 if classify_case(n, d).r == 1 else 1)
             ks = [sub.basis.k for sub in reduced.subspaces]
             assert ks == [None] * fixed + [expected + 1] * (s - fixed), (n, d, s)
 
@@ -497,11 +536,16 @@ class TestRankSketch:
         assert jacobian_rank(c) == exhaustive_rank(c)
 
     @pytest.mark.parametrize("point,true_rank", [((5, 2, 5, 33), 3), ((3, 2, 5, 40), 2)], ids=point_id)
-    def test_rank_at_zero_valued_jets(self, point, true_rank):
+    def test_rank_at_zero_valued_jets(self, monkeypatch, point, true_rank):
         # The reduction over jets meets entries of value 0 with a nonzero
         # derivative here; leaving them uncleared gave the ranks 4 and 1.
+        # The r = 1 point is certified by its letters, so it runs once more
+        # without the certificate to reach the jets.
         n, d, s, seed = point
-        assert jacobian_rank(sample_config(n, d, s, seed=seed, bound=1)) == true_rank
+        c = sample_config(n, d, s, seed=seed, bound=1)
+        assert jacobian_rank(c) == true_rank
+        without_certificate(monkeypatch)
+        assert jacobian_rank(c) == true_rank
 
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize(
@@ -521,19 +565,90 @@ CERTIFIED_POINTS = [cell[:4] for cell in RANK_CELLS if classify_case(*cell[:2]).
 ]
 
 
+# The odd r = 1 points the letters' certificate is checked against the jet
+# route on: (n, d, s, bound, seed).
+R1_POINTS = [
+    (*shape, bound, seed)
+    for shape, bounds, seeds in [
+        ((3, 2, 5), (1, 2, 10), 10),
+        ((3, 2, 6), (1, 2, 10), 10),
+        ((3, 2, 7), (1, 2, 10), 10),
+        ((6, 4, 5), (1, 10), 5),
+        ((6, 4, 6), (1, 10), 5),
+    ]
+    for bound in bounds
+    for seed in range(1, seeds + 1)
+]
+
+
+def assert_one_rational_pass(monkeypatch, module, c, rank):
+    """``jacobian_rank(c)`` is ``rank``, from one rational ``module.letters`` pass and no jet pass."""
+    calls = []
+    letters = module.letters
+    monkeypatch.setattr(module, "letters", lambda config: calls.append(config) or letters(config))
+    passes = counted_passes(monkeypatch)
+    assert jacobian_rank(c) == rank
+    assert passes == []
+    (reduced,) = calls
+    assert all(sub.basis.k is None for sub in reduced.subspaces)
+
+
 class TestIrreducibleCertificate:
     @pytest.mark.parametrize("n,d,s,seed", CERTIFIED_POINTS)
     def test_divisible_rank_takes_no_jet_pass(self, monkeypatch, n, d, s, seed):
         """One rational reduction certifies the count, with no jet pass."""
         c = sample_config(n, d, s, seed=seed)
-        calls = []
-        letters = divisible.letters
-        monkeypatch.setattr(divisible, "letters", lambda config: calls.append(config) or letters(config))
-        passes = counted_passes(monkeypatch)
-        assert jacobian_rank(c) == expected_quotient_dim(n, d, s)
-        assert passes == []
-        (reduced,) = calls
-        assert all(sub.basis.k is None for sub in reduced.subspaces)
+        assert_one_rational_pass(monkeypatch, divisible, c, expected_quotient_dim(n, d, s))
+
+    @pytest.mark.parametrize(
+        "n,d,s,seed,rank", [(3, 2, 6, seed, 4) for seed in range(1, 9)] + [(9, 6, 6, 1, 28)]
+    )
+    def test_odd_r1_rank_takes_no_jet_pass(self, monkeypatch, n, d, s, seed, rank):
+        """The jacobian benchmark's (3,2,6) points and the wide (9,6,6): one rational reduction."""
+        assert expected_quotient_dim(n, d, s) == rank
+        assert_one_rational_pass(monkeypatch, odd, sample_config(n, d, s, seed=seed), rank)
+
+    @pytest.mark.parametrize("n,d,s,bound,seed", R1_POINTS)
+    def test_odd_r1_agrees_with_jet_route(self, monkeypatch, n, d, s, bound, seed):
+        c = sample_config(n, d, s, seed=seed, bound=bound)
+        rank = jacobian_rank(c)
+        without_certificate(monkeypatch)
+        assert jacobian_rank(c) == rank
+
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_odd_normal_form_letters_are_its_coordinates(self, e):
+        """The word traces of E(x) are those of x: its letters are x up to one common conjugation."""
+        rng = SplitMix64(e)
+        for _ in range(5):
+            xs = [Mat([[rng.next_int(9) for _ in range(e)] for _ in range(e)]) for _ in range(4)]
+            v = invariant_vector(odd_normal_form(xs))
+            assert v.degeneracy is None
+            assert v.values == tuple(evaluate_traces(xs, enumerate_words(4, 2**e - 1)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(3, 2, 6), (6, 4, 6), (6, 4, 7)])
+    def test_odd_normal_form_reaches_every_point(self, shape, seed):
+        """block-diag(alpha_7, alpha_8, I) H^-1 moves a point to E(sigma) of its own letters."""
+        c = sample_config(*shape, seed=seed)
+        tag = classify_case(c.n, c.d)
+        h = odd.frame_odd(c, tag)
+        alphas = odd._alpha_pairs(c, tag, h)
+        e = tag.e
+        blocks = [alphas[7], alphas[8], Mat.identity(e)]
+        zero = Mat.zeros(e, e)
+        diag = vstack([hstack([b if i == j else zero for j in range(3)]) for i, b in enumerate(blocks)])
+        assert act_left(diag @ h.inverse(), c) == odd_normal_form(list(odd.letters(c)[2]))
+
+    @pytest.mark.parametrize("seed", [6, 33])
+    def test_odd_r2_letters_do_not_certify(self, seed):
+        """At r >= 2 the letters' differential is not onto everywhere, so the letters decide nothing.
+
+        These letters pass the certificate's check, which would give 6;
+        the jet pass finds 3.
+        """
+        c = sample_config(5, 2, 5, seed=seed, bound=1)
+        assert orbit._irreducible_rank(odd.letters(c)[2]) == 6
+        assert jacobian_rank(c) == 3
 
     @pytest.mark.parametrize(
         "make,rank",
@@ -541,13 +656,16 @@ class TestIrreducibleCertificate:
             (diag_pair_config, 4),
             (lambda: one_letter_config([[3, 0], [0, 3]]), 1),
             (lambda: sample_config(4, 2, 5, seed=42, bound=1), 4),
+            (odd_diag_config, 8),
         ],
-        ids=["diag-pair", "scalar-letter", "equal-letters"],
+        ids=["diag-pair", "scalar-letter", "equal-letters", "odd-diag"],
     )
     def test_uncertified_letters_fall_back(self, monkeypatch, make, rank):
-        """Commuting letters, a scalar letter and a draw with two equal letters fail the certificate.
+        """Letters that fail the certificate take the sketch pass, then the unit-direction pass.
 
-        The sketch pass falls short, and the unit-direction pass decides.
+        Commuting letters, a scalar letter, a draw with two equal letters,
+        and commuting sigma letters at (6,4,6): the sketch pass falls short,
+        and the unit-direction pass decides.
         """
         c = make()
         passes = counted_passes(monkeypatch)
