@@ -12,12 +12,12 @@ Public API highlights:
 * :func:`planeinv.grassmann.sample_config` / :class:`planeinv.grassmann.Config`
 * :func:`planeinv.orbit.invariant_vector` / :func:`planeinv.orbit.same_orbit_test`
 * :func:`planeinv.orbit.jacobian_rank` / :func:`planeinv.orbit.expected_quotient_dim`
-* :func:`planeinv.divisible.embed` (normal form from a letter grid)
+* :func:`planeinv.divisible.embed` (normal form from divisible-case letters)
 * ``planeinv`` command-line tool (see :mod:`planeinv.cli`)
 """
 
 from . import errors
-from .divisible import ReducedDivisible, embed, matrix_data
+from .divisible import embed
 from .grassmann import (
     CaseTag,
     Config,
@@ -32,7 +32,7 @@ from .grassmann import (
     sample_config,
     sample_invertible,
 )
-from .linalg import Jet, Mat, Rat
+from .linalg import Jet, Mat
 from .orbit import (
     Verdict,
     enumerate_words,
@@ -52,8 +52,6 @@ __all__ = [
     "InvariantVector",
     "Jet",
     "Mat",
-    "Rat",
-    "ReducedDivisible",
     "SplitMix64",
     "Subspace",
     "Verdict",
@@ -70,7 +68,6 @@ __all__ = [
     "invariant_vector",
     "jacobian_rank",
     "letter_count",
-    "matrix_data",
     "sample_config",
     "sample_invertible",
     "same_orbit_test",

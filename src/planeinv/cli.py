@@ -18,8 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fileio, orbit
-from .divisible import embed, matrix_data
+from . import divisible, fileio, orbit
 from .errors import (
     DegenerateConfigError,
     DegenerateSamplingExhausted,
@@ -102,9 +101,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    rd = fileio.letters_from_obj(fileio.load_json(args.infile))
-    config = embed(rd)
-    assert matrix_data(config).grid == rd.grid  # embed contract: exact roundtrip
+    d, r, s, letters = fileio.letters_from_obj(fileio.load_json(args.infile))
+    config = divisible.embed(d, r, s, letters)
+    assert divisible.letters(config)[2] == letters  # embed contract: exact roundtrip
     fileio.write_json(args.out, fileio.config_to_obj(config))
     print(f"wrote {args.out} (normal form, n={config.n}, d={config.d}, s={config.s})")
     return EXIT_OK

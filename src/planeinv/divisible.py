@@ -12,14 +12,15 @@ unchanged by any left action, and a right action conjugates all of them by
 one common d x d matrix, so traces of cyclic words in the letters are exact
 orbit invariants.
 
-:func:`embed` builds the normal-form configuration whose letters are any
-prescribed grid, and :func:`matrix_data` recovers the grid exactly --
+:func:`letter_ids` names the letters, and :func:`letters` computes them in
+that order.  :func:`embed` builds the normal-form configuration whose
+letters are any prescribed tuple, and ``letters(embed(x)) == x`` exactly --
 the roundtrip is an identity on the nose, not up to equivalence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     CaseMismatchError,
@@ -57,56 +58,26 @@ def phi_left(config: Config) -> Mat:
     return inverse_or_degenerate(a, message) @ b
 
 
-def _letter_ids(r: int, s: int) -> tuple[str, ...]:
-    return tuple(f"G_{i}_{j}" for i in range(2, r + 1) for j in range(2, s - r + 1))
+def letter_ids(tag: CaseTag, s: int) -> tuple[str, ...]:
+    """The ids of the letters of ``s`` members, in alphabet order: G_i_j, i = 2..r, then j = 2..s-r.
 
-
-@dataclass(frozen=True)
-class ReducedDivisible:
-    """The letter grid of a divisible-case configuration.
-
-    ``grid[i - 2][j - 2]`` is the d x d letter for block row i (2..r) and
-    block column j (2..s-r); the grid is empty whenever s <= r + 1.
+    Empty in the almost-homogeneous range s <= r + 1, where all
+    general-position configurations are equivalent.
     """
-
-    d: int
-    r: int
-    s: int
-    grid: tuple[tuple[Mat, ...], ...]
-
-    def __post_init__(self):
-        if self.d < 1 or self.r < 2 or self.s < self.r + 1:
-            raise ValueError("need d >= 1, r >= 2, s >= r + 1")
-        want_rows, want_cols = self.r - 1, self.s - self.r - 1
-        if len(self.grid) != want_rows or any(
-            len(row) != want_cols for row in self.grid
-        ):
-            raise ValueError(
-                f"grid must be {want_rows} x {want_cols} for "
-                f"(d, r, s) = ({self.d}, {self.r}, {self.s})"
-            )
-        for row in self.grid:
-            for m in row:
-                if m.rows != self.d or m.cols != self.d:
-                    raise ValueError(f"letters must be {self.d} x {self.d}")
-
-    def letter(self, i: int, j: int) -> Mat:
-        return self.grid[i - 2][j - 2]
-
-    def letters(self) -> tuple[Mat, ...]:
-        return tuple(m for row in self.grid for m in row)
+    r = tag.r
+    return tuple(f"G_{i}_{j}" for i in range(2, r + 1) for j in range(2, s - r + 1))
 
 
 def _block(phi: Mat, i: int, j: int, d: int) -> Mat:
     return phi.block((i - 1) * d, i * d, (j - 1) * d, j * d)
 
 
-def _letter_grid(phi: Mat, r: int, d: int, s: int) -> ReducedDivisible:
-    """The letters D_ij(phi), inverting each block (1, j) and then each block (i, 1) once.
+def _letter_mats(phi: Mat, r: int, d: int, s: int) -> tuple[Mat, ...]:
+    """The letters D_ij(phi) in :func:`letter_ids` order, inverting each block (1, j) and then each block (i, 1) once.
 
     Inverting those blocks is also the general-position check on them; a
-    singular one raises :class:`DegenerateConfigError`.  The grid is empty
-    when s <= r + 1.
+    singular one raises :class:`DegenerateConfigError`.  There are no
+    letters when s <= r + 1.
     """
 
     def inv(i: int, j: int) -> Mat:
@@ -115,14 +86,14 @@ def _letter_grid(phi: Mat, r: int, d: int, s: int) -> ReducedDivisible:
 
     cols = [inv(1, j) for j in range(2, s - r + 1)]
     if not cols:
-        return ReducedDivisible(d=d, r=r, s=s, grid=((),) * (r - 1))
+        return ()
     head = _block(phi, 1, 1, d)
     lefts = [head @ inv(i, 1) for i in range(2, r + 1)]
-    grid = tuple(
-        tuple(left @ _block(phi, i, j, d) @ col for j, col in enumerate(cols, start=2))
+    return tuple(
+        left @ _block(phi, i, j, d) @ col
         for i, left in enumerate(lefts, start=2)
+        for j, col in enumerate(cols, start=2)
     )
-    return ReducedDivisible(d=d, r=r, s=s, grid=grid)
 
 
 def _singular_block(phi: Mat, r: int, d: int, s: int) -> Degeneracy | None:
@@ -130,7 +101,7 @@ def _singular_block(phi: Mat, r: int, d: int, s: int) -> Degeneracy | None:
 
     General position asks every block of phi to be invertible.  When
     s > r + 1 the letters invert the blocks (i, 1) and (1, j), and
-    :func:`_letter_grid` raises on a singular one, so only the others are
+    :func:`_letter_mats` raises on a singular one, so only the others are
     rank-checked here.
     """
     for i in range(1, r + 1):
@@ -142,24 +113,23 @@ def _singular_block(phi: Mat, r: int, d: int, s: int) -> Degeneracy | None:
     return None
 
 
-def matrix_data(config: Config) -> ReducedDivisible:
-    """Extract the full letter grid D_ij(phi) of a configuration."""
-    tag = _require_divisible(config)
-    r, d, s = tag.r, config.d, config.s
-    if s <= r:
-        raise CaseMismatchError(f"matrix_data needs s > r = {r}, got s = {s}")
-    return _letter_grid(phi_left(config), r, d, s)
-
-
-def embed(rd: ReducedDivisible) -> Config:
-    """Normal-form configuration realizing a prescribed letter grid.
+def embed(d: int, r: int, s: int, letters: Sequence[Mat]) -> Config:
+    """Normal-form configuration whose d x d letters are ``letters``, in :func:`letter_ids` order.
 
     Members 1..r are the coordinate blocks, member r+1 is the diagonal
-    (identity in every block row), and member r+j carries the grid column j
-    below an identity first block.  ``matrix_data(embed(x)) == x`` exactly,
-    for any grid (the letters need not be invertible).
+    (identity in every block row), and member r+j carries the letters
+    G_2_j..G_r_j below an identity first block.  ``letters(embed(d, r, s,
+    x))[2] == x`` exactly, for any letters (they need not be invertible).
     """
-    d, r, s = rd.d, rd.r, rd.s
+    if d < 1 or r < 2 or s < r + 1:
+        raise ValueError("need d >= 1, r >= 2, s >= r + 1")
+    cols = s - r - 1
+    if len(letters) != (r - 1) * cols:
+        raise ValueError(
+            f"(d, r, s) = ({d}, {r}, {s}) needs {(r - 1) * cols} letters, got {len(letters)}"
+        )
+    if any(m.rows != d or m.cols != d for m in letters):
+        raise ValueError(f"letters must be {d} x {d}")
     eye = Mat.identity(d)
     zero = Mat.zeros(d, d)
 
@@ -171,25 +141,24 @@ def embed(rd: ReducedDivisible) -> Config:
         members.append(column([eye if k == i else zero for k in range(1, r + 1)]))
     members.append(column([eye] * r))
     for j in range(2, s - r + 1):
-        members.append(column([eye] + [rd.letter(i, j) for i in range(2, r + 1)]))
+        members.append(column([eye, *letters[j - 2 :: cols]]))
     return Config(members)
 
 
 def letters(config: Config) -> tuple:
     """(tag, letter ids, letters, degeneracy) of a divisible-case configuration, in one pass.
 
-    No letters in the almost-homogeneous range s <= r + 1, where all
-    general-position configurations are equivalent.  The pass also decides
-    general position and returns the first failed condition (``None`` if
-    none): for s <= r the members must be in direct sum; for s > r the
-    first r members must span and every d x d block of phi must be
-    invertible.  A failure that leaves the letters undefined raises
-    :class:`DegenerateConfigError` instead, except in the empty range, where
-    every failure is recorded.
+    The ids are :func:`letter_ids`.  The pass also decides general position
+    and returns the first failed condition (``None`` if none): for s <= r
+    the members must be in direct sum; for s > r the first r members must
+    span and every d x d block of phi must be invertible.  A failure that
+    leaves the letters undefined raises :class:`DegenerateConfigError`
+    instead, except in the range without letters, where every failure is
+    recorded.
     """
     tag = _require_divisible(config)
     r, d, s = tag.r, config.d, config.s
-    ids, mats, degeneracy = (), (), None
+    ids, mats, degeneracy = letter_ids(tag, s), (), None
     if s <= r:
         if config.matrix().rank() != s * d:
             degeneracy = Degeneracy("members are not in direct sum")
@@ -197,10 +166,9 @@ def letters(config: Config) -> tuple:
         try:
             phi = phi_left(config)
             degeneracy = _singular_block(phi, r, d, s)
-            ids = _letter_ids(r, s)
-            mats = _letter_grid(phi, r, d, s).letters()
+            mats = _letter_mats(phi, r, d, s)
         except DegenerateConfigError as exc:
-            if s > r + 1:
+            if ids:
                 raise
             degeneracy = Degeneracy.of(exc)
     return tag, ids, mats, degeneracy

@@ -1,4 +1,4 @@
-"""JSON file formats: configurations, invariant vectors, letter grids.
+"""JSON file formats: configurations, invariant vectors, letters files.
 
 All rational values are serialized as reduced strings "p/q" (denominator
 omitted when it is 1) -- never floats, so parse/serialize roundtrips are
@@ -19,9 +19,9 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .divisible import ReducedDivisible
+from . import divisible
 from .errors import RankDeficientError
-from .grassmann import Config, Subspace
+from .grassmann import CaseTag, Config, Subspace
 from .linalg import Mat
 from .words import InvariantVector
 
@@ -109,7 +109,8 @@ def config_from_obj(obj) -> Config:
     return Config(out)
 
 
-def letters_from_obj(obj) -> ReducedDivisible:
+def letters_from_obj(obj) -> tuple[int, int, int, tuple[Mat, ...]]:
+    """``(d, r, s, letters)`` of a letters file, the letters in :func:`planeinv.divisible.letter_ids` order."""
     if not isinstance(obj, dict):
         raise ValueError("letters file must contain a JSON object")
     if obj.get("kind", "divisible") != "divisible":
@@ -129,23 +130,14 @@ def letters_from_obj(obj) -> ReducedDivisible:
             f"the (r, s) = ({r}, {s}) grid has {(r - 1) * (s - r - 1)} letters, "
             f"the file lists {len(letters)}"
         )
-    expected = {
-        f"G_{i}_{j}" for i in range(2, r + 1) for j in range(2, s - r + 1)
-    }
-    if set(letters) != expected:
-        missing = sorted(expected - set(letters))
-        extra = sorted(set(letters) - expected)
+    ids = divisible.letter_ids(CaseTag("divisible", r=r), s)
+    if set(letters) != set(ids):
+        missing = sorted(set(ids) - set(letters))
+        extra = sorted(set(letters) - set(ids))
         raise ValueError(
             f"letter ids do not match the (r, s) grid; missing {missing}, unexpected {extra}"
         )
-    grid = tuple(
-        tuple(
-            _parse_matrix(letters[f"G_{i}_{j}"], d, d, f"letter G_{i}_{j}")
-            for j in range(2, s - r + 1)
-        )
-        for i in range(2, r + 1)
-    )
-    return ReducedDivisible(d=d, r=r, s=s, grid=grid)
+    return d, r, s, tuple(_parse_matrix(letters[i], d, d, f"letter {i}") for i in ids)
 
 
 def load_json(path: str):
@@ -154,8 +146,10 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the parser goes
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, UnicodeDecodeError, and a number longer
+        # than int()'s digit limit; RecursionError: arrays or objects nested
+        # deeper than the parser goes
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 

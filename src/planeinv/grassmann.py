@@ -272,7 +272,7 @@ def general_position(config: Config) -> bool:
     """
     from .orbit import _reduction
     try:
-        return _reduction(config).letters(config)[3] is None
+        return _reduction(config.n, config.d).letters(config)[3] is None
     except DegenerateConfigError:
         return False
 

@@ -46,9 +46,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularMatrixError
 
-Rat = Fraction
-"""Exact rational scalar type: arbitrary precision, always gcd-reduced."""
-
 
 class Jet:
     """Dual number ``value + sum_i deriv[i] * eps_i`` with ``eps_i * eps_j == 0``.

@@ -20,10 +20,11 @@ Three such kernels give the column blocks of the frame matrix H
   Theta letters (:func:`letters_odd`).
 
 The stages hand plain values to each other: a frame is its matrix H and
-a letter set is a pair (ids, mats) in the alphabet order of the trace
-words.  Each stage reads (r, e) from the case tag and trusts the (r, s)
-range :func:`letters` chose for it.  A matrix that must be inverted and is
-singular raises :class:`DegenerateConfigError` through
+a letter set is a tuple of matrices in the alphabet order of the trace
+words, which :func:`letter_ids` names.  Each stage reads (r, e) from the
+case tag and trusts the (r, s) range :func:`letters` chose for it.  A
+matrix that must be inverted and is singular raises
+:class:`DegenerateConfigError` through
 :func:`~planeinv.errors.inverse_or_degenerate`.
 
 Every kernel step uses the canonical reduced-echelon basis.  The residual
@@ -58,6 +59,25 @@ def _require_odd(config: Config) -> CaseTag:
             f"(n, d) = ({config.n}, {config.d}) is not in the odd-multiple case"
         )
     return tag
+
+
+def letter_ids(tag: CaseTag, s: int) -> tuple[str, ...]:
+    """The ids of the letters of ``s`` members, in alphabet order.
+
+    sigma_9..sigma_{2s} at r = 1; at r >= 2, Z_1..Z_{2r-4} and then
+    Theta_i_1..Theta_i_{4r-2} for each member i = r+3..s.  Empty in the
+    almost-homogeneous ranges, where all general-position configurations
+    are equivalent: s <= 4 for r = 1; s <= r+1 always; and s = r+2 when
+    r = 2.
+    """
+    r = tag.r
+    if r == 1:
+        return tuple(f"sigma_{k}" for k in range(9, 2 * s + 1))
+    if s < r + 2:
+        return ()
+    return tuple(f"Z_{k}" for k in range(1, 2 * r - 3)) + tuple(
+        f"Theta_{i}_{c}" for i in range(r + 3, s + 1) for c in range(1, 4 * r - 1)
+    )
 
 
 def _basis(config: Config, i: int) -> Mat:
@@ -133,8 +153,8 @@ def _alpha_pairs(config: Config, tag: CaseTag, h: Mat) -> dict[int, Mat]:
     return alphas
 
 
-def sigma_data(config: Config, tag: CaseTag, h: Mat) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
-    """The r = 1 letters sigma_9..sigma_{2s} (s >= 5) from frame ``h``, as (ids, mats).
+def sigma_data(config: Config, tag: CaseTag, h: Mat) -> tuple[Mat, ...]:
+    """The r = 1 letters sigma_9..sigma_{2s} (s >= 5) from frame ``h``.
 
     sigma_{2i-1} = alpha_{2i-1} alpha_7^-1 and sigma_{2i} = alpha_{2i}
     alpha_8^-1 for i = 5..s: member 4's pair normalizes all later pairs,
@@ -149,7 +169,7 @@ def sigma_data(config: Config, tag: CaseTag, h: Mat) -> tuple[tuple[str, ...], t
     for i in range(5, config.s + 1):
         mats.append(alphas[2 * i - 1] @ a7_inv)
         mats.append(alphas[2 * i] @ a8_inv)
-    return tuple(f"sigma_{k}" for k in range(9, 2 * config.s + 1)), tuple(mats)
+    return tuple(mats)
 
 
 @dataclass(frozen=True)
@@ -240,8 +260,8 @@ def reduce_odd(config: Config, tag: CaseTag, h: Mat) -> ReducedOdd:
     return red
 
 
-def letters_odd(reduced: ReducedOdd) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
-    """The Z and Theta letters of the r >= 2 case, as (ids, mats).
+def letters_odd(reduced: ReducedOdd) -> tuple[Mat, ...]:
+    """The Z and Theta letters of the r >= 2 case, in :func:`letter_ids` order.
 
     All letters are ratios of a/b/c blocks arranged so that both group
     actions conjugate every letter by one common e x e factor:
@@ -256,8 +276,6 @@ def letters_odd(reduced: ReducedOdd) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
       (c_{2j-1,i} - c_{2r-1,i}) delta_i  (at j = r: c_{2r-1,i} delta_i),
       P c_{2j,i} delta_i  (at j = r:
       c_{1,r+2} c_{2r+1,r+2}^-1 c_{2r+1,i} delta_i).
-
-    Total count: 2r-4 + (4r-2)(s-r-2), the k of the odd case.
     """
     r, s = reduced.r, reduced.s
     c1 = reduced.c_block(r + 2, 1)
@@ -269,7 +287,6 @@ def letters_odd(reduced: ReducedOdd) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
     for j in range(2, r):
         mats.append(reduced.c_block(r + 2, 2 * j - 1) @ c1_inv)
         mats.append(p @ reduced.c_block(r + 2, 2 * j) @ c1_inv)
-    ids = [f"Z_{k}" for k in range(1, len(mats) + 1)]
 
     cbar_inv = None
     if s >= r + 3:
@@ -298,9 +315,8 @@ def letters_odd(reduced: ReducedOdd) -> tuple[tuple[str, ...], tuple[Mat, ...]]:
             else:
                 comps.append(reduced.c_block(i, 2 * r - 1) @ delta)
                 comps.append(c1 @ cbar_inv @ reduced.c_block(i, 2 * r + 1) @ delta)
-        ids.extend(f"Theta_{i}_{c}" for c in range(1, len(comps) + 1))
         mats.extend(comps)
-    return tuple(ids), tuple(mats)
+    return tuple(mats)
 
 
 def _singular(m: Mat, what: str, block: int) -> Degeneracy | None:
@@ -308,11 +324,8 @@ def _singular(m: Mat, what: str, block: int) -> Degeneracy | None:
     return Degeneracy(f"{what} is singular", block=block) if m.rank() != m.rows else None
 
 
-_NO_LETTERS: tuple[tuple[str, ...], tuple[Mat, ...]] = ((), ())
-
-
-def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
-    """The (ids, mats) of the widest reduction the member count allows, checked.
+def _reduce(config: Config, tag: CaseTag) -> tuple[tuple[Mat, ...], Degeneracy | None]:
+    """The letters of the widest reduction the member count allows, checked.
 
     This is the constructive reading of general position: every kernel has
     dimension e, every matrix the reduction inverts is invertible, and at
@@ -325,30 +338,30 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
     r, s = tag.r, config.s
     if s <= (2 if r == 1 else r):
         if config.matrix().rank() != min(config.n, s * config.d):
-            return _NO_LETTERS, Degeneracy("members are not in general position")
-        return _NO_LETTERS, None
+            return (), Degeneracy("members are not in general position")
+        return (), None
     if s == r + 1:
         first = hstack([sub.basis for sub in config.subspaces[:r]])
         if first.rank() != r * config.d:
-            return _NO_LETTERS, Degeneracy("the first r members are not in direct sum")
+            return (), Degeneracy("the first r members are not in direct sum")
         for m, block in enumerate(nullspace_component(config, tag, range(1, r + 1), r + 1), start=1):
             if block.rank() < tag.e:
-                return _NO_LETTERS, Degeneracy(
+                return (), Degeneracy(
                     f"member {r + 1} meets the sum of the first {r} members other than member {m}",
                     block=r + 1,
                 )
-        return _NO_LETTERS, None
+        return (), None
     h = frame_odd(config, tag)
     if r == 1:
         if s == 3:
             # three members through one common line meet pairwise, but the
             # meets do not span
-            return _NO_LETTERS, (
+            return (), (
                 Degeneracy("intersection frame is singular") if h.rank() < config.n else None
             )
         if s == 4:
             alphas = _alpha_pairs(config, tag, h)
-            return _NO_LETTERS, (
+            return (), (
                 _singular(alphas[7], "alpha_7 of block 4", 4)
                 or _singular(alphas[8], "alpha_8 of block 4", 4)
             )
@@ -365,22 +378,21 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple, Degeneracy | None]:
 def letters(config: Config) -> tuple:
     """(tag, letter ids, letters, degeneracy) of an odd-multiple configuration, in one pass.
 
-    No letters in the almost-homogeneous ranges: s <= 4 for r = 1; s <= r+1
-    always; and s = r+2 when r = 2.  Otherwise the r = 1 or r >= 2 letter
-    pipeline runs, to e x e letters.  The same pass decides general position
-    and returns the first failed condition (``None`` if none); a failure
-    that leaves the letters undefined raises :class:`DegenerateConfigError`
-    instead, except in the empty ranges, where every failure is recorded.
+    The ids are :func:`letter_ids`; the r = 1 or r >= 2 letter pipeline
+    runs, to e x e letters.  The same pass decides general position and
+    returns the first failed condition (``None`` if none); a failure that
+    leaves the letters undefined raises :class:`DegenerateConfigError`
+    instead, except in the ranges without letters, where every failure is
+    recorded.
     """
     tag = _require_odd(config)
-    r, s = tag.r, config.s
-    trivial = (r == 1 and s <= 4) or s <= r + 1 or (r == 2 and s == r + 2)
+    ids = letter_ids(tag, config.s)
     try:
-        (ids, mats), degeneracy = _reduce(config, tag)
+        mats, degeneracy = _reduce(config, tag)
     except DegenerateConfigError as exc:
-        if not trivial:
+        if ids:
             raise
-        (ids, mats), degeneracy = _NO_LETTERS, Degeneracy.of(exc)
+        mats, degeneracy = (), Degeneracy.of(exc)
     return tag, ids, mats, degeneracy
 
 

@@ -127,32 +127,23 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def _reduction(config: Config):
-    """The case module (:mod:`divisible` or :mod:`odd`) that reduces ``config``."""
-    kind = classify_case(config.n, config.d).kind
+def _reduction(n: int, d: int):
+    """The case module (:mod:`divisible` or :mod:`odd`) that reduces shape (n, d)."""
+    kind = classify_case(n, d).kind
     module = {"divisible": divisible, "odd_multiple": odd}.get(kind)
     if module is None:
-        raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({config.n}, {config.d})")
+        raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({n}, {d})")
     return module
 
 
 def invariant_vector(config: Config) -> InvariantVector:
     """Dispatch to the case pipeline and return the trace-invariant vector."""
-    return _reduction(config).invariants(config)
+    return _reduction(config.n, config.d).invariants(config)
 
 
 def letter_count(n: int, d: int, s: int) -> int:
     """The number k of invariant letters for shape (n, d, s); 0 in trivial ranges."""
-    tag = classify_case(n, d)
-    if tag.kind == "divisible":
-        r = tag.r
-        return (r - 1) * (s - r - 1) if s > r + 1 else 0
-    if tag.kind == "odd_multiple":
-        r = tag.r
-        if r == 1:
-            return 2 * (s - 4) if s > 4 else 0
-        return 2 * r - 4 + (4 * r - 2) * (s - r - 2) if s >= r + 2 else 0
-    raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({n}, {d})")
+    return len(_reduction(n, d).letter_ids(classify_case(n, d), s))
 
 
 def expected_quotient_dim(n: int, d: int, s: int) -> int:
@@ -278,7 +269,7 @@ def jacobian_rank(config: Config) -> int:
     whichever pass comes first.
     """
     n, d, s = config.n, config.d, config.s
-    module = _reduction(config)
+    module = _reduction(n, d)
     if module is divisible or classify_case(n, d).r == 1:
         _, _, letters, degeneracy = module.letters(config)
         if degeneracy is not None:
@@ -340,7 +331,7 @@ def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:
         for at, row in zip(range(0, size, cols), basis.num):
             rows.append(row + [x * den for part in slices for x in part[at : at + cols]])
         jet_subs.append(Subspace._raw(Mat._form(rows, den, cols, k)))
-    tag, _, letters, degeneracy = _reduction(config).letters(Config(jet_subs))
+    tag, _, letters, degeneracy = _reduction(config.n, config.d).letters(Config(jet_subs))
     if degeneracy is not None:
         raise degeneracy.error()
     return trace_derivatives(letters, words_for(tag, config.d, len(letters)))

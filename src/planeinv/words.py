@@ -92,6 +92,16 @@ def _scaled(letters: Sequence[Mat]) -> list[tuple[Mat, int]]:
     return out
 
 
+class _Products(dict):
+    """Products along words, keyed by word; a missing one extends that of ``w[:-1]`` by a letter."""
+
+    def __missing__(self, w: tuple[int, ...]) -> tuple[Mat, int]:
+        head, denom = self[w[:-1]]
+        last, d_last = self.scaled[w[-1]]
+        got = self[w] = (last @ head if self.reverse else head @ last, denom * d_last)
+        return got
+
+
 def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
     """A cached ``product(w)`` of the integer letters ``scaled`` along ``w``, and its denominator.
 
@@ -102,18 +112,13 @@ def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
     the product along ``v``.
     """
     m = scaled[0][0].rows if scaled else 0
-    cache = {(): (Mat.identity(m), 1)}
+    cache = _Products({(): (Mat.identity(m), 1)})
     cache.update(((i,), pair) for i, pair in enumerate(scaled))
-
-    def product(w: tuple[int, ...]) -> tuple[Mat, int]:
-        got = cache.get(w)
-        if got is None:
-            head, denom = product(w[:-1])
-            last, d_last = scaled[w[-1]]
-            got = cache[w] = (last @ head if reverse else head @ last, denom * d_last)
-        return got
-
-    return product
+    cache.scaled, cache.reverse = scaled, reverse
+    # Nothing the cache holds refers back to it, so it is freed with its
+    # last caller; a closure that called itself would be a reference cycle,
+    # and every call's products would wait for the cyclic collector.
+    return cache.__getitem__
 
 
 def _flat_t(mat: Mat) -> list:

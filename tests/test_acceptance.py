@@ -15,7 +15,7 @@ and a criterion that fails carries its full evidence in the assert message.
 import time
 from fractions import Fraction
 
-from planeinv.divisible import ReducedDivisible, embed, matrix_data
+from planeinv.divisible import embed, letters
 from planeinv.grassmann import (
     Config,
     SplitMix64,
@@ -222,23 +222,16 @@ def test_criterion_5_divisible_roundtrip():
     checked = 0
     for d, r, s in shapes:
         for _ in range(50):
-            grid = tuple(
-                tuple(
-                    Mat([[Fraction(rng.next_int(9)) for _ in range(d)]
-                         for _ in range(d)])
-                    for _ in range(s - r - 1)
-                )
-                for _ in range(r - 1)
+            x = tuple(
+                Mat([[Fraction(rng.next_int(9)) for _ in range(d)]
+                     for _ in range(d)])
+                for _ in range((r - 1) * (s - r - 1))
             )
-            rd = ReducedDivisible(d=d, r=r, s=s, grid=grid)
-            back = matrix_data(embed(rd))
-            for ra, rb in zip(grid, back.grid):
-                for x, y in zip(ra, rb):
-                    assert x.data == y.data, (d, r, s)
+            assert letters(embed(d, r, s, x))[2] == x, (d, r, s)
             checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 150 and elapsed < budget
-    _report(5, ok, f"matrix_data(embed(x)) == x on {checked} random grids",
+    _report(5, ok, f"letters(embed(x)) == x on {checked} random letter tuples",
             elapsed, budget)
     assert checked == 150
     assert elapsed < budget

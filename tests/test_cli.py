@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from planeinv import fileio, orbit
+from planeinv import divisible, fileio, orbit
 from planeinv.cli import main
-from planeinv.divisible import ReducedDivisible, embed
+from planeinv.divisible import embed
 from planeinv.grassmann import Config, SplitMix64, Subspace, act_left, sample_config, sample_invertible
 from planeinv.linalg import Mat
 
@@ -112,6 +112,30 @@ class TestConfigFile:
         path.write_text(json.dumps(obj))
         assert run("rank", "--in", path) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int string-length limit"
+    )
+    @pytest.mark.parametrize("command", ["rank", "invariants", "orbit-test"])
+    def test_number_over_the_digit_limit_names_the_file(self, tmp_path, capsys, command):
+        # json.load reads a JSON number with int(), which refuses one longer
+        # than the limit with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "c.json"
+        path.write_text('{"n": %s, "d": 2, "subspaces": []}' % ("9" * 5000))
+        args = {
+            "rank": ("--in", path),
+            "invariants": ("--in", path, "--out", tmp_path / "v.json"),
+            "orbit-test": ("--a", path, "--b", path),
+        }[command]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run(command, *args) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: "), err
+        assert "4300" in err
 
     def test_provenance_optional(self):
         obj = fileio.config_to_obj(sample_config(4, 2, 5, seed=17))
@@ -346,8 +370,7 @@ class TestOrbitTestCmd:
         # these letter pairs agree on every word of length 1 and differ at 2
         paths = []
         for name, second in (("a", [[2, 0], [0, 1]]), ("b", [[1, 0], [0, 2]])):
-            grid = ((Mat([[1, 0], [0, 2]]), Mat(second)),)
-            config = embed(ReducedDivisible(d=2, r=2, s=5, grid=grid))
+            config = embed(2, 2, 5, (Mat([[1, 0], [0, 2]]), Mat(second)))
             path = tmp_path / f"{name}.json"
             fileio.write_json(path, fileio.config_to_obj(config))
             paths.append(path)
@@ -444,6 +467,20 @@ class TestEmbedCmd:
             e for e in obj["invariants"] if e["word"] == ["G_2_2"]
         )
         assert first["value"] == "5"
+
+    def test_letters_land_by_id(self, tmp_path):
+        # at r = 3 a letter read out of letter_ids order lands in the wrong block
+        letters = {
+            "G_2_2": [["1", "2"], ["3", "4"]],
+            "G_2_3": [["0", "1"], ["1", "0"]],
+            "G_3_2": [["2", "0"], ["1", "1/3"]],
+            "G_3_3": [["-1", "5"], ["0", "7"]],
+        }
+        path, out = tmp_path / "letters.json", tmp_path / "emb.json"
+        path.write_text(json.dumps({"kind": "divisible", "d": 2, "r": 3, "s": 6, "letters": letters}))
+        assert run("embed", "--in", path, "--out", out) == 0
+        _, ids, mats, _ = divisible.letters(fileio.config_from_obj(fileio.load_json(out)))
+        assert {i: fileio._format_matrix(m) for i, m in zip(ids, mats)} == letters
 
     def test_wrong_letter_set_exits_2(self, tmp_path, capsys):
         path = tmp_path / "letters.json"

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planeinv.divisible import (
-    ReducedDivisible,
     embed,
     invariants,
-    matrix_data,
+    letters,
     phi_left,
 )
 from planeinv.errors import (
@@ -117,16 +116,19 @@ class TestRatioMaps:
 
 class TestMatrixData:
     def test_letter_grid_shape(self):
-        c = sample_config(4, 2, 5, seed=1)
-        rd = matrix_data(c)
-        assert (rd.d, rd.r, rd.s) == (2, 2, 5)
-        assert len(rd.grid) == 1 and len(rd.grid[0]) == 2
+        _, ids, mats, _ = letters(sample_config(4, 2, 5, seed=1))
+        assert ids == ("G_2_2", "G_2_3")
+        assert [(m.rows, m.cols) for m in mats] == [(2, 2), (2, 2)]
 
-    def test_letter_accessor_matches_grid(self):
+    def test_letter_g_i_j_is_the_block_ratio(self):
+        # the letters come in id order: letter G_i_j is D_ij of phi
         c = sample_config(6, 2, 6, seed=2)
-        rd = matrix_data(c)
-        assert rd.letter(2, 2).data == rd.grid[0][0].data
-        assert rd.letter(3, 3).data == rd.grid[1][1].data
+        _, ids, mats, _ = letters(c)
+        assert ids == ("G_2_2", "G_2_3", "G_3_2", "G_3_3")
+        phi = phi_left(c)
+        for letter_id, m in zip(ids, mats):
+            i, j = map(int, letter_id.split("_")[1:])
+            assert m == block_ratio(phi, i, j, 2)
 
     def test_needs_more_members_than_r(self):
         c = sample_config(4, 2, 2, seed=1)
@@ -137,11 +139,7 @@ class TestMatrixData:
         c = sample_config(4, 2, 5, seed=3)
         rng = SplitMix64(77)
         g = sample_invertible(rng, 4)
-        a = matrix_data(c)
-        b = matrix_data(act_left(g, c))
-        for ra, rb in zip(a.grid, b.grid):
-            for x, y in zip(ra, rb):
-                assert x.data == y.data
+        assert letters(act_left(g, c))[2] == letters(c)[2]
 
     def test_copied_member_gives_identity_letters(self):
         # when member r+2 spans the same plane as member r+1, every letter in
@@ -149,8 +147,8 @@ class TestMatrixData:
         c = sample_config(4, 2, 5, seed=6)
         subs = list(c.subspaces)
         subs[3] = subs[2]  # members r+2 and r+1 coincide (r = 2)
-        rd = matrix_data(Config(tuple(subs)))
-        assert rd.letter(2, 2).data == Mat.identity(2).data
+        _, ids, mats, _ = letters(Config(tuple(subs)))
+        assert dict(zip(ids, mats))["G_2_2"] == Mat.identity(2)
 
     def test_right_action_conjugates_letters(self):
         # all letters are conjugated by one common invertible factor, so
@@ -158,11 +156,11 @@ class TestMatrixData:
         c = sample_config(4, 2, 5, seed=3)
         rng = SplitMix64(78)
         hs = [sample_invertible(rng, 2) for _ in range(5)]
-        a = matrix_data(c)
-        b = matrix_data(act_right(hs, c))
+        a = letters(c)[2]
+        b = letters(act_right(hs, c))[2]
         # y = q^-1 x q for one common q, so traces of words agree
         words = [(0,), (0, 1)]
-        assert evaluate_traces(b.letters(), words) == evaluate_traces(a.letters(), words)
+        assert evaluate_traces(b, words) == evaluate_traces(a, words)
 
 
 # ---------------------------------------------------------------------------
@@ -170,48 +168,55 @@ class TestMatrixData:
 # ---------------------------------------------------------------------------
 
 
-def _random_grid(rng, d, r, s):
+def _random_letters(rng, d, r, s):
     return tuple(
-        tuple(
-            Mat([[Fraction(rng.next_int(9)) for _ in range(d)] for _ in range(d)])
-            for _ in range(s - r - 1)
-        )
-        for _ in range(r - 1)
+        Mat([[Fraction(rng.next_int(9)) for _ in range(d)] for _ in range(d)])
+        for _ in range((r - 1) * (s - r - 1))
     )
 
 
 class TestEmbed:
-    @pytest.mark.parametrize("d,r,s", [(1, 2, 5), (2, 2, 5), (2, 3, 6), (2, 2, 4)])
+    @pytest.mark.parametrize("d,r,s", [(1, 2, 5), (2, 2, 5), (2, 3, 6), (2, 2, 4), (2, 2, 3)])
     def test_roundtrip_exact(self, d, r, s):
         rng = SplitMix64(101)
         for _ in range(5):
-            grid = _random_grid(rng, d, r, s)
-            rd = ReducedDivisible(d=d, r=r, s=s, grid=grid)
-            c = embed(rd)
-            back = matrix_data(c)
-            for ra, rb in zip(grid, back.grid):
-                for x, y in zip(ra, rb):
-                    assert x.data == y.data
+            x = _random_letters(rng, d, r, s)
+            assert letters(embed(d, r, s, x))[2] == x
 
     def test_roundtrip_with_singular_letters(self):
         # the section must work even when letters are not invertible
         zero = Mat([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]])
         one = Mat.identity(2)
-        rd = ReducedDivisible(d=2, r=2, s=5, grid=((zero, one),))
-        back = matrix_data(embed(rd))
-        assert back.grid[0][0].data == zero.data
-        assert back.grid[0][1].data == one.data
+        assert letters(embed(2, 2, 5, (zero, one)))[2] == (zero, one)
 
     def test_embedded_config_shape(self):
-        rd = ReducedDivisible(
-            d=2, r=2, s=5, grid=((Mat.identity(2), Mat.identity(2)),)
-        )
-        c = embed(rd)
+        c = embed(2, 2, 5, (Mat.identity(2), Mat.identity(2)))
         assert (c.n, c.d, c.s) == (4, 2, 5)
 
+    def test_letter_g_i_j_in_block_row_i_of_member_r_plus_j(self):
+        d, r, s = 2, 3, 6
+        x = tuple(Mat([[k, 1], [0, k + 1]]) for k in range(1, 5))
+        c = embed(d, r, s, x)
+        ids = letters(c)[1]
+        assert ids == ("G_2_2", "G_2_3", "G_3_2", "G_3_3")
+        for letter_id, m in zip(ids, x):
+            i, j = map(int, letter_id.split("_")[1:])
+            basis = c.subspaces[r + j - 1].basis
+            assert basis.block((i - 1) * d, i * d, 0, d) == m
+            assert basis.block(0, d, 0, d) == Mat.identity(d)
+
     def test_grid_shape_validated(self):
-        with pytest.raises(ValueError):
-            ReducedDivisible(d=2, r=2, s=5, grid=())
+        for d, r, s, count, size, match in [
+            (2, 2, 5, 0, 2, "needs 2 letters, got 0"),  # wrong count
+            (2, 2, 5, 3, 2, "needs 2 letters, got 3"),
+            (2, 3, 6, 2, 2, "needs 4 letters, got 2"),
+            (2, 2, 5, 2, 3, "letters must be 2 x 2"),  # wrong letter size
+            (2, 1, 5, 0, 2, "need d >= 1, r >= 2"),  # r < 2
+            (2, 2, 2, 0, 2, "s >= r \\+ 1"),  # s < r + 1
+            (0, 2, 5, 2, 0, "need d >= 1"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                embed(d, r, s, (Mat.identity(size),) * count)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +258,7 @@ class TestGeneralPositionDivisible:
         # a singular letter leaves every letter defined, so the pass returns
         # the full vector and records the singular phi block with its member
         sing = Mat([[1, 0], [0, 0]])
-        c = embed(ReducedDivisible(d=2, r=2, s=5, grid=((sing, Mat.identity(2)),)))
+        c = embed(2, 2, 5, (sing, Mat.identity(2)))
         v = invariants(c)
         assert len(v) == 9
         assert v.degeneracy.reason == "phi block (2, 2) is singular"

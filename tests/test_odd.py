@@ -25,6 +25,7 @@ from planeinv.linalg import Mat, hstack
 from planeinv.odd import (
     frame_odd,
     invariants,
+    letter_ids,
     letters,
     letters_odd,
     nullspace_component,
@@ -168,7 +169,7 @@ class TestOddLetters:
         c = sample_config(n, d, s, seed=44)
         tag = odd_tag(c)
         red = reduce_odd(c, tag, frame_odd(c, tag))
-        ids, mats = letters_odd(red)
+        ids, mats = letter_ids(tag, s), letters_odd(red)
         assert len(ids) == len(mats) == count
         assert ids[: len(first_ids)] == first_ids
 
@@ -176,7 +177,7 @@ class TestOddLetters:
         c = sample_config(7, 2, 6, seed=45)
         tag = odd_tag(c)
         red = reduce_odd(c, tag, frame_odd(c, tag))
-        ids, mats = letters_odd(red)
+        ids, mats = letter_ids(tag, c.s), letters_odd(red)
         r = red.r
         assert ids[: 2 * r - 4] == tuple(f"Z_{k}" for k in range(1, 2 * r - 3))
         assert ids[2 * r - 4 :] == tuple(f"Theta_6_{c}" for c in range(1, 4 * r - 1))

@@ -13,7 +13,7 @@ from planeinv.errors import (
     ShapeMismatchError,
     UnsupportedCaseError,
 )
-from planeinv.divisible import ReducedDivisible, embed
+from planeinv.divisible import embed
 from planeinv.grassmann import (
     Config,
     SplitMix64,
@@ -96,6 +96,21 @@ class TestDimensions:
         assert letter_count(n, d, s) == k
 
     @pytest.mark.parametrize(
+        "n,d,s",
+        [
+            (n, d, s)
+            for n, d, r in [(2, 1, 2), (3, 1, 3), (6, 2, 3), (3, 2, 1), (5, 2, 2), (7, 2, 3)]
+            for s in range(1, r + 5)
+        ],
+    )
+    def test_letters_follow_the_alphabet(self, n, d, s):
+        """The pass returns letter_ids(tag, s), one letter each, in every range."""
+        module = divisible if n % d == 0 else odd
+        tag, ids, mats, _ = module.letters(sample_config(n, d, s, seed=1))
+        assert ids == module.letter_ids(tag, s)
+        assert len(mats) == letter_count(n, d, s)
+
+    @pytest.mark.parametrize(
         "n,d,s,dim",
         [
             (4, 2, 5, 5),
@@ -169,8 +184,7 @@ class TestSameOrbit:
         # the two letter pairs share tr of each letter but not tr G_2_2 G_2_3,
         # so only words of length >= 2 tell them apart
         def pair(second):
-            grid = ((Mat([[1, 0], [0, 2]]), Mat(second)),)
-            return embed(ReducedDivisible(d=2, r=2, s=5, grid=grid))
+            return embed(2, 2, 5, (Mat([[1, 0], [0, 2]]), Mat(second)))
 
         a, b = pair([[2, 0], [0, 1]]), pair([[1, 0], [0, 2]])
         assert same_orbit_test(a, b) is Verdict.DISTINCT
@@ -295,7 +309,7 @@ def diag_grid_config(n, d, s):
     letters = [
         Mat([[((i + t) % d + 1) * (i == j) for j in range(d)] for i in range(d)]) for t in range(s - r - 1)
     ]
-    return embed(ReducedDivisible(d=d, r=r, s=s, grid=(tuple(letters),) * (r - 1)))
+    return embed(d, r, s, tuple(letters) * (r - 1))
 
 
 def odd_normal_form(letters):
@@ -330,7 +344,7 @@ def odd_diag_config():
 
 def one_letter_config(letter):
     """The (4,2,4) normal form whose one letter is ``letter``."""
-    return embed(ReducedDivisible(d=2, r=2, s=4, grid=((Mat(letter),),)))
+    return embed(2, 2, 4, (Mat(letter),))
 
 
 def point_id(value):
@@ -469,13 +483,14 @@ class TestRankSketch:
         assert expected_quotient_dim(n, d, fixed) == 0 < expected_quotient_dim(n, d, fixed + 1)
         for count, lettered in [(fixed, False), (fixed + 1, True)]:
             c = sample_config(n, d, count, seed=1)
-            _, ids, _, degeneracy = orbit._reduction(c).letters(c)
+            _, ids, _, degeneracy = orbit._reduction(n, d).letters(c)
             assert bool(ids) is lettered and degeneracy is None
 
     @pytest.mark.parametrize("n,d,s", [(4, 2, 5), (6, 2, 6), (6, 3, 5)])
     def test_embed_fixes_the_first_members(self, n, d, s):
         """embed's first F members are the same for every letter grid, and member F + 1 is not."""
-        a, b = (embed(divisible.matrix_data(sample_config(n, d, s, seed=seed))) for seed in (1, 2))
+        r = n // d
+        a, b = (embed(d, r, s, divisible.letters(sample_config(n, d, s, seed=seed))[2]) for seed in (1, 2))
         fixed = orbit._fixed_members(n, d, s)
         assert a.subspaces[:fixed] == b.subspaces[:fixed]
         assert a.subspaces[fixed] != b.subspaces[fixed]

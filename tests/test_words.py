@@ -1,5 +1,6 @@
 """The word stage: necklace enumeration and integer-scaled trace evaluation."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -117,6 +118,19 @@ class TestEvaluateTraces:
         halves = {part for w in words for part in (w[: (len(w) + 1) // 2], w[(len(w) + 1) // 2 :])}
         needed = {h[:i] for h in halves for i in range(2, len(h) + 1)}
         assert len(words) == 540 and len(calls) == len(needed) == 62
+
+    def test_products_freed_without_the_cyclic_collector(self):
+        """The product cache forms no reference cycle, so reference counting frees it."""
+        letters = [Mat([[1, 2], [3, Fraction(1, 4)]]), Mat([[0, 1], [Fraction(-2, 3), 5]])]
+        words = enumerate_words(2, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate_traces(letters, words)
+            trace_derivatives(letters, words)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTraceDerivatives:
