@@ -81,12 +81,7 @@ def inverse_or_degenerate(m, message: str, block: int | None = None):
 
 
 class WrongKernelDimension(DegenerateConfigError):
-    """An intersection kernel does not have the expected dimension."""
-
-    def __init__(self, message: str, expected: int, actual: int, block: int | None = None):
-        super().__init__(message, block=block)
-        self.expected = expected
-        self.actual = actual
+    """An intersection kernel does not have the expected dimension; the message states both."""
 
 
 class ZeroPatternViolation(ArithmeticError):

@@ -106,7 +106,7 @@ class Subspace:
     forms agree entrywise, regardless of the bases they were built from.
     """
 
-    __slots__ = ("basis", "_canon")
+    __slots__ = ("basis",)
 
     def __init__(self, basis: Mat):
         if basis.cols > 0 and basis.rank() != basis.cols:
@@ -114,14 +114,12 @@ class Subspace:
                 f"basis columns are dependent ({basis.rows}x{basis.cols}, rank {basis.rank()})"
             )
         self.basis = basis
-        self._canon = None
 
     @classmethod
     def _raw(cls, basis: Mat) -> "Subspace":
         """Wrap a basis whose columns are already known to be independent."""
         sub = object.__new__(cls)
         sub.basis = basis
-        sub._canon = None
         return sub
 
     @property
@@ -134,13 +132,9 @@ class Subspace:
 
     def canonical_basis(self) -> Mat:
         """Column-RREF of the basis: the unique representative of the span."""
-        if self._canon is None:
-            if self.d == 0:
-                self._canon = self.basis
-            else:
-                red, _ = self.basis.transpose().rref()
-                self._canon = red.transpose()
-        return self._canon
+        if self.d == 0:
+            return self.basis
+        return self.basis.transpose().rref()[0].transpose()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -28,9 +28,9 @@ shadows, but every row whose entry is a nonzero *jet* is cleared: an entry
 of value 0 with a nonzero derivative still carries a derivative of the
 result.
 
-``+``, ``-``, negation, blocks, stacks, transposes, ``is_zero``, ``==`` and
-``hash`` act on the form too; a rational operand meets a jet operand as a
-jet with zero derivatives.  ``Fraction`` entries, and :class:`Jet` records
+``-``, blocks, stacks, transposes, ``is_zero``, ``==`` and ``hash`` act
+on the form too; a rational operand meets a jet operand as a jet with
+zero derivatives.  ``Fraction`` entries, and :class:`Jet` records
 for a jet matrix, are built only when :attr:`Mat.data` is first read (file
 writers, ``repr``, tests); the word traces (:mod:`planeinv.words`) read
 each letter's form as an integer matrix and its denominator.
@@ -376,29 +376,20 @@ class Mat:
         )
         return Mat._form(num, den, other.cols, k)
 
-    def _combine(self, other: "Mat", sign: int) -> "Mat":
-        """``self + sign * other`` over the lcm of the denominators, reduced."""
+    def __sub__(self, other: "Mat") -> "Mat":
+        """``self - other`` over the lcm of the denominators, reduced."""
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
         k = self.k if self.k == other.k else _joint_k((self, other))
         g = gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * (self.den // g)
+        fa, fb = other.den // g, self.den // g
         num = [
-            [fa * x + fb * y for x, y in zip(ra, rb)]
+            [fa * x - fb * y for x, y in zip(ra, rb)]
             for ra, rb in zip(_rows_in(self, k), _rows_in(other, k))
         ]
         return Mat._form(*_reduced(num, self.den * fa), self.cols, k)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "Mat":
-        return Mat._form([[-x for x in row] for row in self.num], self.den, self.cols, self.k)
 
     def transpose(self) -> "Mat":
         if self.cols == 0:

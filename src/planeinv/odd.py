@@ -104,8 +104,6 @@ def nullspace_component(
         raise WrongKernelDimension(
             f"intersection kernel of blocks {members} with block {target} "
             f"has dimension {kernel.cols}, expected {e}",
-            expected=e,
-            actual=kernel.cols,
             block=target,
         )
     return [kernel.block(k * d, (k + 1) * d, 0, e) for k in range(len(members))]
@@ -189,17 +187,14 @@ class ReducedOdd:
     b_cols: dict[int, Mat]  # j -> n x e
     c_cols: dict[int, Mat]  # j -> n x e
 
-    def _block(self, col: Mat, k: int) -> Mat:
-        return col.block((k - 1) * self.e, k * self.e, 0, self.e)
-
     def a_block(self, k: int) -> Mat:
-        return self._block(self.a_col, k)
+        return _row_block(self.a_col, k, self.e)
 
     def b_block(self, j: int, k: int) -> Mat:
-        return self._block(self.b_cols[j], k)
+        return _row_block(self.b_cols[j], k, self.e)
 
     def c_block(self, j: int, k: int) -> Mat:
-        return self._block(self.c_cols[j], k)
+        return _row_block(self.c_cols[j], k, self.e)
 
 
 def _row_block(m: Mat, k: int, e: int) -> Mat:
@@ -236,8 +231,6 @@ def reduce_odd(config: Config, tag: CaseTag, h: Mat) -> ReducedOdd:
             raise WrongKernelDimension(
                 f"row block {kill_row_block} of member {j} in frame coordinates "
                 f"has kernel dimension {kernel.cols}, expected {e}",
-                expected=e,
-                actual=kernel.cols,
                 block=j,
             )
         return n_j @ kernel

@@ -97,8 +97,7 @@ from .grassmann import Config, SplitMix64, Subspace, classify_case
 from .linalg import Mat, _rank_mod_p
 from .words import (
     InvariantVector,
-    _products,
-    _scaled,
+    _Products,
     enumerate_words,
     letter_size,
     trace_derivatives,
@@ -295,9 +294,9 @@ def _irreducible_rank(letters: Sequence[Mat]) -> int | None:
     then returns k*m^2 - (m^2 - 1), or m when k = 1.
     """
     k, m = len(letters), letters[0].rows
-    product = _products(_scaled(letters[:2]))
+    product = _Products(letters[:2])
     words = [(0,) * i + (1,) * j for i in range(m) for j in range(m if k > 1 else 1)]
-    rows = [list(chain.from_iterable(product(w)[0].num)) for w in words]
+    rows = [list(chain.from_iterable(product[w][0].num)) for w in words]
     if _rank_mod_p(rows, _RANK_PRIME) < len(words):
         return None
     return m if k == 1 else k * m * m - (m * m - 1)

@@ -19,7 +19,8 @@ product of the front's product with the back's transposed product, divided
 back by the product of the letters' denominators, so each value costs one
 gcd and no word is multiplied out.  The derivatives of the traces come
 from those of the letters by the chain rule, also over the integers
-(:func:`trace_derivatives`).
+(:func:`trace_derivatives`): each term is a suffix's product times a
+prefix's, and both are words, so the same cache serves them too.
 """
 
 from __future__ import annotations
@@ -77,48 +78,30 @@ def enumerate_words(alphabet_size: int, max_len: int) -> list[tuple[int, ...]]:
     return [w for length in range(1, max_len + 1) for w in _necklaces(alphabet_size, length)]
 
 
-def _scaled(letters: Sequence[Mat]) -> list[tuple[Mat, int]]:
-    """Each letter times its denominator D, as ``(integer value matrix, D)``.
-
-    A letter's stored form is an integer matrix over D, the lcm of its
-    entries' denominators, so the value rows of that form are the integer
-    value matrix, as a matrix over denominator 1.
-    """
-    out = []
-    for letter in letters:
-        m = letter.cols
-        values = letter.num if not letter.k else [row[:m] for row in letter.num]
-        out.append((Mat._form(values, 1, m), letter.den))
-    return out
-
-
 class _Products(dict):
-    """Products along words, keyed by word; a missing one extends that of ``w[:-1]`` by a letter."""
+    """Integer products along words of ``letters``, keyed by word, with their denominators.
+
+    Each letter's stored form is an integer matrix over D, the lcm of its
+    entries' denominators, so ``self[(i,)]`` is the value rows of that form
+    as a matrix over 1, paired with D.  ``self[()]`` is the identity, and a
+    missing word's product extends the cached one of ``w[:-1]`` by a
+    letter: one m x m product per distinct prefix of two or more letters.
+    Nothing the cache holds refers back to it, so it is freed with its last
+    caller, without waiting for the cyclic collector.
+    """
+
+    def __init__(self, letters: Sequence[Mat]):
+        m = letters[0].rows if letters else 0
+        super().__init__({(): (Mat.identity(m), 1)})
+        for i, letter in enumerate(letters):
+            values = letter.num if not letter.k else [row[:m] for row in letter.num]
+            self[(i,)] = (Mat._form(values, 1, m), letter.den)
 
     def __missing__(self, w: tuple[int, ...]) -> tuple[Mat, int]:
         head, denom = self[w[:-1]]
-        last, d_last = self.scaled[w[-1]]
-        got = self[w] = (last @ head if self.reverse else head @ last, denom * d_last)
+        last, d_last = self[w[-1:]]
+        got = self[w] = (head @ last, denom * d_last)
         return got
-
-
-def _products(scaled: Sequence[tuple[Mat, int]], reverse: bool = False):
-    """A cached ``product(w)`` of the integer letters ``scaled`` along ``w``, and its denominator.
-
-    Each product extends the cached one of ``w[:-1]`` by a letter: one m x m
-    product per distinct prefix of two or more letters; ``product(())`` is
-    the identity and ``product((i,))`` the letter itself.  With ``reverse``
-    the letters multiply in the opposite order, so ``product(v[::-1])`` is
-    the product along ``v``.
-    """
-    m = scaled[0][0].rows if scaled else 0
-    cache = _Products({(): (Mat.identity(m), 1)})
-    cache.update(((i,), pair) for i, pair in enumerate(scaled))
-    cache.scaled, cache.reverse = scaled, reverse
-    # Nothing the cache holds refers back to it, so it is freed with its
-    # last caller; a closure that called itself would be a reference cycle,
-    # and every call's products would wait for the cyclic collector.
-    return cache.__getitem__
 
 
 def _flat_t(mat: Mat) -> list:
@@ -130,24 +113,24 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     """Traces of the letter products along each word, as exact rationals.
 
     Each letter L_i is stored as an integer matrix over the least common
-    denominator D_i of its entries (:func:`_scaled`).  A word w of length l is
+    denominator D_i of its entries (:class:`_Products`).  A word w of length l is
     split at h = ceil(l / 2), and tr(F B), with F and B the products along
     ``w[:h]`` and ``w[h:]``, is one inner product of F's entries with B's
     transposed entries (m**2 scalar products).  F and B come from one cache
-    (:func:`_products`), and each back half's transposed entries are taken
+    (:class:`_Products`), and each back half's transposed entries are taken
     once.  The fronts are prefixes of necklaces, far fewer than all words of
     their length, so the longer half goes in front.  Each value is
     ``Fraction(t, D_w)`` with D_w the product of the D_i along the word.
     """
-    product = _products(_scaled(letters))
+    product = _Products(letters)
     backs: dict[tuple[int, ...], tuple[list, int]] = {}
     values = []
     for w in words:
         h = (len(w) + 1) // 2
-        front, d_front = product(w[:h])
+        front, d_front = product[w[:h]]
         back = backs.get(w[h:])
         if back is None:
-            mat, d_back = product(w[h:])
+            mat, d_back = product[w[h:]]
             back = backs[w[h:]] = (_flat_t(mat), d_back)
         t = sum(map(mul, chain.from_iterable(front.num), back[0]))
         values.append(Fraction(t, d_front * back[1]))
@@ -162,15 +145,15 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
     d tr(L_{w_1} ... L_{w_l}) = sum_j tr(dL_{w_j} C_j) with
     C_j = L_{w_{j+1}} ... L_{w_l} L_{w_1} ... L_{w_{j-1}}, so no jet enters a
     product: each letter's stored form gives its integer value matrix over
-    its denominator D_i (:func:`_scaled`) and its row-major derivatives
-    per direction, each C_j is a cached suffix times a cached prefix over
-    ``int``, summed into the word's gradient G (one m x m block per letter),
-    and each direction is one inner product with G, divided by D_w, the
-    product of the D_i.
+    its denominator D_i and its row-major derivatives per direction.  The
+    suffix ``w[j:]`` and the prefix ``w[:j-1]`` of C_j are both words over
+    the letters, so one cache (:class:`_Products`) serves both, and each
+    C_j is one product over ``int``.  The C_j are summed into the word's
+    gradient G (one m x m block per letter), and each direction is one
+    inner product with G, divided by D_w, the product of the D_i.
     """
     k = max((letter.k or 0 for letter in letters), default=0)
-    pairs = _scaled(letters)
-    prefix, suffix = _products(pairs), _products(pairs, reverse=True)
+    product = _Products(letters)
     m = letters[0].rows if letters else 0
     mm = m * m
     # Direction t's derivative matrices of all letters, row-major, in the
@@ -185,13 +168,13 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
     out = []
     for w in words:
         grad = [0] * (len(letters) * mm)
-        head, denom = prefix(w[:-1])
+        head, denom = product[w[:-1]]
         for p, letter in enumerate(w):
-            c = head if p == len(w) - 1 else suffix(w[:p:-1])[0] @ prefix(w[:p])[0]
+            c = head if p == len(w) - 1 else product[w[p + 1 :]][0] @ product[w[:p]][0]
             lo = letter * mm
             grad[lo : lo + mm] = map(add, grad[lo : lo + mm], _flat_t(c))
         nums = [sum(map(mul, grad, d)) for d in along]
-        denom *= pairs[w[-1]][1]
+        denom *= letters[w[-1]].den
         g = math.gcd(denom, *nums)
         out.append((tuple([x // g for x in nums]), denom // g))
     return out

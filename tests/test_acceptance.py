@@ -28,7 +28,7 @@ from planeinv.grassmann import (
     sample_config,
     sample_invertible,
 )
-from planeinv.linalg import Mat, hstack
+from planeinv.linalg import Mat, hstack, vstack
 from planeinv.odd import frame_odd, nullspace_component, reduce_odd
 from planeinv.orbit import (
     Verdict,
@@ -294,12 +294,10 @@ def test_criterion_8_intersection_oracle():
     for trial in range(50):
         c = sample_config(n, d, s, seed=trial)
         comps = nullspace_component(c, classify_case(n, d), (1, 2), 3)
-        combined = c.subspaces[0].basis @ comps[0] + c.subspaces[1].basis @ comps[1]
-        lhs = canonicalize(Subspace(combined))
-        rhs = intersect(
-            c.subspaces[2],
-            Subspace(hstack([c.subspaces[0].basis, c.subspaces[1].basis])),
-        )
+        # sum_m B_m X_m as one product [B_1 | B_2] @ [X_1; X_2]
+        both = hstack([c.subspaces[0].basis, c.subspaces[1].basis])
+        lhs = canonicalize(Subspace(both @ vstack(comps)))
+        rhs = intersect(c.subspaces[2], Subspace(both))
         assert lhs == rhs, trial
         agreed += 1
     elapsed = time.perf_counter() - start

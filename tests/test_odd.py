@@ -21,7 +21,7 @@ from planeinv.grassmann import (
     sample_config,
     sample_invertible,
 )
-from planeinv.linalg import Mat, hstack
+from planeinv.linalg import Mat, hstack, vstack
 from planeinv.odd import (
     frame_odd,
     invariants,
@@ -68,12 +68,10 @@ class TestNullspaceComponent:
         # the recombined columns span exactly (V_1 + V_2) meet V_3
         c = sample_config(5, 2, 4, seed=11)
         comps = nullspace_component(c, odd_tag(c), (1, 2), 3)
-        combined = c.subspaces[0].basis @ comps[0] + c.subspaces[1].basis @ comps[1]
-        lhs = canonicalize(Subspace(combined))
-        rhs = intersect(
-            c.subspaces[2],
-            Subspace(hstack([c.subspaces[0].basis, c.subspaces[1].basis])),
-        )
+        # sum_m B_m X_m as one product [B_1 | B_2] @ [X_1; X_2]
+        both = hstack([c.subspaces[0].basis, c.subspaces[1].basis])
+        lhs = canonicalize(Subspace(both @ vstack(comps)))
+        rhs = intersect(c.subspaces[2], Subspace(both))
         assert lhs == rhs
 
     def test_kernel_dimension_enforced(self):
@@ -81,9 +79,8 @@ class TestNullspaceComponent:
         c = sample_config(5, 2, 4, seed=12)
         subs = list(c.subspaces)
         subs[1] = subs[0]
-        with pytest.raises(WrongKernelDimension) as exc:
+        with pytest.raises(WrongKernelDimension, match=r"has dimension 2, expected 1$"):
             nullspace_component(Config(tuple(subs)), odd_tag(c), (1, 2), 3)
-        assert exc.value.actual != exc.value.expected
 
 
 class TestFrameOdd:

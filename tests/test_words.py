@@ -12,9 +12,17 @@ from hypothesis import strategies as st
 
 from test_linalg import as_duals, deriv, jet, jet_mat, trace_word
 
+from planeinv import divisible
 from planeinv.cli import main
+from planeinv.grassmann import sample_config
 from planeinv.linalg import Jet, Mat
-from planeinv.words import enumerate_words, evaluate_traces, trace_derivatives
+from planeinv.words import (
+    _Products,
+    enumerate_words,
+    evaluate_traces,
+    trace_derivatives,
+    words_for,
+)
 
 
 def rotation_filter_words(alphabet_size, max_len):
@@ -118,6 +126,30 @@ class TestEvaluateTraces:
         halves = {part for w in words for part in (w[: (len(w) + 1) // 2], w[(len(w) + 1) // 2 :])}
         needed = {h[:i] for h in halves for i in range(2, len(h) + 1)}
         assert len(words) == 540 and len(calls) == len(needed) == 62
+
+    def test_one_cache_for_traces_and_derivatives(self, monkeypatch):
+        """The chain rule's suffixes and prefixes are words of the one product cache.
+
+        At the (6,3,6) seed-1 letters and their 540 words, the traces fill
+        62 products, and the derivatives at most 631 (a second cache built
+        in reverse order for the suffixes filled 832).
+        """
+        fills = []
+        missing = _Products.__missing__
+
+        def counted(cache, w):
+            fills.append(w)
+            return missing(cache, w)
+
+        monkeypatch.setattr(_Products, "__missing__", counted)
+        tag, _, letters, _ = divisible.letters(sample_config(6, 3, 6, seed=1))
+        words = words_for(tag, 3, len(letters))
+        assert len(words) == 540
+        evaluate_traces(letters, words)
+        assert len(fills) == 62
+        fills.clear()
+        trace_derivatives(letters, words)
+        assert 0 < len(fills) <= 631
 
     def test_products_freed_without_the_cyclic_collector(self):
         """The product cache forms no reference cycle, so reference counting frees it."""
