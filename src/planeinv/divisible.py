@@ -1,9 +1,11 @@
 """Invariant letters for the divisible case: n = r*d with ratio r >= 2.
 
 Write the configuration matrix as M = (A | B) where A collects the first r
-members (an n x n block) and B the remaining s - r.  In the left-translated
-matrix ``phi = A^-1 B`` each member becomes a column of r blocks of size
-d x d.  Ratios of those blocks,
+members (an n x n block) and B the remaining s - r.  When A is invertible
+the reduced echelon form of M (:meth:`~planeinv.grassmann.Config.echelon`)
+is (I | A^-1 B), so its right block ``phi = A^-1 B`` is read off the form
+with no inverse and no product.  In phi each member becomes a column of r
+blocks of size d x d.  Ratios of those blocks,
 
     D_ij(N) = N_11 * N_i1^-1 * N_ij * N_1j^-1,
 
@@ -29,7 +31,7 @@ from .errors import (
     inverse_or_degenerate,
 )
 from .grassmann import CaseTag, Config, Subspace, classify_case
-from .linalg import Mat, hstack, vstack
+from .linalg import Mat, vstack
 from .words import InvariantVector, trace_vector
 
 
@@ -45,17 +47,19 @@ def _require_divisible(config: Config) -> CaseTag:
 def phi_left(config: Config) -> Mat:
     """Left-translate so the first r members become the identity: A^-1 B.
 
-    Needs s > r; raises :class:`DegenerateConfigError` when the first r
-    members do not span the ambient space.
+    That is the right n x (s - r)d block of the reduced echelon form of the
+    configuration matrix, when the form's first n pivots are columns
+    0..n-1.  Needs s > r; raises :class:`DegenerateConfigError` when the
+    first r members do not span the ambient space.
     """
     tag = _require_divisible(config)
-    r = tag.r
+    r, n = tag.r, config.n
     if config.s <= r:
         raise CaseMismatchError(f"phi_left needs s > r = {r}, got s = {config.s}")
-    a = hstack([sub.basis for sub in config.subspaces[:r]])
-    b = hstack([sub.basis for sub in config.subspaces[r:]])
-    message = f"the first r = {r} members do not span the ambient space"
-    return inverse_or_degenerate(a, message) @ b
+    form, pivots = config.echelon()
+    if pivots[:n] != tuple(range(n)):
+        raise DegenerateConfigError(f"the first r = {r} members do not span the ambient space")
+    return form.block(0, n, n, form.cols)
 
 
 def letter_ids(tag: CaseTag, s: int) -> tuple[str, ...]:

@@ -225,6 +225,16 @@ class Config:
         """All bases side by side: the n x (s*d) matrix of the configuration."""
         return hstack([sub.basis for sub in self.subspaces])
 
+    def echelon(self) -> tuple[Mat, tuple[int, ...]]:
+        """The reduced echelon form of :meth:`matrix` and its pivot columns.
+
+        The form is E M for one invertible n x n matrix E, so its d-column
+        blocks are the members moved by one left action.  Both reductions
+        start from it: the letters are exactly unchanged by a left action,
+        and in the form the first members that span are unit columns.
+        """
+        return self.matrix().rref()
+
 
 def act_left(g: Mat, config: Config) -> Config:
     """Apply an invertible n x n matrix to every subspace."""

@@ -1,6 +1,6 @@
 """Invariant letters for the odd-multiple case: n = (2r+1)e, d = 2e.
 
-The reduction reads each member's own basis B_i and picks no coordinate
+The reduction reads a basis B_i of each member and picks no coordinate
 chart, so every condition it checks is a property of the configuration:
 it holds for c exactly when it holds for g c h.  All structure is
 extracted from intersections with sums of the leading members, computed
@@ -8,6 +8,22 @@ as canonical kernels of [B_m ... | B_target] (:func:`nullspace_component`).
 Three such kernels give the column blocks of the frame matrix H
 (:func:`frame_odd`) at every r >= 1; at r = 1 they are the pairwise meets
 1∩2, 1∩3 and 2∩3 of the first three members.
+
+A left factor E fixes every letter exactly: the kernels stay put, H
+becomes E H, and H^-1 B_j does not change.  So at r >= 2 a rational pass
+reads each member as its d-column block of the reduced echelon form of
+the configuration matrix (:meth:`~planeinv.grassmann.Config.echelon`),
+where the first members are mostly unit columns and the frame's kernels
+and H^-1 meet rows already reduced.  Medians over seeds 1-20 (Python
+3.11, one shared 2-vCPU host): :func:`letters` takes 13% less time at
+(7,2,7), 19-21% less at (9,2,9) and (10,4,6), 30-40% less at (15,6,6)
+and (14,4,7), and 0-1% more at (5,2,8) and (5,2,9), where n is small and
+the form pays once more for every later member.  Two passes keep the
+members' own bases, each for a measured reason.  At r = 1 the frame is
+three pairwise meets, and the echelon form made the letters 17-19%
+slower at (3,2,6) and 7% slower at (9,6,6).  Over jets E would carry the
+free members' derivatives into every member, and the Jacobian rank's
+tail time rose 22%.
 
 * r = 1 (n = 3e): expressing the remaining members in H-coordinates yields
   pairs (alpha_{2i-1}, alpha_{2i}) of e x e blocks, and normalizing by the
@@ -47,7 +63,7 @@ from .errors import (
     ZeroPatternViolation,
     inverse_or_degenerate,
 )
-from .grassmann import CaseTag, Config, classify_case
+from .grassmann import CaseTag, Config, Subspace, classify_case
 from .linalg import Mat, hstack
 from .words import InvariantVector, trace_vector
 
@@ -344,6 +360,11 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple[Mat, ...], Degeneracy |
                     block=r + 1,
                 )
         return (), None
+    # Echelon coordinates at r >= 2 over Q only; the module docstring says why.
+    if r > 1 and all(sub.basis.k is None for sub in config):
+        form, _ = config.echelon()
+        n, d = config.n, config.d
+        config = Config([Subspace._raw(form.block(0, n, lo, lo + d)) for lo in range(0, s * d, d)])
     h = frame_odd(config, tag)
     if r == 1:
         if s == 3:

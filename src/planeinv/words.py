@@ -148,7 +148,8 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
     its denominator D_i and its row-major derivatives per direction.  The
     suffix ``w[j:]`` and the prefix ``w[:j-1]`` of C_j are both words over
     the letters, so one cache (:class:`_Products`) serves both, and each
-    C_j is one product over ``int``.  The C_j are summed into the word's
+    C_j is one product over ``int``, or none at j = 1 and j = l, where the
+    prefix or the suffix is empty.  The C_j are summed into the word's
     gradient G (one m x m block per letter), and each direction is one
     inner product with G, divided by D_w, the product of the D_i.
     """
@@ -170,7 +171,12 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
         grad = [0] * (len(letters) * mm)
         head, denom = product[w[:-1]]
         for p, letter in enumerate(w):
-            c = head if p == len(w) - 1 else product[w[p + 1 :]][0] @ product[w[:p]][0]
+            if p == len(w) - 1:
+                c = head
+            elif p == 0:
+                c = product[w[1:]][0]
+            else:
+                c = product[w[p + 1 :]][0] @ product[w[:p]][0]
             lo = letter * mm
             grad[lo : lo + mm] = map(add, grad[lo : lo + mm], _flat_t(c))
         nums = [sum(map(mul, grad, d)) for d in along]

@@ -391,6 +391,16 @@ class TestInvarianceOdd:
             assert invariants(act_left(g, c)).values == base
             assert invariants(act_right(hs, c)).values == base
 
+    @pytest.mark.parametrize(
+        "n,d,s", [(3, 2, 6), (6, 4, 6), (5, 2, 6), (7, 2, 7), (10, 4, 6)]
+    )
+    def test_left_action_fixes_letters(self, n, d, s):
+        """A left factor leaves every letter and the degeneracy exactly unchanged, not only the traces."""
+        for seed in (1, 2, 3):
+            c = sample_config(n, d, s, seed=seed)
+            g = sample_invertible(SplitMix64(seed + 77), n)
+            assert letters(act_left(g, c))[2:] == letters(c)[2:]
+
     def test_vectors_separate_random_pairs(self):
         a = invariants(sample_config(3, 2, 5, seed=1))
         b = invariants(sample_config(3, 2, 5, seed=2))

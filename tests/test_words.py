@@ -188,6 +188,26 @@ class TestTraceDerivatives:
             for nums, den in got
         )
 
+    def test_no_identity_products(self, monkeypatch):
+        """The first and last cofactors of a word are cached products, never multiplied by the identity.
+
+        At the (6,3,6) seed-1 letters and their 540 words that is 2,938
+        products; taking the first cofactor times the empty prefix took
+        3,475, 537 of them with the identity as right operand.
+        """
+        tag, _, letters, _ = divisible.letters(sample_config(6, 3, 6, seed=1))
+        words = words_for(tag, 3, len(letters))
+        calls = []
+        matmul = Mat.__matmul__
+
+        def counted(a, b):
+            calls.append(None)
+            return matmul(a, b)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        trace_derivatives(letters, words)
+        assert len(words) == 540 and len(calls) <= 2938
+
     def test_no_directions(self):
         letters = [Mat([[Fraction(1, 2), 1], [0, Fraction(3)]])]
         assert trace_derivatives(letters, enumerate_words(1, 3)) == [((), 1)] * 3
