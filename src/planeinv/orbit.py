@@ -11,18 +11,30 @@ characteristic polynomial, so the dimension is m.
 measures the actual number of independent invariants at a point, exactly,
 with no floating point and no thresholds.
 
-In the divisible case the letters are coordinates on the quotient:
+In the divisible case and in the odd case at r = 1 the letters are
+coordinates on the quotient.  With T the word-trace map and L the letters,
+each family has a normal form N with T(L(N(x))) = T(x):
 :func:`planeinv.divisible.embed` is a section, ``letters(embed(x)) == x``,
-and a configuration in general position lies in the orbit of the normal
-form of its letters, so the letters' differential is onto there and the
-Jacobian rank is the rank of the word-trace map at the letters.  At an
-absolutely irreducible tuple of k >= 2 letters that rank is
-k*m^2 - (m^2 - 1): the stabilizer is the scalars, so by Luna's slice
-theorem the quotient is smooth at the tuple's image, and the word traces,
-which generate the invariants, embed the quotient (Le Bruyn-Procesi,
-*Semisimple representations of quivers*, 1990).  For k = 1 it is m at a
-regular letter (Kostant, 1963).  Both conditions are the linear
-independence of words in the letters: for k >= 2 the m^2 words
+and at r = 1 (n = 3e) it is E(x), whose members 1-3 are the coordinate
+blocks (1,2), (1,3) and (2,3) of (Q^e)^3, whose member 4 is graph(I, I),
+and whose member i >= 5 is graph(x_{2i-1}, x_{2i}), where graph(A, B) spans
+(u, v, A u + B v); the letters of E(x) are x conjugated by one common
+matrix.  A point p that passes the reduction lies in the orbit of N(L(p))
+(at r = 1, with frame H and member 4's pair (alpha_7, alpha_8),
+block-diag(alpha_7, alpha_8, I) H^-1 moves it there), and the invariants
+are constant on orbits, so the Jacobian J has the same rank at both.  At
+N(L(p)) the chain rule through T o L o N = T bounds it below by the rank
+of dT at L(p), and J = dT(L) dL bounds it above by the same, so the rank
+at p is that of G = dT(L(p)): one row per word, holding the gradient of
+its trace in the letters' entries.
+
+Often no gradient is needed.  At an absolutely irreducible tuple of k >= 2
+letters the rank of G is k*m^2 - (m^2 - 1): the stabilizer is the scalars,
+so by Luna's slice theorem the quotient is smooth at the tuple's image,
+and the word traces, which generate the invariants, embed the quotient
+(Le Bruyn-Procesi, *Semisimple representations of quivers*, 1990).  For
+k = 1 it is m at a regular letter (Kostant, 1963).  Both conditions are
+the linear independence of words in the letters: for k >= 2 the m^2 words
 L_1^i L_2^j (0 <= i, j < m) span all m x m matrices exactly when the
 letters generate the full matrix algebra, i.e. the tuple is absolutely
 irreducible; for k = 1, I, L, ..., L^(m-1) are independent exactly when
@@ -32,52 +44,33 @@ are ranks of integer matrices; :func:`jacobian_rank` takes them modulo a
 prime, which can only lower a rank, and a rank equal to the number of
 words is a proof.  The returned rank comes from the letters' own k and m,
 never from :func:`expected_quotient_dim`, so a wrong count cannot certify
-itself, and no derivative is taken at all.
+itself.  Letters that fail the check get the exact rank of G.
 
-The odd family at r = 1 (n = 3e) has a normal form as well.  Let E(x) be
-the configuration whose members 1-3 are the coordinate blocks (1,2), (1,3)
-and (2,3) of (Q^e)^3, whose member 4 is graph(I, I), and whose member
-i >= 5 is graph(x_{2i-1}, x_{2i}), where graph(A, B) spans (u, v, A u + B v).
-A point p that passes the reduction, with frame H and member 4's pair
-(alpha_7, alpha_8), is moved to E(sigma(p)) by block-diag(alpha_7,
-alpha_8, I) H^-1.  The letters of E(x) are x conjugated by one common
-matrix, so T(L(E(x))) = T(x) for the word-trace map T and the letters L,
-and the rank at p is at least the rank of T at sigma(p), which the same
-certificate decides; the count bounds it from above.  At r >= 2 no such
-argument holds, and it fails in fact: (5,2,5) at bound 1, seeds 6 and 33,
-has rank 3 although its letters pass the certificate's check, which would
-give 6.  So r >= 2 points, and points that fail the certificate, take the
-jet pass below.
-
-The count is also an upper bound on the Jacobian rank at *every* point:
-the invariants are traces of words in the letters, which are
-conjugation-invariant polynomials, so the Jacobian factors through the
-Jacobian of the trace map at the letters, whose rank nowhere exceeds its
-generic rank, the transcendence degree above.  :func:`jacobian_rank`
-therefore takes derivatives along ``bound + 1`` pseudo-random integer
-directions only: one reduction over jets differentiates the letters along
-all of them, and the chain rule gives the word traces' derivatives over the
-integers.  Their rank is a lower bound, and when it meets the upper bound
-it is the exact rank.  That rank is computed modulo a prime, which can
-only lower it, so a match there is already a proof.  Any other outcome
-falls back to one more pass along every coordinate direction, whose rank
-is computed exactly.
+At r >= 2 there is no normal form, and the rank at the letters can be
+wrong: (5,2,5) at bound 1, seeds 6 and 33, has rank 3 although its letters
+pass the certificate's check, which would give 6.  So only the odd family
+at r >= 2 differentiates the configuration itself, by the jet pass below.
+The count bounds the Jacobian rank at *every* point: the invariants are
+traces of words in the letters, conjugation-invariant polynomials, so J
+factors through dT at the letters, whose rank nowhere exceeds its generic
+rank, the transcendence degree above.  The jet pass therefore takes
+derivatives along ``bound + 1`` pseudo-random integer directions only:
+one reduction over jets differentiates the letters along all of them, and
+the chain rule gives the word traces' derivatives over the integers.
+Their rank, taken modulo a prime, is a lower bound, so a match with the
+count is the exact rank; any other outcome falls back to one more pass
+along every coordinate direction, whose rank is computed exactly.
 
 The sketch directions vanish on the first F = min(s, (n^2 - 1) //
 (d (n - d))) members: F Grassmannians of dimension d (n - d) fit in PGL_n,
-and F is exactly the number of leading members the normal forms fix
-(r + 1 in the divisible case; 4 in the odd case at r = 1 and r = 2, and
-r + 1 at r >= 3).  Generic F-tuples of those members form one open orbit
-of GL_n x prod GL_d, so the orbit tangent and the directions that move only
-the free members span the whole tangent space, and the invariants, being
-constant on orbits, have a Jacobian that vanishes on the orbit tangent.
-The rank is therefore reached along the free members alone.  The fixed
-members reach the reduction as plain rational subspaces, so what it builds
-from them alone (A^-1 in the divisible case, the frame of the odd case at
-r <= 2) is computed over the rationals.  Neither the sketch's certificate
-nor the fallback depends on F: any directions R give rank(J R) <= rank(J),
-and the fallback still runs along all n*d*s coordinates; F decides only
-how often it has to run.
+and at r >= 2 F is exactly the number of leading members the odd
+reduction fixes (4 at r = 2, r + 1 at r >= 3).  Generic F-tuples of those
+members form one open orbit of GL_n x prod GL_d, so the orbit tangent and
+the directions that move only the free members span the whole tangent
+space, on whose orbit part J vanishes: the rank is reached along the free
+members alone, and the frame at r = 2, built from fixed members only, is
+computed over the rationals.  Neither the sketch's certificate nor the
+fallback depends on F; F decides only how often the fallback runs.
 """
 
 from __future__ import annotations
@@ -101,6 +94,7 @@ from .words import (
     enumerate_words,
     letter_size,
     trace_derivatives,
+    word_gradients,
     words_for,
 )
 
@@ -237,13 +231,35 @@ def _sketch_directions(n: int, d: int, s: int) -> tuple[tuple[int, ...], ...]:
 def jacobian_rank(config: Config) -> int:
     """Exact rank of the invariant map's Jacobian J at ``config``.
 
-    In the divisible case and in the odd case at r = 1, where the letters
-    are the coordinates of a normal form, the one rational ``letters`` pass
-    comes first: with no letters the rank is 0, and otherwise
-    :func:`_irreducible_rank` returns the rank when the letters certify it
-    (the module docstring has the argument, E(x) at r = 1).  At r >= 2 the
-    letters' differential is not onto everywhere, so those points, and
-    anything the letters do not certify, fall through to the jet pass.
+    In the divisible case and in the odd case at r = 1, the one rational
+    ``letters`` pass gives the rank (the module docstring has the
+    argument): 0 with no letters, else the count when
+    :func:`_irreducible_rank` certifies the letters, else the exact rank of
+    G, the word traces' integer gradients (:func:`word_gradients`) at the
+    letters.  Scaling each row of G by its denominator, and each letter's
+    columns by the letter's, leaves the rank unchanged.  The odd case at
+    r >= 2 takes :func:`_jet_rank`.  A configuration out of general
+    position raises :class:`DegenerateConfigError`, naming the failed
+    condition.
+    """
+    n, d = config.n, config.d
+    module = _reduction(n, d)
+    if module is odd and classify_case(n, d).r > 1:
+        return _jet_rank(config)
+    tag, _, letters, degeneracy = module.letters(config)
+    if degeneracy is not None:
+        raise degeneracy.error()
+    if not letters:
+        return 0
+    rank = _irreducible_rank(letters)
+    if rank is None:
+        words = words_for(tag, d, len(letters))
+        rank = Mat([grad for grad, _ in word_gradients(letters, words)]).rank()
+    return rank
+
+
+def _jet_rank(config: Config) -> int:
+    """The rank of J from reductions over jets: the sketch pass, then if need be the unit pass.
 
     One reduction over jets and the chain rule on every word up to the
     generating length 2**m - 1 give the exact derivative of every word value
@@ -262,20 +278,9 @@ def jacobian_rank(config: Config) -> int:
     point, an unlucky draw, or a prime that divides a minor) or exceeds
     ``bound`` (a wrong count) is discarded, and the rank is that of one more
     pass with the n*d*s unit directions, by exact elimination.  The jet
-    pass pivots on values, so it records the plain pass's degeneracy; a
-    configuration out of general position raises
-    :class:`DegenerateConfigError`, naming the failed condition, from
-    whichever pass comes first.
+    pass pivots on values, so it raises the plain pass's degeneracy.
     """
     n, d, s = config.n, config.d, config.s
-    module = _reduction(n, d)
-    if module is divisible or classify_case(n, d).r == 1:
-        _, _, letters, degeneracy = module.letters(config)
-        if degeneracy is not None:
-            raise degeneracy.error()
-        rank = _irreducible_rank(letters) if letters else 0
-        if rank is not None:
-            return rank
     coords = n * d * s
     expected = expected_quotient_dim(n, d, s)
     rows, words = _derivative_rows(config, _sketch_directions(n, d, s))

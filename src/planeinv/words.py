@@ -17,10 +17,12 @@ is.  Each word is split at its middle into a front and a back half-word,
 whose integer products come from one cache.  The trace is one inner
 product of the front's product with the back's transposed product, divided
 back by the product of the letters' denominators, so each value costs one
-gcd and no word is multiplied out.  The derivatives of the traces come
-from those of the letters by the chain rule, also over the integers
-(:func:`trace_derivatives`): each term is a suffix's product times a
-prefix's, and both are words, so the same cache serves them too.
+gcd and no word is multiplied out.  Each trace's gradient in the letters'
+entries comes from the chain rule, also over the integers
+(:func:`word_gradients`): each term is a suffix's product times a
+prefix's, and both are words, so the same cache serves them too.  The
+traces' derivatives along the letters' jet directions
+(:func:`trace_derivatives`) are inner products with those gradients.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import Degeneracy
 from .grassmann import CaseTag, Config
@@ -137,36 +139,26 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     return values
 
 
-def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[tuple]:
-    """Each word trace's derivative along every direction of the jet letters.
+def word_gradients(
+    letters: Sequence[Mat], words: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[list, int]]:
+    """Each word trace's gradient in the letters' integer entries, as ``(grad, D_w)`` pairs.
 
-    One ``(nums, den)`` pair per word: integer numerators over one positive
-    denominator, reduced by one gcd.  By the chain rule,
+    Yields one pair per word: ``grad`` holds one m x m block per letter,
+    row-major, of integers, and d tr(L_w) / dN_i = block i / D_w, with N_i
+    letter i's stored integer form over its denominator D_i and D_w the
+    product of the D_i along the word.  By the chain rule,
     d tr(L_{w_1} ... L_{w_l}) = sum_j tr(dL_{w_j} C_j) with
-    C_j = L_{w_{j+1}} ... L_{w_l} L_{w_1} ... L_{w_{j-1}}, so no jet enters a
-    product: each letter's stored form gives its integer value matrix over
-    its denominator D_i and its row-major derivatives per direction.  The
-    suffix ``w[j:]`` and the prefix ``w[:j-1]`` of C_j are both words over
-    the letters, so one cache (:class:`_Products`) serves both, and each
-    C_j is one product over ``int``, or none at j = 1 and j = l, where the
-    prefix or the suffix is empty.  The C_j are summed into the word's
-    gradient G (one m x m block per letter), and each direction is one
-    inner product with G, divided by D_w, the product of the D_i.
+    C_j = L_{w_{j+1}} ... L_{w_l} L_{w_1} ... L_{w_{j-1}}, so block w_j gains
+    the transpose of C_j.  The suffix ``w[j:]`` and the prefix ``w[:j-1]``
+    of C_j are both words over the letters, so one cache
+    (:class:`_Products`) serves both, and each C_j is one product over
+    ``int``, or none at j = 1 and j = l, where the prefix or the suffix is
+    empty.  Jet letters give the gradient at their values.
     """
-    k = max((letter.k or 0 for letter in letters), default=0)
     product = _Products(letters)
     m = letters[0].rows if letters else 0
     mm = m * m
-    # Direction t's derivative matrices of all letters, row-major, in the
-    # layout of G; a letter in fewer directions has zero derivatives there.
-    along = [[] for _ in range(k)]
-    for letter in letters:
-        for t, seg in enumerate(along, start=1):
-            if t <= (letter.k or 0):
-                seg += [x for row in letter.num for x in row[t * m : t * m + m]]
-            else:
-                seg += [0] * mm
-    out = []
     for w in words:
         grad = [0] * (len(letters) * mm)
         head, denom = product[w[:-1]]
@@ -179,8 +171,33 @@ def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) 
                 c = product[w[p + 1 :]][0] @ product[w[:p]][0]
             lo = letter * mm
             grad[lo : lo + mm] = map(add, grad[lo : lo + mm], _flat_t(c))
+        yield grad, denom * letters[w[-1]].den
+
+
+def trace_derivatives(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """Each word trace's derivative along every direction of the jet letters.
+
+    One ``(nums, den)`` pair per word: integer numerators over one positive
+    denominator, reduced by one gcd.  Each letter's stored form holds its
+    row-major derivatives per direction over its denominator D_i, so each
+    direction is one inner product of the word's gradient
+    (:func:`word_gradients`) with those derivatives, over D_w.
+    """
+    k = max((letter.k or 0 for letter in letters), default=0)
+    m = letters[0].rows if letters else 0
+    # Direction t's derivative matrices of all letters, row-major, in the
+    # layout of the gradient; a letter in fewer directions has zero
+    # derivatives there.
+    along = [[] for _ in range(k)]
+    for letter in letters:
+        for t, seg in enumerate(along, start=1):
+            if t <= (letter.k or 0):
+                seg += [x for row in letter.num for x in row[t * m : t * m + m]]
+            else:
+                seg += [0] * (m * m)
+    out = []
+    for grad, denom in word_gradients(letters, words):
         nums = [sum(map(mul, grad, d)) for d in along]
-        denom *= letters[w[-1]].den
         g = math.gcd(denom, *nums)
         out.append((tuple([x // g for x in nums]), denom // g))
     return out

@@ -94,7 +94,7 @@ CENSUS = {
 }
 
 
-@pytest.mark.parametrize("shape", list(CENSUS))
+@pytest.mark.parametrize("shape", list(CENSUS), ids=lambda s: "-".join(map(str, s)))
 def test_forced_singular_inverses(shape, monkeypatch):
     config = sample_config(*shape, seed=1)
     module = divisible if classify_case(shape[0], shape[1]).kind == "divisible" else odd

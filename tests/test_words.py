@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_linalg import as_duals, deriv, jet, jet_mat, trace_word
+from test_linalg import Dual, as_duals, deriv, jet, jet_mat, trace_word
 
 from planeinv import divisible
 from planeinv.cli import main
@@ -21,6 +21,7 @@ from planeinv.words import (
     enumerate_words,
     evaluate_traces,
     trace_derivatives,
+    word_gradients,
     words_for,
 )
 
@@ -214,6 +215,33 @@ class TestTraceDerivatives:
 
     def test_no_words(self):
         assert trace_derivatives([jet_mat([[jet(Fraction(1), [1])]])], []) == []
+
+
+class TestWordGradients:
+    @given(alphabets(rationals))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dual_gradient(self, letters):
+        """Block i of a word's gradient, over D_w, is its trace's derivative in letter i's integer form.
+
+        The dual oracle takes one direction per letter entry; entry (a, b)
+        of letter i is N_i[a][b] / D_i, so its derivative is 1 / D_i.
+        """
+        m = letters[0].rows
+        coords = len(letters) * m * m
+        duals = [
+            [
+                [Dual(x, [Fraction(int(c == (i * m + a) * m + b), mat.den) for c in range(coords)])
+                 for b, x in enumerate(row)]
+                for a, row in enumerate(mat.data)
+            ]
+            for i, mat in enumerate(letters)
+        ]
+        words = enumerate_words(len(letters), 3)
+        got = list(word_gradients(letters, words))
+        assert len(got) == len(words)
+        for w, (grad, den) in zip(words, got):
+            assert all(type(x) is int for x in grad)
+            assert [Fraction(x, den) for x in grad] == trace_word(duals, w).derivs
 
 
 def test_invariants_file_pinned(tmp_path):
