@@ -235,6 +235,16 @@ class Config:
         """
         return self.matrix().rref()
 
+    def echelon_config(self) -> "Config":
+        """The configuration whose members are the d-column blocks of :meth:`echelon`.
+
+        That is E c for the one invertible E of the form, so every
+        invariant, and the rank of their Jacobian, is the same as at c.
+        """
+        form, _ = self.echelon()
+        n, d = self.n, self.d
+        return Config([Subspace._raw(form.block(0, n, lo, lo + d)) for lo in range(0, self.s * d, d)])
+
 
 def act_left(g: Mat, config: Config) -> Config:
     """Apply an invertible n x n matrix to every subspace."""

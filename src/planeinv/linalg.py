@@ -28,12 +28,20 @@ shadows, but every row whose entry is a nonzero *jet* is cleared: an entry
 of value 0 with a nonzero derivative still carries a derivative of the
 result.
 
+Over jets, elimination runs only in :meth:`Mat.rref`,
+:meth:`Mat.nullspace_basis` and :meth:`Mat.solve`.  A product and an
+inverse follow forward mode's identities d(AB) = dA B + A dB and
+d(A^-1) = -A^-1 dA A^-1 (Griewank-Walther, *Evaluating Derivatives*): the
+inverse eliminates the values alone, and the derivatives are plain
+integer products, with no zero derivatives added to a rational operand.
+
 ``-``, blocks, stacks, transposes, ``is_zero``, ``==`` and ``hash`` act
-on the form too; a rational operand meets a jet operand as a jet with
-zero derivatives.  ``Fraction`` entries, and :class:`Jet` records
-for a jet matrix, are built only when :attr:`Mat.data` is first read (file
-writers, ``repr``, tests); the word traces (:mod:`planeinv.words`) read
-each letter's form as an integer matrix and its denominator.
+on the form too; in ``-``, stacks and solves a rational operand meets a
+jet operand as a jet with zero derivatives.  ``Fraction`` entries, and
+:class:`Jet` records for a jet matrix, are built only when
+:attr:`Mat.data` is first read (file writers, ``repr``, tests); the word
+traces (:mod:`planeinv.words`) read each letter's form as an integer
+matrix and its denominator.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularMatrixError
@@ -93,29 +101,45 @@ def _reduced(num, den):
     return num, den
 
 
-def _mat_mul(a, ad, b, bd, cols, k):
+def _products(rows, cols) -> list:
+    """The integer inner products of each of ``rows`` with each of ``cols``, one list per row."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _mat_mul(a, ad, ka, b, bd, kb, cols):
     """The form of ``(a / ad) @ (b / bd)``, with ``cols`` columns; the inner dimension is >= 1.
 
-    One integer inner product per output component, over ``ad * bd``, then
-    one gcd.  With ``k`` directions, column j of ``b`` has the values
-    ``b_0`` and the derivatives ``b_t``, row i of ``a`` has ``a_0`` and
-    ``a_t``, and the derivative of entry (i, j) along t is one inner product
-    of ``a_0 ++ a_t`` with ``b_t ++ b_0``.
+    Each operand keeps its own directions ``ka`` and ``kb`` (None for a
+    rational operand), and the product has the most either has: forward
+    mode's d(AB) = dA B + A dB, with a missing direction's derivative 0.
+    The products are plain integer inner products over ``ad * bd``, then
+    one gcd.  A rational ``a`` times the flat rows of ``b`` is already the
+    flat product; each of the ``ka + 1`` segments of a jet ``a`` times a
+    rational ``b`` gives a segment; and for two jets, ``a_0`` times the
+    flat rows of ``b`` gives ``a_0 b_0`` and every ``a_0 b_t``, to which
+    segment t adds ``a_t b_0``.  A flat row times a column of ``b``'s
+    values reads only its first ``n`` entries, its values.
     """
-    bcols = [list(col) for col in zip(*b)]
-    if not (k and cols):
-        num = [[sum(map(mul, arow, bcol)) for bcol in bcols] for arow in a]
-        return _reduced(num, ad * bd)
     n = len(b)
+    bcols = [list(col) for col in zip(*b)]
+    if not ka:
+        return _reduced(_products(a, bcols), ad * bd)
+    if not kb:
+        segs = range(0, (ka + 1) * n, n)
+        num = [
+            [sum(map(mul, at, col)) for at in [row[lo : lo + n] for lo in segs] for col in bcols]
+            for row in a
+        ]
+        return _reduced(num, ad * bd)
     b0s = bcols[:cols]
-    rights = [[bcols[lo + j] + b0 for j, b0 in enumerate(b0s)] for lo in range(cols, (k + 1) * cols, cols)]
+    both = min(ka, kb) * cols
+    segs = range(n, (ka + 1) * n, n)
     num = []
     for row in a:
-        a0 = row[:n]
-        flat = [sum(map(mul, a0, b0)) for b0 in b0s]
-        for lo, bts in zip(range(n, (k + 1) * n, n), rights):
-            at = a0 + row[lo : lo + n]
-            flat += [sum(map(mul, at, bt)) for bt in bts]
+        flat = [sum(map(mul, row, col)) for col in bcols]
+        dab = [sum(map(mul, at, b0)) for at in [row[lo : lo + n] for lo in segs] for b0 in b0s]
+        flat[cols : cols + both] = map(add, flat[cols : cols + both], dab)
+        flat += dab[both:]
         num.append(flat)
     return _reduced(num, ad * bd)
 
@@ -370,10 +394,9 @@ class Mat:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        k = self.k if self.k == other.k else _joint_k((self, other))
-        num, den = _mat_mul(
-            _rows_in(self, k), self.den, _rows_in(other, k), other.den, other.cols, k
-        )
+        ka, kb = self.k, other.k
+        k = kb if ka is None else ka if kb is None else max(ka, kb)
+        num, den = _mat_mul(self.num, self.den, ka, other.num, other.den, kb, other.cols)
         return Mat._form(num, den, other.cols, k)
 
     def __sub__(self, other: "Mat") -> "Mat":
@@ -433,16 +456,31 @@ class Mat:
         return _rank(self.num, self.cols, self.k)
 
     def inverse(self) -> "Mat":
+        """The inverse V of a square matrix A; :class:`SingularMatrixError` when A's values are singular.
+
+        V's values A_0^-1 come from one rational elimination of
+        ``[A_0 | I]``; over jets, each derivative is dV_t = -V A_t V, two
+        plain integer products, and the whole form is reduced once.  No jet
+        elimination runs.
+        """
         if self.rows != self.cols:
             raise DimensionMismatchError("only square matrices can be inverted")
-        n, k = self.rows, self.k
-        # [A | I] as the integer rows [num | den * I]; I has zero derivatives.
-        eye = [[self.den * (i == j) for j in range(n * (1 + (k or 0)))] for i in range(n)]
-        work = [_joined([(row, n), (e, n)], k) for row, e in zip(self.num, eye)]
-        num, den, pivots = _rref(work, 2 * n, k, n)
+        n, k, den = self.rows, self.k, self.den
+        # [A_0 | I] as the integer rows [num_0 | den * I]: V = A_0^-1 is v / vd.
+        work = [row[:n] + [den * (i == j) for j in range(n)] for i, row in enumerate(self.num)]
+        v, vd, pivots = _rref(work, 2 * n, None, n)
         if len(pivots) < n or pivots[n - 1] != n - 1:
             raise SingularMatrixError(f"matrix of size {n} is singular")
-        return Mat._form(num, den, n, k)
+        if not k:
+            return Mat._form(v, vd, n, k)
+        # dV_t = -V A_t V over vd^2 den: -v times the derivative columns of
+        # the integer rows, then the stacked blocks -v A_t times v; row
+        # t n + i of the stack is row i of block t.
+        vat = _products([[-x for x in row] for row in v], list(zip(*[row[n:] for row in self.num])))
+        blocks = _products([row[lo : lo + n] for lo in range(0, k * n, n) for row in vat], list(zip(*v)))
+        scale = vd * den
+        num = [[x * scale for x in row] + [x for dv in blocks[i::n] for x in dv] for i, row in enumerate(v)]
+        return Mat._form(*_reduced(num, vd * vd * den), n, k)
 
     def solve(self, rhs: "Mat") -> "Mat":
         """Unique solution X of ``self @ X == rhs``.

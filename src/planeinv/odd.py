@@ -21,9 +21,12 @@ and (14,4,7), and 0-1% more at (5,2,8) and (5,2,9), where n is small and
 the form pays once more for every later member.  Two passes keep the
 members' own bases, each for a measured reason.  At r = 1 the frame is
 three pairwise meets, and the echelon form made the letters 17-19%
-slower at (3,2,6) and 7% slower at (9,6,6).  Over jets E would carry the
-free members' derivatives into every member, and the Jacobian rank's
-tail time rose 22%.
+slower at (3,2,6) and 7% slower at (9,6,6).  A pass over jets keeps its
+members too: the echelon form of the jet configuration matrix would carry
+the free members' derivatives into every member (the Jacobian rank's tail
+time rose 22%).  The Jacobian rank instead takes E over the rationals
+before the jets go on (:func:`planeinv.orbit._jet_rank`), so the pass
+starts in echelon coordinates and the derivatives stay in the free members.
 
 * r = 1 (n = 3e): expressing the remaining members in H-coordinates yields
   pairs (alpha_{2i-1}, alpha_{2i}) of e x e blocks, and normalizing by the
@@ -63,7 +66,7 @@ from .errors import (
     ZeroPatternViolation,
     inverse_or_degenerate,
 )
-from .grassmann import CaseTag, Config, Subspace, classify_case
+from .grassmann import CaseTag, Config, classify_case
 from .linalg import Mat, hstack
 from .words import InvariantVector, trace_vector
 
@@ -362,9 +365,7 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple[Mat, ...], Degeneracy |
         return (), None
     # Echelon coordinates at r >= 2 over Q only; the module docstring says why.
     if r > 1 and all(sub.basis.k is None for sub in config):
-        form, _ = config.echelon()
-        n, d = config.n, config.d
-        config = Config([Subspace._raw(form.block(0, n, lo, lo + d)) for lo in range(0, s * d, d)])
+        config = config.echelon_config()
     h = frame_odd(config, tag)
     if r == 1:
         if s == 3:

@@ -61,6 +61,16 @@ Their rank, taken modulo a prime, is a lower bound, so a match with the
 count is the exact rank; any other outcome falls back to one more pass
 along every coordinate direction, whose rank is computed exactly.
 
+Both passes differentiate at E c, the members read from the reduced
+echelon form of the configuration matrix, E rational and invertible
+(:meth:`~planeinv.grassmann.Config.echelon_config`).  The invariants
+satisfy I(E x) = I(x) for every x, so J(E c) (E ⊗ I) = J(c), and the rank
+is the same at both points; the exact rank the certificate or the
+fallback returns does not depend on which one is taken.  At E c the fixed
+members are mostly unit columns, the frame's kernels and inverses meet
+rows already reduced, and the derivatives stay in the free members, the
+only ones that carry them.
+
 The sketch directions vanish on the first F = min(s, (n^2 - 1) //
 (d (n - d))) members: F Grassmannians of dimension d (n - d) fit in PGL_n,
 and at r >= 2 F is exactly the number of leading members the odd
@@ -277,9 +287,15 @@ def _jet_rank(config: Config) -> int:
     to ``bound`` is the certificate.  A sketch that falls short (a special
     point, an unlucky draw, or a prime that divides a minor) or exceeds
     ``bound`` (a wrong count) is discarded, and the rank is that of one more
-    pass with the n*d*s unit directions, by exact elimination.  The jet
-    pass pivots on values, so it raises the plain pass's degeneracy.
+    pass with the n*d*s unit directions, by exact elimination.  Both passes
+    run at the echelon point E c (:meth:`Config.echelon_config`): the
+    invariants are constant on orbits, so J has the same rank there (the
+    module docstring has the argument), and the rational E keeps every
+    derivative in the free members.  The jet pass pivots on values, so it
+    raises the plain pass's degeneracy, and general position is a property
+    of the orbit, so E c fails exactly the conditions c fails.
     """
+    config = config.echelon_config()
     n, d, s = config.n, config.d, config.s
     coords = n * d * s
     expected = expected_quotient_dim(n, d, s)

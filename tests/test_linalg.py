@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planeinv import linalg
 from planeinv.errors import (
     DimensionMismatchError,
     RankDeficientError,
@@ -762,6 +763,87 @@ class TestJetRecords:
         if jet_mat(sq).rank() == n:
             assert normalized(jet_mat(sq).inverse().data, k)
             assert normalized(jet_mat(sq).solve(jet_mat(rhs)).data, k)
+
+
+@st.composite
+def operands(draw, rows, cols, k):
+    """Rows of ``Fraction`` entries when ``k`` is None, else a jet matrix in exactly ``k`` directions."""
+    if k is None:
+        entry = small_rationals.map(Fraction)
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    m = draw(jet_matrices(rows, cols, k))
+    m[0][0] = jet(Fraction(draw(jet_values)), draw(st.lists(small_rationals, min_size=k, max_size=k)))
+    return m
+
+
+def padded_duals(m, k):
+    """The entries of ``m`` as duals in ``k`` directions; a jet in fewer has derivative 0 along the rest."""
+    return [
+        [
+            Dual(x.value, [Fraction(n, x.den) for n in x.nums] + [0] * (k - len(x.nums)))
+            if type(x) is Jet
+            else Dual(x, [0] * k)
+            for x in row
+        ]
+        for row in m
+    ]
+
+
+# (ka, kb): the directions of the left and the right operand, None for a rational one.
+PRODUCT_PATHS = [(None, 1), (None, 3), (1, None), (3, None), (1, 3), (3, 1), (2, 2)]
+
+
+class TestProductPaths:
+    """Each path of the jet product: Q @ jet, jet @ Q, and two jets in their own directions."""
+
+    @pytest.mark.parametrize("ka,kb", PRODUCT_PATHS, ids=lambda k: "q" if k is None else f"jet{k}")
+    @given(data=st.data(), n=dims, inner=dims, p=dims)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_field_loop(self, ka, kb, data, n, inner, p):
+        a, b = data.draw(operands(n, inner, ka)), data.draw(operands(inner, p, kb))
+        ma, mb = jet_mat(a), jet_mat(b)
+        assert (ma.k, mb.k) == (ka, kb)
+        k = max(ka or 0, kb or 0)
+        got = ma @ mb
+        assert got.k == k
+        assert padded_duals(got.data, k) == field_mat_mul(padded_duals(a, k), padded_duals(b, k))
+        assert normalized(got.data, k)
+
+
+# Invertible jet matrices, each with an entry of value 0 and a nonzero derivative.
+JET_INVERSES = [
+    [[Jet(1), Jet(0)], [Jet(0, (1,)), Jet(1)]],
+    [
+        [jet(Fraction(0), [1, 2]), jet(Fraction(2, 3), [0, -1])],
+        [jet(Fraction(5), [3, 0]), Jet(Fraction(1, 7))],
+    ],
+    [
+        [jet(Fraction(1), [1, 0, 2]), Fraction(2), jet(Fraction(0), [0, 5, 1])],
+        [Fraction(0), jet(Fraction(3, 2), [Fraction(1, 3), 0, 0]), Fraction(-1)],
+        [jet(Fraction(4), [0, 0, 1]), Fraction(1), jet(Fraction(-2), [1, 1, 1])],
+    ],
+]
+
+
+class TestJetInverse:
+    """A jet inverse inverts the values alone: dV = -V dA V from two plain products."""
+
+    def test_no_jet_elimination(self, monkeypatch):
+        ks = []
+        for name in ("_rref", "_eliminate"):
+
+            def spied(rows, cols, k, *args, _kernel=getattr(linalg, name), **kwargs):
+                ks.append(k)
+                return _kernel(rows, cols, k, *args, **kwargs)
+
+            monkeypatch.setattr(linalg, name, spied)
+        for rows in JET_INVERSES:
+            m = jet_mat(rows)
+            inv = m.inverse()
+            eye = padded_duals(Mat.identity(m.rows).data, m.k)
+            assert field_mat_mul(padded_duals(rows, m.k), padded_duals(inv.data, m.k)) == eye
+            assert normalized(inv.data, m.k)
+        assert len(ks) == 2 * len(JET_INVERSES) and not any(ks)
 
 
 def zero_direction_matrices(rows, cols):

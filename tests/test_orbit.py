@@ -565,6 +565,29 @@ class TestRankSketch:
         c = sample_config(n, d, s, seed=seed, bound=1)
         assert jacobian_rank(c) == exhaustive_rank(c)
 
+    @pytest.mark.parametrize(
+        "point,bound",
+        [((5, 2, 5, 6), 1), ((5, 2, 5, 33), 1), ((7, 2, 7, 1), 1)]
+        + [
+            (cell[:4], 10)
+            for cell in RANK_CELLS
+            if classify_case(*cell[:2]).kind == "odd_multiple" and classify_case(*cell[:2]).r > 1
+        ],
+        ids=point_id,
+    )
+    def test_echelon_point_keeps_the_rank(self, monkeypatch, point, bound):
+        """The jet route differentiates at the echelon form E c: a left action moves neither rank.
+
+        At the bound-1 points the rank is below the count, so the sketch
+        falls short and the unit-direction pass decides, at E c and at g c.
+        """
+        n, d, s, seed = point
+        c = sample_config(n, d, s, seed=seed, bound=bound)
+        g = sample_invertible(SplitMix64(seed), n)
+        passes = counted_passes(monkeypatch)
+        assert orbit._jet_rank(c) == orbit._jet_rank(act_left(g, c)) == exhaustive_rank(c)
+        assert len(passes) == (4 if bound == 1 else 2) + n * d * s
+
     @pytest.mark.parametrize("point,true_rank", [((5, 2, 5, 33), 3), ((3, 2, 5, 40), 2)], ids=point_id)
     def test_rank_at_zero_valued_jets(self, point, true_rank):
         # The reduction over jets meets entries of value 0 with a nonzero

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_linalg import Dual, as_duals, deriv, jet, jet_mat, trace_word
@@ -81,6 +81,52 @@ def alphabets(entry):
     )
 
 
+# Fixed cases each property test below runs first, before Hypothesis draws or
+# shrinks anything: letters that are not symmetric, with mixed denominators,
+# and 3 x 3 letters with numerators near 10**30.
+ASYMMETRIC = [Mat([[1, 2], [3, 4]]), Mat([[0, Fraction(1, 3)], [-2, Fraction(5, 7)]])]
+LARGE = [
+    Mat([
+        [Fraction(10**30 - 1, 10**20 + 3), Fraction(-7, 2), 1],
+        [0, Fraction(10**29, 3), Fraction(2, 11)],
+        [5, Fraction(-(10**30), 10**20 - 1), Fraction(1, 6)],
+    ]),
+    Mat([
+        [Fraction(3, 4), 0, Fraction(-(10**30) - 7, 9)],
+        [Fraction(10**30, 10**20 + 1), -1, 2],
+        [Fraction(1, 5), Fraction(10**28 + 3, 7), 0],
+    ]),
+]
+# (k, letters): jet letters in k directions, one with a rational letter.
+JET_CASES = [
+    (
+        2,
+        [
+            jet_mat([
+                [jet(Fraction(1, 2), [1, -3]), Fraction(2)],
+                [jet(Fraction(0), [2, 1]), Fraction(-1, 3)],
+            ]),
+            Mat([[0, 1], [Fraction(5, 7), 3]]),
+        ],
+    ),
+    (
+        3,
+        [
+            jet_mat([
+                [jet(Fraction(10**30 + 1, 7), [Fraction(1, 10**9 + 7), 0, 4]), Fraction(3), Fraction(-1, 2)],
+                [Fraction(0), jet(Fraction(-(10**29), 11), [2, -5, Fraction(1, 3)]), Fraction(1)],
+                [jet(Fraction(2), [0, 1, 0]), Fraction(10**30, 10**20 + 3), Fraction(4, 9)],
+            ]),
+            jet_mat([
+                [Fraction(1), jet(Fraction(-3, 4), [1, 1, -1]), Fraction(0)],
+                [Fraction(10**28 + 3, 5), Fraction(2), jet(Fraction(0), [0, -9, 2])],
+                [jet(Fraction(1, 3), [7, 0, 0]), Fraction(-1), Fraction(10**30 - 1, 10**20 + 1)],
+            ]),
+        ],
+    ),
+]
+
+
 def jets(directions):
     """Jets with ``directions`` derivatives each, some with none (the zero vector)."""
     derivs = st.one_of(
@@ -93,6 +139,8 @@ class TestEvaluateTraces:
     """Each value equals the uncached product along the word, exactly."""
 
     @given(alphabets(rationals))
+    @example(ASYMMETRIC)
+    @example(LARGE)
     @settings(max_examples=60, deadline=None)
     def test_fraction_letters(self, letters):
         words = enumerate_words(len(letters), 5)
@@ -174,6 +222,8 @@ class TestTraceDerivatives:
             lambda k: st.tuples(st.just(k), alphabets(st.one_of(jets(k), rationals)))
         )
     )
+    @example(JET_CASES[0])
+    @example(JET_CASES[1])
     @settings(max_examples=60, deadline=None)
     def test_matches_jet_products(self, case):
         k, letters = case
@@ -219,6 +269,8 @@ class TestTraceDerivatives:
 
 class TestWordGradients:
     @given(alphabets(rationals))
+    @example(ASYMMETRIC)
+    @example(LARGE)
     @settings(max_examples=40, deadline=None)
     def test_matches_dual_gradient(self, letters):
         """Block i of a word's gradient, over D_w, is its trace's derivative in letter i's integer form.
