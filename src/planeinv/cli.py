@@ -4,7 +4,7 @@ Subcommands:
 
 * ``gen``        sample a general-position configuration to a JSON file
 * ``invariants`` compute the trace-invariant vector of a configuration
-* ``orbit-test`` compare two configurations by their invariants
+* ``orbit-test`` compare two configurations by their letters
 * ``rank``       exact Jacobian rank of the invariant map at a configuration
 * ``embed``      build the divisible-case normal form from a letter grid
 

@@ -242,10 +242,14 @@ def _rank(rows, cols, k):
     """Rank of the form with integer ``rows``, which are left unchanged.
 
     The fraction-free elimination below each pivot.  A jet matrix has the
-    rank of its values, since its pivots are those of its values.
+    rank of its values, since its pivots are those of its values.  A matrix
+    with more rows than columns is transposed first, since rank A = rank A^T
+    and the elimination then runs along the shorter side.
     """
     if k:
         rows = [row[:cols] for row in rows]
+    if len(rows) > cols:
+        rows, cols = list(zip(*rows)), len(rows)
     return len(_eliminate(rows, cols, None, full=False)[1])
 
 

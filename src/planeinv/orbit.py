@@ -11,6 +11,17 @@ characteristic polynomial, so the dimension is m.
 measures the actual number of independent invariants at a point, exactly,
 with no floating point and no thresholds.
 
+Along an orbit the letters move by one common conjugation: in the
+divisible family ``letters(act_left(g, c)) == letters(c)`` and the right
+action conjugates them, and the :mod:`planeinv.odd` docstring says the
+same of the odd family.  So :func:`same_orbit_test` compares two
+configurations by the intertwiners of their letter tuples, one kernel of
+k m^2 integer equations in m^2 unknowns, and evaluates no word.  The same
+orbit implies conjugate letters, which imply equal word traces, so the
+test tells apart every pair the invariant vectors do, and also a tuple
+that is not semisimple from its semisimplification, whose traces are the
+same.
+
 In the divisible case and in the odd case at r = 1 the letters are
 coordinates on the quotient.  With T the word-trace map and L the letters,
 each family has a normal form N with T(L(N(x))) = T(x):
@@ -88,6 +99,7 @@ from __future__ import annotations
 import enum
 import functools
 from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -97,7 +109,7 @@ from .errors import (
 )
 from . import divisible, odd
 from .grassmann import Config, SplitMix64, Subspace, classify_case
-from .linalg import Mat, _rank_mod_p
+from .linalg import Mat, _rank, _rank_mod_p
 from .words import (
     InvariantVector,
     _Products,
@@ -172,29 +184,95 @@ def expected_quotient_dim(n: int, d: int, s: int) -> int:
 
 
 def same_orbit_test(a: Config, b: Config) -> Verdict:
-    """Compare two configurations by their invariant vectors.
+    """Compare two configurations by their letters.
 
-    Distinct is a certificate (the invariants are constant on orbits).
-    Equivalent is asserted only when both configurations are in general
-    position, as recorded by the reduction pass that built each vector:
-    then the letters generate the invariant field, the words reach the
-    generating length 2**m - 1, and the vectors separate generic orbits.
-    Anything degenerate is Inconclusive.
+    Along an orbit the letters move by one common conjugation, so two
+    configurations in one orbit have conjugate letter tuples.  From the one
+    ``letters`` pass on each side, W is the space of intertwiners X with
+    X A_i = B_i X for every pair of letters (:func:`_intertwiners`).
+    ``dim W = 0``, or ``dim W = 1`` with a singular generator (then every
+    element of W is singular), proves Distinct.  An invertible element
+    proves the letters conjugate: the generator when ``dim W = 1``, else one
+    fixed pseudo-random integer combination of W's canonical basis, which is
+    singular with probability at most m / (2 * _CONJUGACY_BOUND + 1) when W
+    holds an invertible element (Schwartz-Zippel); a singular combination
+    is Inconclusive.  Conjugate letters are Equivalent when both
+    configurations are in general position, as recorded by the reduction
+    pass: then the letters generate the invariant field.  Anything
+    degenerate is Inconclusive.  In the trivial ranges there are no letters
+    and only general position is read.
     """
     if (a.n, a.d, a.s) != (b.n, b.d, b.s):
         raise ShapeMismatchError(
             f"shapes differ: ({a.n}, {a.d}, {a.s}) vs ({b.n}, {b.d}, {b.s})"
         )
+    module = _reduction(a.n, a.d)
     try:
-        va = invariant_vector(a)
-        vb = invariant_vector(b)
+        _, _, la, da = module.letters(a)
+        _, _, lb, db = module.letters(b)
     except DegenerateConfigError:
         return Verdict.INCONCLUSIVE
-    if va.values != vb.values:
-        return Verdict.DISTINCT
-    if va.degeneracy or vb.degeneracy:
+    if la:
+        conjugate = _conjugate(la, lb)
+        if conjugate is None:
+            return Verdict.INCONCLUSIVE
+        if not conjugate:
+            return Verdict.DISTINCT
+    if da or db:
         return Verdict.INCONCLUSIVE
     return Verdict.EQUIVALENT
+
+
+# The combination of a basis of intertwiners in :func:`_conjugate`: integer
+# coefficients in [-_CONJUGACY_BOUND, _CONJUGACY_BOUND] drawn from one
+# splitmix64 stream at a fixed seed, so every verdict is reproducible.
+_CONJUGACY_SEED = 0x636F6E6A
+_CONJUGACY_BOUND = 1 << 31
+
+
+def _intertwiners(a: Sequence[Mat], b: Sequence[Mat]) -> Mat:
+    """The canonical basis of W = {X : X A_i = B_i X for every i}, one column per element.
+
+    Each X is flattened row by row into m^2 unknowns.  With A_i = N_i / D_i
+    and B_i = M_i / E_i in their integer forms, W is the kernel of the
+    k m^2 integer equations E_i (X N_i) - D_i (M_i X) = 0, all in one
+    :meth:`Mat.nullspace_basis`.
+    """
+    m = a[0].rows
+    size = m * m
+    rows = []
+    for x, y in zip(a, b):
+        an, ad, bn, bd = x.num, x.den, y.num, y.den
+        for p in range(m):
+            for q in range(m):
+                row = [0] * size
+                for t in range(m):
+                    row[p * m + t] += bd * an[t][q]
+                    row[t * m + q] -= ad * bn[p][t]
+                rows.append(row)
+    return Mat._form(rows, 1, size).nullspace_basis()
+
+
+def _conjugate(a: Sequence[Mat], b: Sequence[Mat]) -> bool | None:
+    """Whether the letter tuples ``a`` and ``b`` are simultaneously conjugate; None when undecided.
+
+    False is a proof; True comes with an invertible intertwiner; None is a
+    singular combination of a basis of two or more intertwiners.
+    """
+    basis = _intertwiners(a, b)
+    dim = basis.cols
+    if dim == 0:
+        return False
+    if dim == 1:
+        flat = [row[0] for row in basis.num]
+    else:
+        rng = SplitMix64(_CONJUGACY_SEED)
+        coeffs = [rng.next_int(_CONJUGACY_BOUND) for _ in range(dim)]
+        flat = [sum(map(mul, row, coeffs)) for row in basis.num]
+    m = a[0].rows
+    if _rank([flat[i : i + m] for i in range(0, m * m, m)], m, None) == m:
+        return True
+    return False if dim == 1 else None
 
 
 # The directions of the rank sketch in :func:`jacobian_rank`: integer
@@ -226,15 +304,16 @@ def _fixed_members(n: int, d: int, s: int) -> int:
     return min(s, (n * n - 1) // (d * (n - d)))
 
 
-def _sketch_directions(n: int, d: int, s: int) -> tuple[tuple[int, ...], ...]:
+def _sketch_directions(n: int, d: int, s: int, expected: int) -> tuple[tuple[int, ...], ...]:
     """The directions of the sketch pass of :func:`jacobian_rank` for shape (n, d, s).
 
-    ``min(expected + 1, free)`` directions, with ``free = n*d*(s - F)``
-    coordinates outside the first F members, where every direction is 0.
+    ``min(expected + 1, free)`` directions, with ``expected`` the shape's
+    :func:`expected_quotient_dim` and ``free = n*d*(s - F)`` coordinates
+    outside the first F members, where every direction is 0.
     """
     size = n * d
     fixed = size * _fixed_members(n, d, s)
-    count = min(expected_quotient_dim(n, d, s) + 1, size * s - fixed)
+    count = min(expected + 1, size * s - fixed)
     return _sketch(size * s, count, fixed)
 
 
@@ -299,7 +378,7 @@ def _jet_rank(config: Config) -> int:
     n, d, s = config.n, config.d, config.s
     coords = n * d * s
     expected = expected_quotient_dim(n, d, s)
-    rows, words = _derivative_rows(config, _sketch_directions(n, d, s))
+    rows, words = _derivative_rows(config, _sketch_directions(n, d, s, expected))
     bound = min(expected, words, coords)
     if _rank_mod_p(rows, _RANK_PRIME) == bound:
         return bound

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from test_orbit import spy_on_words
 
 from planeinv import divisible, fileio, orbit
 from planeinv.cli import main
@@ -377,6 +378,28 @@ class TestOrbitTestCmd:
         a, b = paths
         assert run("orbit-test", "--a", a, "--b", b) == 3
         assert capsys.readouterr().out.strip().splitlines()[-1] == "Distinct"
+
+    def test_triangular_letters_against_their_diagonal_exit_3(self, tmp_path, capsys):
+        # T = [[1, 1], [0, 2]] and diag(1, 2), each with diag(3, 5): every
+        # word trace agrees, but the letters are not conjugate
+        paths = []
+        for name, first in (("tri", [[1, 1], [0, 2]]), ("diag", [[1, 0], [0, 2]])):
+            config = embed(2, 2, 5, (Mat(first), Mat([[3, 0], [0, 5]])))
+            path = tmp_path / f"{name}.json"
+            fileio.write_json(path, fileio.config_to_obj(config))
+            paths.append(path)
+        tri, diag = paths
+        assert run("orbit-test", "--a", tri, "--b", diag) == 3
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "Distinct"
+        assert run("orbit-test", "--a", tri, "--b", tri) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "Equivalent"
+
+    def test_calls_no_word_function(self, tmp_path, monkeypatch):
+        a, b = self._two_configs(tmp_path, 1, 2, 6, 3, 6)
+        called = spy_on_words(monkeypatch)
+        assert run("orbit-test", "--a", a, "--b", a) == 0
+        assert run("orbit-test", "--a", a, "--b", b) == 3
+        assert called == []
 
     def test_shape_mismatch_exits_2(self, tmp_path):
         a, _ = self._two_configs(tmp_path, 1, 2)

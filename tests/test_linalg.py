@@ -614,6 +614,23 @@ class TestKernels:
         assert Mat(m).rank() == want
         assert m == before and list(map(type, chain(*m))) == list(map(type, chain(*before)))
 
+    @given(
+        st.one_of(
+            kernel_matrices(st.integers(5, 9), st.integers(1, 4)),
+            kernel_matrices(st.integers(1, 4), st.integers(5, 9)),
+            kernel_matrices(),
+            st.tuples(st.integers(1, 7), st.integers(1, 5)).flatmap(
+                lambda shape: jet_matrices(*shape, 2)
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_counts_the_pivots_of_the_original(self, m):
+        """Eliminating along the shorter side keeps the rank: tall, wide, deficient and jet matrices."""
+        m = jet_mat(m)
+        pivots = linalg._eliminate(m.num, m.cols, m.k, full=False)[1]
+        assert linalg._rank(m.num, m.cols, m.k) == len(pivots)
+
     @given(st.lists(st.lists(st.integers(-99, 99), min_size=3, max_size=3), min_size=3, max_size=3))
     def test_int_mat_mul_stays_int(self, a):
         # an integer product stays an integer form over denominator 1

@@ -7,7 +7,8 @@ import pytest
 from test_acceptance import RANK_CELLS
 from test_linalg import deriv
 
-from planeinv import divisible, odd, orbit
+from planeinv import cli, divisible, odd, orbit
+from planeinv import words as word_module
 from planeinv.errors import (
     DegenerateConfigError,
     ShapeMismatchError,
@@ -34,6 +35,9 @@ from planeinv.orbit import (
     same_orbit_test,
 )
 from planeinv.words import enumerate_words, evaluate_traces, max_word_len_for
+
+# The shapes of the benchmark's orbit workloads.
+ORBIT_SHAPES = [(4, 2, 5), (3, 2, 6), (5, 2, 5), (7, 2, 7), (6, 4, 6)]
 
 
 def naive_quotient_dim(n, d, s):
@@ -180,10 +184,6 @@ class TestSameOrbit:
             Verdict.INCONCLUSIVE,
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 10: the word traces of a non-semisimple tuple are those of its semisimplification",
-    )
     def test_triangular_letters_not_conjugate_to_their_diagonal(self):
         """T = [[1, 1], [0, 2]] is not conjugate to diag(1, 2) jointly with D = diag(3, 5).
 
@@ -191,8 +191,73 @@ class TestSameOrbit:
         singular, so the two normal forms lie in different orbits; their
         traces agree on every word.
         """
-        diag = embed(2, 2, 5, (Mat([[1, 0], [0, 2]]), Mat([[3, 0], [0, 5]])))
+        diag = diag_of_tri_config()
+        assert invariant_vector(tri_config()).values == invariant_vector(diag).values
+        assert orbit._intertwiners(tri_letters(), divisible.letters(diag)[2]).cols == 1
         assert same_orbit_test(tri_config(), diag) is Verdict.DISTINCT
+        assert same_orbit_test(diag, tri_config()) is Verdict.DISTINCT
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "make,dim",
+        [
+            (lambda: diag_pair_config(), 2),
+            (lambda: diag_grid_config(6, 3, 5), 3),
+        ],
+        ids=["diag-pair", "commuting-3x3"],
+    )
+    def test_moved_reducible_tuple_equivalent(self, make, dim, seed):
+        """Diagonal letters commute, so W has dimension >= 2 and the combination decides.
+
+        The commuting 3 x 3 letters diag(1, 2, 3) and diag(2, 3, 1) at
+        (d, r, s) = (3, 2, 5) are the letters of CI's ``embed`` pin.
+        """
+        c = make()
+        rng = SplitMix64(seed)
+        left = act_left(sample_invertible(rng, c.n), c)
+        right = act_right([sample_invertible(rng, c.d) for _ in range(c.s)], c)
+        for moved in (left, right):
+            assert orbit._intertwiners(divisible.letters(c)[2], divisible.letters(moved)[2]).cols == dim
+            assert same_orbit_test(c, moved) is Verdict.EQUIVALENT
+            assert same_orbit_test(moved, c) is Verdict.EQUIVALENT
+
+    def test_jordan_block_against_identity_not_equivalent(self):
+        """W = {X : X J = X} has dimension 2, and each of its elements is singular."""
+        jordan = embed(2, 2, 4, (Mat([[1, 1], [0, 1]]),))
+        eye = embed(2, 2, 4, (Mat.identity(2),))
+        assert invariant_vector(jordan).values == invariant_vector(eye).values
+        assert orbit._intertwiners(divisible.letters(jordan)[2], divisible.letters(eye)[2]).cols == 2
+        assert same_orbit_test(jordan, eye) is Verdict.INCONCLUSIVE
+        assert same_orbit_test(jordan, jordan) is Verdict.EQUIVALENT
+
+    @pytest.mark.parametrize("shape", ORBIT_SHAPES + [(6, 3, 6), (10, 4, 6)])
+    def test_distinct_wherever_word_traces_differ(self, shape):
+        """A word-trace difference proves Distinct, and letter conjugacy finds it too."""
+        for seed in range(1, 6):
+            c = sample_config(*shape, seed=seed)
+            base = invariant_vector(c).values
+            for other in (moved_copy(c, seed), sample_config(*shape, seed=seed + 100)):
+                verdict = same_orbit_test(c, other)
+                if invariant_vector(other).values != base:
+                    assert verdict is Verdict.DISTINCT, (shape, seed)
+                else:
+                    assert verdict is Verdict.EQUIVALENT, (shape, seed)
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6), (9, 3, 6)])
+    def test_wide_shapes_decided_both_ways(self, shape):
+        c = sample_config(*shape, seed=1)
+        assert same_orbit_test(c, moved_copy(c, 1)) is Verdict.EQUIVALENT
+        assert same_orbit_test(c, sample_config(*shape, seed=2)) is Verdict.DISTINCT
+
+    def test_calls_no_word_function(self, monkeypatch):
+        """The verdict comes from the letters alone: no word is enumerated or evaluated."""
+        called = spy_on_words(monkeypatch)
+        c = sample_config(6, 3, 6, seed=1)
+        assert same_orbit_test(c, moved_copy(c, 1)) is Verdict.EQUIVALENT
+        assert same_orbit_test(c, sample_config(6, 3, 6, seed=2)) is Verdict.DISTINCT
+        assert called == []
+        invariant_vector(c)  # the spy sees the word stage where it runs
+        assert "evaluate_traces" in called
 
     def test_short_word_agreement_is_distinct(self):
         # the two letter pairs share tr of each letter but not tr G_2_2 G_2_3,
@@ -356,13 +421,49 @@ def odd_diag_config():
     return odd_normal_form([Mat([[a, 0], [0, b]]) for a, b in [(1, 2), (2, 3), (3, 5), (5, 7)]])
 
 
+def tri_letters():
+    """The triangular T = [[1, 1], [0, 2]] and D = diag(3, 5)."""
+    return (Mat([[1, 1], [0, 2]]), Mat([[3, 0], [0, 5]]))
+
+
 def tri_config():
-    """The (4,2,5) normal form of the triangular T = [[1, 1], [0, 2]] and D = diag(3, 5).
+    """The (4,2,5) normal form of :func:`tri_letters`.
 
     The pair is reducible (both fix the first axis), so its letters fail the
     certificate, yet its rank is the full 5.
     """
-    return embed(2, 2, 5, (Mat([[1, 1], [0, 2]]), Mat([[3, 0], [0, 5]])))
+    return embed(2, 2, 5, tri_letters())
+
+
+def diag_of_tri_config():
+    """The (4,2,5) normal form of diag(1, 2) and D = diag(3, 5): T's diagonal in place of T."""
+    return embed(2, 2, 5, (Mat([[1, 0], [0, 2]]), Mat([[3, 0], [0, 5]])))
+
+
+def moved_copy(config, seed):
+    """``config`` moved by a pseudo-random g on the left and h_1, ..., h_s on the right."""
+    rng = SplitMix64(seed + 1000)
+    g = sample_invertible(rng, config.n)
+    hs = [sample_invertible(rng, config.d) for _ in range(config.s)]
+    return act_right(hs, act_left(g, config))
+
+
+def spy_on_words(monkeypatch):
+    """Record every call of a :mod:`planeinv.words` function, in every module that holds one."""
+    called = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (word_module, orbit, divisible, odd, cli):
+        for name, value in list(vars(module).items()):
+            if getattr(value, "__module__", None) == word_module.__name__ and callable(value):
+                monkeypatch.setattr(module, name, spy(name, value))
+    return called
 
 
 def one_letter_config(letter):
@@ -487,7 +588,7 @@ class TestRankSketch:
         for name in ("inverse", "__matmul__"):
             monkeypatch.setattr(Mat, name, watched(getattr(Mat, name)))
         assert orbit._jet_rank(c) == {(4, 2, 5): 4, (6, 3, 5): 6}[n, d, s]
-        assert passes == [len(orbit._sketch_directions(n, d, s)), n * d * s]
+        assert passes == [len(orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s))), n * d * s]
         assert wasted == []
 
     @pytest.mark.parametrize("n,d,s,fixed", FIXED_MEMBERS)
@@ -521,7 +622,21 @@ class TestRankSketch:
         """The sketch certifies in one pass, also in the families whose rank does not take it."""
         passes = counted_passes(monkeypatch)
         assert orbit._jet_rank(sample_config(n, d, s, seed=seed)) == expected_quotient_dim(n, d, s)
-        assert passes == [len(orbit._sketch_directions(n, d, s))]
+        assert passes == [len(orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s)))]
+
+    def test_count_computed_once(self, monkeypatch):
+        """One (5,2,5) rank computes the count once, and classifies the shape 7 times."""
+        c = sample_config(5, 2, 5, seed=1)
+        calls = []
+
+        def counted(n, d):
+            calls.append((n, d))
+            return classify_case(n, d)
+
+        for module in (orbit, odd, divisible):
+            monkeypatch.setattr(module, "classify_case", counted)
+        assert jacobian_rank(c) == 6
+        assert len(calls) == 7
 
     @pytest.mark.parametrize("extra", [1, 5])
     @pytest.mark.parametrize("n,d,s,seed,true_rank", [(4, 2, 5, 101, 5), (5, 2, 5, 404, 6)])
@@ -538,7 +653,7 @@ class TestRankSketch:
         """The sketch rows are R J exactly, J from one unit-direction pass per coordinate."""
         n, d, s, seed = point
         c = sample_config(n, d, s, seed=seed)
-        directions = orbit._sketch_directions(n, d, s)
+        directions = orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s))
         fixed = n * d * orbit._fixed_members(n, d, s)
         assert all(not any(r[:fixed]) and any(r[fixed:]) for r in directions)
         jac = unit_rows(c)
@@ -817,7 +932,7 @@ class TestBatchedSketch:
         """
         n, d, s, seed = point
         c = sample_config(n, d, s, seed=seed, bound=bound)
-        directions = orbit._sketch_directions(n, d, s)
+        directions = orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s))
         dens = [den for _, den in orbit._jet_pass(c, directions)]
         rows, _ = orbit._derivative_rows(c, directions)
         want = difference_quotients(c, directions, Fraction(1, 10**30))
@@ -846,6 +961,6 @@ class TestBatchedSketch:
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_mod_p_rank_agrees_with_rational_rank(self, n, d, s, seed, pinned):
-        directions = orbit._sketch_directions(n, d, s)
+        directions = orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s))
         rows, _ = orbit._derivative_rows(sample_config(n, d, s, seed=seed), directions)
         assert orbit._rank_mod_p(rows, orbit._RANK_PRIME) == Mat(rows).rank() == pinned
