@@ -77,6 +77,9 @@ def _cmd_invariants(args) -> int:
     vec = orbit.invariant_vector(config)
     fileio.write_invariants(args.out, vec)
     print(f"wrote {args.out} ({len(vec)} invariants over {len(vec.letter_ids)} letters)")
+    if vec.degeneracy is not None:
+        member = "" if vec.degeneracy.block is None else f" (member {vec.degeneracy.block})"
+        print(f"warning: {vec.degeneracy.reason}{member}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -9,6 +9,13 @@ newline-terminated.  Configuration files go through ``json.dumps``
 pass (:func:`write_invariants`).  Both are written atomically (temp file +
 rename, mode from the umask), so a failed command never leaves a partial
 output file behind.
+
+Matrices are read into the integer form of :class:`~planeinv.linalg.Mat`
+with no ``Fraction``.  A matrix of integer strings, the only entries
+``gen`` writes, is matched and converted in one pass over denominator 1;
+any other matrix is read entry by entry (:func:`_rat_parts`), which takes
+JSON integers and ``"p/q"`` strings and names the first bad entry.  Both
+routes build the same form, and every error is the entry-by-entry one.
 """
 
 from __future__ import annotations
@@ -53,15 +60,32 @@ def _rat_parts(value) -> tuple[int, int]:
     raise ValueError(f"not a rational value: {value!r:.40}")
 
 
+# The string form of an integer, the only entries `gen` writes.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_matrix(rows, nrows: int, ncols: int, what: str) -> Mat:
-    """The matrix of ``rows`` of rational values, built in its integer form with no ``Fraction``."""
+    """The matrix of ``rows`` of rational values, built in its integer form with no ``Fraction``.
+
+    A matrix of integer strings is matched and converted in one pass, over
+    denominator 1.  Any other entry stops that pass: a non-string raises
+    ``TypeError`` in the match, a string that is not an integer leaves no
+    match, whose indexing raises ``TypeError``, and an integer past
+    ``int()``'s digit limit raises ``ValueError``.  The matrix is then read
+    entry by entry (:func:`_rat_parts`), which builds the same form and
+    names the first bad entry.
+    """
     if (
         not isinstance(rows, list)
         or len(rows) != nrows
         or any(not isinstance(r, list) or len(r) != ncols for r in rows)
     ):
         raise ValueError(f"{what} must be {nrows} rows x {ncols} columns")
-    return Mat._ratios([[_rat_parts(x) for x in row] for row in rows], ncols)
+    match = _INTEGER.fullmatch
+    try:
+        return Mat._form([[int(match(x)[0]) for x in row] for row in rows], 1, ncols)
+    except (TypeError, ValueError):
+        return Mat._ratios([[_rat_parts(x) for x in row] for row in rows], ncols)
 
 
 def _format_matrix(m: Mat) -> list[list[str]]:

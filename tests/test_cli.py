@@ -287,6 +287,31 @@ class TestInvariantsCmd:
         assert obj["invariants"] == []
         assert "note" in obj
 
+    def test_recorded_degeneracy_warns_on_stderr(self, tmp_path, capsys):
+        # a singular letter leaves the letters defined, so the file is
+        # written and the exit code is 0; the reduction's reason, which
+        # `rank` reports as an error, goes to stderr
+        cfg, vec, ref = tmp_path / "c.json", tmp_path / "v.json", tmp_path / "ref.json"
+        letters = (Mat([[1, 2], [2, 4]]), Mat([[0, 1], [1, 0]]))
+        fileio.write_json(cfg, fileio.config_to_obj(embed(2, 2, 5, letters)))
+        capsys.readouterr()
+        assert run("invariants", "--in", cfg, "--out", vec) == 0
+        out, err = capsys.readouterr()
+        assert out == f"wrote {vec} (9 invariants over 2 letters)\n"
+        assert err == "warning: phi block (2, 2) is singular (member 4)\n"
+        config = fileio.config_from_obj(fileio.load_json(cfg))
+        fileio.write_invariants(ref, orbit.invariant_vector(config))
+        assert vec.read_bytes() == ref.read_bytes()
+        assert run("rank", "--in", cfg) == 4
+        assert capsys.readouterr().err == "error: phi block (2, 2) is singular\n"
+
+    def test_general_position_writes_no_warning(self, tmp_path, capsys):
+        cfg, vec = tmp_path / "c.json", tmp_path / "v.json"
+        run("gen", "--n", 7, "--d", 2, "--s", 7, "--seed", 1, "--out", cfg)
+        capsys.readouterr()
+        assert run("invariants", "--in", cfg, "--out", vec) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command", ["invariants", "orbit-test", "rank"])
     def test_takes_no_max_len(self, tmp_path, capsys, command):
         # every command takes every word up to the generating length

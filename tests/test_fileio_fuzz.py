@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from planeinv import fileio
 from planeinv.cli import main
 from planeinv.grassmann import sample_config
+from planeinv.linalg import Mat
 
 VALID_CONFIG = fileio.config_to_obj(sample_config(4, 2, 5, seed=1), seed=1, bound=10)
 VALID_LETTERS = {
@@ -203,3 +204,57 @@ class TestMalformedFiles:
         obj = copy.deepcopy(VALID_CONFIG)
         obj["subspaces"][0][0][0] = text
         assert_rejected("rank", json.dumps(obj))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass integer route of _parse_matrix against the per-entry route
+# ---------------------------------------------------------------------------
+
+long_digits = st.sampled_from(["7" * 5000, "-" + "3" * 5000, "+" + "1" * 5000, "1/" + "9" * 5000])
+integer_strings = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(0, 10**6).map(lambda p: f"+{p}"),
+    st.integers(0, 99).map(lambda p: f"-0{p}"),
+)
+any_entry = st.one_of(
+    integer_strings,
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.none(),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(0, 99)),
+    st.sampled_from([" 5", "5 ", "1 2", "٥", "1_0", "", "-", "+-1", "0x10"]),
+    long_digits,
+)
+
+
+@st.composite
+def entry_grids(draw):
+    """(rows, nrows, ncols): integer strings with up to two entries of any kind, or any entries."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([integer_strings, any_entry]))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, nrows - 1))][draw(st.integers(0, ncols - 1))] = draw(any_entry)
+    return rows, nrows, ncols
+
+
+def parsed(read):
+    """The matrix ``read()`` gives, or the text of the ValueError it raises."""
+    try:
+        return read()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestOnePassParse:
+    @given(entry_grids())
+    @settings(max_examples=400, deadline=None)
+    def test_same_matrix_or_error_as_per_entry(self, grid):
+        rows, nrows, ncols = grid
+        want = parsed(lambda: Mat._ratios([[fileio._rat_parts(x) for x in row] for row in rows], ncols))
+        assert parsed(lambda: fileio._parse_matrix(rows, nrows, ncols, "m")) == want
+
+    def test_integer_matrix_over_denominator_one(self):
+        m = fileio._parse_matrix([["-4", "+6"], ["08", "2"]], 2, 2, "m")
+        assert (m.num, m.den, m.k) == ([[-4, 6], [8, 2]], 1, None)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from planeinv import odd
 from planeinv.cli import main
 from planeinv.errors import Degeneracy, DegenerateConfigError, WrongKernelDimension
 from planeinv.fileio import config_to_obj, format_rat, write_json
@@ -100,6 +101,120 @@ class TestFrameOdd:
             moved = Subspace(hinv @ c.subspaces[i - 1].basis)
             target = Subspace(eye.block(0, n, 2 * (i - 1) * e, 2 * i * e))
             assert moved == target
+
+
+def general_frame(monkeypatch, c: Config, tag) -> Mat:
+    """frame_odd(c, tag) through the n x (r+1)d kernels, as for members that are not unit blocks."""
+    with monkeypatch.context() as m:
+        m.setattr(odd, "_unit_members", lambda config, r: False)
+        return frame_odd(c, tag)
+
+
+class _Captured(Exception):
+    pass
+
+
+def sketch_jet_config(monkeypatch, c: Config) -> Config:
+    """The jet configuration whose frame the sketch pass of jacobian_rank(c) builds."""
+    seen = []
+
+    def capture(config, tag):
+        seen.append(config)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(odd, "frame_odd", capture)
+        with pytest.raises(_Captured):
+            jacobian_rank(c)
+    return seen[0]
+
+
+def frame_routes(monkeypatch) -> list:
+    """From now on, "units" for every frame read off unit members, "general" for every other."""
+    routes = []
+    unit_members = odd._unit_members
+
+    def spy(config, r):
+        found = unit_members(config, r)
+        routes.append("units" if found else "general")
+        return found
+
+    monkeypatch.setattr(odd, "_unit_members", spy)
+    return routes
+
+
+def member_in_first_sum() -> Config:
+    """sample_config(7, 2, 7, seed=1) with member 4 inside the sum of members 1..3."""
+    subs = list(sample_config(7, 2, 7, seed=1).subspaces)
+    first = hstack([sub.basis for sub in subs[:3]])
+    subs[3] = Subspace(first @ Mat([[1, 0], [0, 1], [1, 0], [0, 0], [0, 2], [1, 0]]))
+    return Config(tuple(subs))
+
+
+class TestFrameReadOff:
+    # at r >= 2 the frame's kernels are read off the rows the unit members
+    # of the echelon form leave uncovered; every route must give the H of
+    # the n x (r+1)d kernels, as a Mat
+    @pytest.mark.parametrize("bound", [10, 1])
+    @pytest.mark.parametrize("shape", [(5, 2, 5), (7, 2, 7), (5, 2, 8), (9, 2, 9), (10, 4, 6), (14, 4, 6)])
+    def test_equals_general_route(self, monkeypatch, shape, bound):
+        for seed in (1, 2):
+            c = sample_config(*shape, seed=seed, bound=bound).echelon_config()
+            tag = odd_tag(c)
+            assert odd._unit_members(c, tag.r)
+            assert frame_odd(c, tag) == general_frame(monkeypatch, c, tag)
+
+    @pytest.mark.parametrize("shape", [(5, 2, 5), (7, 2, 7), (9, 2, 9), (10, 4, 6)])
+    def test_equals_general_route_over_sketch_jets(self, monkeypatch, shape):
+        # the sketch pass keeps its first F >= r members rational, so they
+        # stay unit blocks while members r+2 onward carry derivatives at r >= 3
+        c = sample_config(*shape, seed=1)
+        jets = sketch_jet_config(monkeypatch, c)
+        tag = odd_tag(jets)
+        assert odd._unit_members(jets, tag.r)
+        h = frame_odd(jets, tag)
+        assert h == general_frame(monkeypatch, jets, tag)
+        assert (h.k is not None) == (tag.r >= 3)
+
+    def test_members_not_in_direct_sum_take_the_general_route(self, monkeypatch):
+        c = sample_config(7, 2, 7, seed=1)
+        subs = list(c.subspaces)
+        subs[1] = subs[0]
+        deg = Config(tuple(subs))
+        routes = frame_routes(monkeypatch)
+        message = "intersection kernel of blocks [1, 2, 3] with block 4 has dimension 2, expected 1"
+        with pytest.raises(WrongKernelDimension) as raised:
+            letters(deg)
+        assert routes == ["general"]
+        assert (str(raised.value), raised.value.block) == (message, 4)
+        with pytest.raises(WrongKernelDimension) as raw:
+            frame_odd(deg, odd_tag(deg))
+        assert (str(raw.value), raw.value.block) == (message, 4)
+
+    def test_read_off_raises_the_general_routes_error(self, monkeypatch):
+        c = member_in_first_sum().echelon_config()
+        tag = odd_tag(c)
+        assert odd._unit_members(c, tag.r)
+        message = "intersection kernel of blocks [1, 2, 3] with block 4 has dimension 2, expected 1"
+        with pytest.raises(WrongKernelDimension) as fast:
+            frame_odd(c, tag)
+        with pytest.raises(WrongKernelDimension) as general:
+            general_frame(monkeypatch, c, tag)
+        assert (str(fast.value), fast.value.block) == (str(general.value), general.value.block) == (message, 4)
+
+    def test_unit_pass_takes_the_general_route(self, monkeypatch):
+        # at this point the sketch falls short, and the unit pass gives
+        # members 1..r derivatives too
+        c = sample_config(5, 2, 5, seed=6, bound=1)
+        routes = frame_routes(monkeypatch)
+        assert jacobian_rank(c) == 3
+        assert routes == ["units", "general"]
+
+    def test_r1_takes_the_general_route(self, monkeypatch):
+        routes = frame_routes(monkeypatch)
+        c = sample_config(3, 2, 6, seed=1)
+        frame_odd(c.echelon_config(), odd_tag(c))
+        assert routes == []
 
 
 # ---------------------------------------------------------------------------
