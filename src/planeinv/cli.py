@@ -106,7 +106,7 @@ def _cmd_rank(args) -> int:
 def _cmd_embed(args) -> int:
     d, r, s, letters = fileio.letters_from_obj(fileio.load_json(args.infile))
     config = divisible.embed(d, r, s, letters)
-    assert divisible.letters(config)[2] == letters  # embed contract: exact roundtrip
+    assert orbit.letters(config)[2] == letters  # embed contract: exact roundtrip
     fileio.write_json(args.out, fileio.config_to_obj(config))
     print(f"wrote {args.out} (normal form, n={config.n}, d={config.d}, s={config.s})")
     return EXIT_OK

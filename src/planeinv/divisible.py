@@ -14,10 +14,11 @@ unchanged by any left action, and a right action conjugates all of them by
 one common d x d matrix, so traces of cyclic words in the letters are exact
 orbit invariants.
 
-:func:`letter_ids` names the letters, and :func:`letters` computes them in
-that order.  :func:`embed` builds the normal-form configuration whose
-letters are any prescribed tuple, and ``letters(embed(x)) == x`` exactly --
-the roundtrip is an identity on the nose, not up to equivalence.
+:func:`letter_ids` names the letters, and :func:`reduce` computes them in
+that order for :func:`planeinv.orbit.letters`, the one entry into both
+families' reductions.  :func:`embed` builds the normal-form configuration
+whose letters are any prescribed tuple, and ``letters(embed(x)) == x``
+exactly -- the roundtrip is an identity on the nose, not up to equivalence.
 """
 
 from __future__ import annotations
@@ -30,30 +31,19 @@ from .errors import (
     DegenerateConfigError,
     inverse_or_degenerate,
 )
-from .grassmann import CaseTag, Config, Subspace, classify_case
+from .grassmann import CaseTag, Config, Subspace
 from .linalg import Mat, vstack
-from .words import InvariantVector, trace_vector
 
 
-def _require_divisible(config: Config) -> CaseTag:
-    tag = classify_case(config.n, config.d)
-    if tag.kind != "divisible":
-        raise CaseMismatchError(
-            f"(n, d) = ({config.n}, {config.d}) is not in the divisible case"
-        )
-    return tag
-
-
-def phi_left(config: Config) -> Mat:
-    """Left-translate so the first r members become the identity: A^-1 B.
+def phi_left(config: Config, r: int) -> Mat:
+    """Left-translate so the first r = n / d members become the identity: A^-1 B.
 
     That is the right n x (s - r)d block of the reduced echelon form of the
     configuration matrix, when the form's first n pivots are columns
     0..n-1.  Needs s > r; raises :class:`DegenerateConfigError` when the
     first r members do not span the ambient space.
     """
-    tag = _require_divisible(config)
-    r, n = tag.r, config.n
+    n = config.n
     if config.s <= r:
         raise CaseMismatchError(f"phi_left needs s > r = {r}, got s = {config.s}")
     form, pivots = config.echelon()
@@ -122,8 +112,9 @@ def embed(d: int, r: int, s: int, letters: Sequence[Mat]) -> Config:
 
     Members 1..r are the coordinate blocks, member r+1 is the diagonal
     (identity in every block row), and member r+j carries the letters
-    G_2_j..G_r_j below an identity first block.  ``letters(embed(d, r, s,
-    x))[2] == x`` exactly, for any letters (they need not be invertible).
+    G_2_j..G_r_j below an identity first block.
+    ``orbit.letters(embed(d, r, s, x))[2] == x`` exactly, for any letters
+    (they need not be invertible).
     """
     if d < 1 or r < 2 or s < r + 1:
         raise ValueError("need d >= 1, r >= 2, s >= r + 1")
@@ -149,35 +140,20 @@ def embed(d: int, r: int, s: int, letters: Sequence[Mat]) -> Config:
     return Config(members)
 
 
-def letters(config: Config) -> tuple:
-    """(tag, letter ids, letters, degeneracy) of a divisible-case configuration, in one pass.
+def reduce(config: Config, tag: CaseTag) -> tuple[tuple[Mat, ...], Degeneracy | None]:
+    """The letters in :func:`letter_ids` order and the first failed general-position condition.
 
-    The ids are :func:`letter_ids`.  The pass also decides general position
-    and returns the first failed condition (``None`` if none): for s <= r
-    the members must be in direct sum; for s > r the first r members must
-    span and every d x d block of phi must be invertible.  A failure that
-    leaves the letters undefined raises :class:`DegenerateConfigError`
-    instead, except in the range without letters, where every failure is
-    recorded.
+    For s <= r the members must be in direct sum; for s > r the first r
+    members must span and every d x d block of phi must be invertible.  A
+    failure that leaves the letters undefined raises
+    :class:`DegenerateConfigError`; any other is returned next to them
+    (``None`` if none).
     """
-    tag = _require_divisible(config)
     r, d, s = tag.r, config.d, config.s
-    ids, mats, degeneracy = letter_ids(tag, s), (), None
     if s <= r:
         if config.matrix().rank() != s * d:
-            degeneracy = Degeneracy("members are not in direct sum")
-    else:
-        try:
-            phi = phi_left(config)
-            degeneracy = _singular_block(phi, r, d, s)
-            mats = _letter_mats(phi, r, d, s)
-        except DegenerateConfigError as exc:
-            if ids:
-                raise
-            degeneracy = Degeneracy.of(exc)
-    return tag, ids, mats, degeneracy
-
-
-def invariants(config: Config) -> InvariantVector:
-    """Trace-invariant vector of a divisible-case configuration, in one pass of :func:`letters`."""
-    return trace_vector(config, *letters(config))
+            return (), Degeneracy("members are not in direct sum")
+        return (), None
+    phi = phi_left(config, r)
+    degeneracy = _singular_block(phi, r, d, s)
+    return _letter_mats(phi, r, d, s), degeneracy

@@ -26,7 +26,7 @@ class UnsupportedCaseError(ValueError):
 
 
 class CaseMismatchError(ValueError):
-    """A case-specific routine was called on a configuration of the other case."""
+    """A case-specific routine was called outside the range it needs."""
 
 
 class ShapeMismatchError(ValueError):

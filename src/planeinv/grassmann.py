@@ -280,13 +280,13 @@ def general_position(config: Config) -> bool:
     own bases through no coordinate chart, so the verdict is a property of
     the orbit: it is the same for ``config`` and for
     ``act_right(hs, act_left(g, config))``.  It is decided constructively
-    by the case's ``letters``, the same reduction pass every command runs;
-    no trace vector is built.  Unsupported (n, d) raises
+    by :func:`planeinv.orbit.letters`, the same reduction pass every
+    command runs; no trace vector is built.  Unsupported (n, d) raises
     :class:`UnsupportedCaseError`.
     """
-    from .orbit import _reduction
+    from .orbit import letters
     try:
-        return _reduction(config.n, config.d).letters(config)[3] is None
+        return letters(config)[3] is None
     except DegenerateConfigError:
         return False
 

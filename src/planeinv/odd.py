@@ -15,7 +15,7 @@ reads each member as its d-column block of the reduced echelon form of
 the configuration matrix (:meth:`~planeinv.grassmann.Config.echelon`),
 where the first members are mostly unit columns and the frame's kernels
 and H^-1 meet rows already reduced.  Medians over seeds 1-20 (Python
-3.11, one shared 2-vCPU host): :func:`letters` takes 13% less time at
+3.11, one shared 2-vCPU host): the letters pass takes 13% less time at
 (7,2,7), 19-21% less at (9,2,9) and (10,4,6), 30-40% less at (15,6,6)
 and (14,4,7), and 0-1% more at (5,2,8) and (5,2,9), where n is small and
 the form pays once more for every later member.  Two passes keep the
@@ -29,22 +29,21 @@ before the jets go on (:func:`planeinv.orbit._jet_rank`), so the pass
 starts in echelon coordinates and the derivatives stay in the free members.
 
 In echelon coordinates members 1..r are exact unit blocks [0; I_d; 0]
-(the rational passes at r >= 2, and the sketch pass over jets, which keeps
-its first members rational).  Their unit columns are pivots of every frame
+(the rational passes at r >= 2, and both passes over jets, which keep
+members 1..r rational).  Their unit columns are pivots of every frame
 kernel, and a canonical kernel vector is fixed by its free coordinates, so
 :func:`frame_odd` reads each kernel off the few rows those members leave
 uncovered: an e x d block for X and for Y, a 3e x 2d block for Z.  The
 free columns, the bases and the kernel dimensions are those of the
 n x (r+1)d kernels, so H and every :class:`WrongKernelDimension` are
-unchanged.  The general kernels stay the route at r = 1, in the unit
-pass over jets (members 1..r carry derivatives there) and for any input
+unchanged.  The general kernels stay the route at r = 1 and for any input
 whose members 1..r are not unit blocks.  :func:`letters_odd` then
 applies each right factor once to a whole normalized column and reads the
 letters off its row blocks.  Medians over seeds 1-4, the old and the new
 code interleaved in one process (Python 3.11, one shared 2-vCPU host): the
 frame takes 0.19 ms in place of 0.29 ms at (7,2,7) and 0.45 ms in place of
 0.86 ms at (14,4,6), :func:`letters_odd` 0.28-0.31 ms in place of
-0.32-0.34 ms at (7,2,7), and :func:`letters` 7-13% less time at each of
+0.32-0.34 ms at (7,2,7), and the letters pass 7-13% less time at each of
 (5,2,5), (7,2,7), (5,2,8), (9,2,9), (10,4,6), (14,4,6) and (10,4,7).
 
 * r = 1 (n = 3e): expressing the remaining members in H-coordinates yields
@@ -59,10 +58,11 @@ frame takes 0.19 ms in place of 0.29 ms at (7,2,7) and 0.45 ms in place of
 
 The stages hand plain values to each other: a frame is its matrix H and
 a letter set is a tuple of matrices in the alphabet order of the trace
-words, which :func:`letter_ids` names.  Each stage reads (r, e) from the
-case tag and trusts the (r, s) range :func:`letters` chose for it.  A
-matrix that must be inverted and is singular raises
-:class:`DegenerateConfigError` through
+words, which :func:`letter_ids` names.  :func:`reduce` runs the stages
+for :func:`planeinv.orbit.letters`, the one entry into both families'
+reductions; each stage reads (r, e) from the case tag and trusts the
+(r, s) range :func:`reduce` chose for it.  A matrix that must be
+inverted and is singular raises :class:`DegenerateConfigError` through
 :func:`~planeinv.errors.inverse_or_degenerate`.
 
 Every kernel step uses the canonical reduced-echelon basis.  The residual
@@ -78,25 +78,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    CaseMismatchError,
     Degeneracy,
-    DegenerateConfigError,
     WrongKernelDimension,
     ZeroPatternViolation,
     inverse_or_degenerate,
 )
-from .grassmann import CaseTag, Config, classify_case
+from .grassmann import CaseTag, Config
 from .linalg import Mat, hstack
-from .words import InvariantVector, trace_vector
-
-
-def _require_odd(config: Config) -> CaseTag:
-    tag = classify_case(config.n, config.d)
-    if tag.kind != "odd_multiple":
-        raise CaseMismatchError(
-            f"(n, d) = ({config.n}, {config.d}) is not in the odd-multiple case"
-        )
-    return tag
 
 
 def letter_ids(tag: CaseTag, s: int) -> tuple[str, ...]:
@@ -208,7 +196,7 @@ def frame_odd(config: Config, tag: CaseTag) -> Mat:
     blocks span the meets 1∩2, 1∩3 and 2∩3.
 
     At r >= 2, when members 1..r are the unit blocks of the echelon form
-    (every rational pass, and the sketch pass over jets), the blocks are
+    (every rational pass, and both passes over jets), the blocks are
     read off the few rows those members leave uncovered
     (:func:`_kernels_from_units`).  The unit columns are pivots, and a
     canonical kernel vector is fixed by its free coordinates, so the free
@@ -421,8 +409,8 @@ def _singular(m: Mat, what: str, block: int) -> Degeneracy | None:
     return Degeneracy(f"{what} is singular", block=block) if m.rank() != m.rows else None
 
 
-def _reduce(config: Config, tag: CaseTag) -> tuple[tuple[Mat, ...], Degeneracy | None]:
-    """The letters of the widest reduction the member count allows, checked.
+def reduce(config: Config, tag: CaseTag) -> tuple[tuple[Mat, ...], Degeneracy | None]:
+    """The letters of the widest reduction the member count allows, in :func:`letter_ids` order, checked.
 
     This is the constructive reading of general position: every kernel has
     dimension e, every matrix the reduction inverts is invertible, and at
@@ -474,28 +462,3 @@ def _reduce(config: Config, tag: CaseTag) -> tuple[tuple[Mat, ...], Degeneracy |
         degeneracy = _singular(red.c_block(r + 2, 2 * r + 1), f"c-block ({2 * r + 1}, r+2)", r + 2)
     return found, degeneracy
 
-
-def letters(config: Config) -> tuple:
-    """(tag, letter ids, letters, degeneracy) of an odd-multiple configuration, in one pass.
-
-    The ids are :func:`letter_ids`; the r = 1 or r >= 2 letter pipeline
-    runs, to e x e letters.  The same pass decides general position and
-    returns the first failed condition (``None`` if none); a failure that
-    leaves the letters undefined raises :class:`DegenerateConfigError`
-    instead, except in the ranges without letters, where every failure is
-    recorded.
-    """
-    tag = _require_odd(config)
-    ids = letter_ids(tag, config.s)
-    try:
-        mats, degeneracy = _reduce(config, tag)
-    except DegenerateConfigError as exc:
-        if ids:
-            raise
-        mats, degeneracy = (), Degeneracy.of(exc)
-    return tag, ids, mats, degeneracy
-
-
-def invariants(config: Config) -> InvariantVector:
-    """Trace-invariant vector of an odd-multiple configuration, in one pass of :func:`letters`."""
-    return trace_vector(config, *letters(config))

@@ -11,6 +11,13 @@ characteristic polynomial, so the dimension is m.
 measures the actual number of independent invariants at a point, exactly,
 with no floating point and no thresholds.
 
+:func:`letters` is the one entry into the letter reductions.  The shape
+decides the family in one place, :func:`_reduction` (n = r d: the
+divisible family; n = (2r+1)e with d = 2e: the odd family), the family's
+``reduce`` builds the letters and checks general position, and the policy
+for the ranges without letters is applied once.  Every command, and
+:func:`~planeinv.grassmann.general_position`, reduces through it.
+
 Along an orbit the letters move by one common conjugation: in the
 divisible family ``letters(act_left(g, c)) == letters(c)`` and the right
 action conjugates them, and the :mod:`planeinv.odd` docstring says the
@@ -70,7 +77,8 @@ one reduction over jets differentiates the letters along all of them, and
 the chain rule gives the word traces' derivatives over the integers.
 Their rank, taken modulo a prime, is a lower bound, so a match with the
 count is the exact rank; any other outcome falls back to one more pass
-along every coordinate direction, whose rank is computed exactly.
+along the coordinate directions of members r+1..s, whose rank is
+computed exactly.
 
 Both passes differentiate at E c, the members read from the reduced
 echelon form of the configuration matrix, E rational and invertible
@@ -81,6 +89,20 @@ fallback returns does not depend on which one is taken.  At E c the fixed
 members are mostly unit columns, the frame's kernels and inverses meet
 rows already reduced, and the derivatives stay in the free members, the
 only ones that carry them.
+
+Members r+1..s alone also carry the rank.  The fallback runs only after
+a sketch pass that built letters, and then member i <= r of E c is a unit
+block U_i = [0; I_d; 0], its identity in rows R_i: the divisible letters
+need the first r members to span, and the odd frame H, being invertible,
+puts them in direct sum.
+The letters are unchanged by any left factor, so the invariants are
+constant along every left action I + t X.  For any n x d matrix Delta,
+X = Delta U_i^T moves member i by Delta, leaves every other member
+j <= r fixed, and moves member j > r by Delta B_j[R_i].  So J along
+member i is minus J along those directions of the later members, the
+columns of J for members 1..r lie in the span of the others, and the
+fallback differentiates along the n*d*(s - r) unit directions of members
+r+1..s only.  Members 1..r then stay rational unit blocks in both passes.
 
 The sketch directions vanish on the first F = min(s, (n^2 - 1) //
 (d (n - d))) members: F Grassmannians of dimension d (n - d) fit in PGL_n,
@@ -100,15 +122,17 @@ import enum
 import functools
 from itertools import chain
 from operator import mul
+from types import ModuleType
 from typing import Sequence
 
 from .errors import (
+    Degeneracy,
     DegenerateConfigError,
     ShapeMismatchError,
     UnsupportedCaseError,
 )
 from . import divisible, odd
-from .grassmann import Config, SplitMix64, Subspace, classify_case
+from .grassmann import CaseTag, Config, SplitMix64, Subspace, classify_case
 from .linalg import Mat, _rank, _rank_mod_p
 from .words import (
     InvariantVector,
@@ -116,6 +140,7 @@ from .words import (
     enumerate_words,
     letter_size,
     trace_derivatives,
+    trace_vector,
     word_gradients,
     words_for,
 )
@@ -127,6 +152,7 @@ __all__ = [
     "invariant_vector",
     "jacobian_rank",
     "letter_count",
+    "letters",
     "same_orbit_test",
 ]
 
@@ -142,23 +168,44 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def _reduction(n: int, d: int):
-    """The case module (:mod:`divisible` or :mod:`odd`) that reduces shape (n, d)."""
-    kind = classify_case(n, d).kind
-    module = {"divisible": divisible, "odd_multiple": odd}.get(kind)
+def _reduction(n: int, d: int) -> tuple[CaseTag, ModuleType]:
+    """The case tag of shape (n, d) and the module (:mod:`divisible` or :mod:`odd`) that reduces it."""
+    tag = classify_case(n, d)
+    module = {"divisible": divisible, "odd_multiple": odd}.get(tag.kind)
     if module is None:
         raise UnsupportedCaseError(f"no reduction applies to (n, d) = ({n}, {d})")
-    return module
+    return tag, module
+
+
+def letters(config: Config) -> tuple:
+    """(tag, letter ids, letters, degeneracy) of ``config``, in one reduction pass.
+
+    The ids are the family's ``letter_ids``, and its ``reduce`` builds the
+    letters in that order.  The same pass decides general position and
+    returns the first failed condition (``None`` if none).  A failure that
+    leaves the letters undefined raises :class:`DegenerateConfigError`,
+    except in the ranges without letters, where every failure is recorded.
+    """
+    tag, module = _reduction(config.n, config.d)
+    ids = module.letter_ids(tag, config.s)
+    try:
+        mats, degeneracy = module.reduce(config, tag)
+    except DegenerateConfigError as exc:
+        if ids:
+            raise
+        mats, degeneracy = (), Degeneracy.of(exc)
+    return tag, ids, mats, degeneracy
 
 
 def invariant_vector(config: Config) -> InvariantVector:
-    """Dispatch to the case pipeline and return the trace-invariant vector."""
-    return _reduction(config.n, config.d).invariants(config)
+    """The trace-invariant vector of ``config``, from one :func:`letters` pass."""
+    return trace_vector(config, *letters(config))
 
 
 def letter_count(n: int, d: int, s: int) -> int:
     """The number k of invariant letters for shape (n, d, s); 0 in trivial ranges."""
-    return len(_reduction(n, d).letter_ids(classify_case(n, d), s))
+    tag, module = _reduction(n, d)
+    return len(module.letter_ids(tag, s))
 
 
 def expected_quotient_dim(n: int, d: int, s: int) -> int:
@@ -174,10 +221,11 @@ def expected_quotient_dim(n: int, d: int, s: int) -> int:
     less the projectivized group; for k = 1 it exceeds it by m - 1, the
     dimension of the letter's centralizer modulo scalars.
     """
-    k = letter_count(n, d, s)  # raises UnsupportedCaseError first
+    tag, module = _reduction(n, d)  # raises UnsupportedCaseError first
+    k = len(module.letter_ids(tag, s))
     if k < 1:
         return 0
-    m = letter_size(classify_case(n, d), d)
+    m = letter_size(tag, d)
     if k == 1:
         return m
     return k * m * m - (m * m - 1)
@@ -206,10 +254,9 @@ def same_orbit_test(a: Config, b: Config) -> Verdict:
         raise ShapeMismatchError(
             f"shapes differ: ({a.n}, {a.d}, {a.s}) vs ({b.n}, {b.d}, {b.s})"
         )
-    module = _reduction(a.n, a.d)
     try:
-        _, _, la, da = module.letters(a)
-        _, _, lb, db = module.letters(b)
+        _, _, la, da = letters(a)
+        _, _, lb, db = letters(b)
     except DegenerateConfigError:
         return Verdict.INCONCLUSIVE
     if la:
@@ -331,19 +378,18 @@ def jacobian_rank(config: Config) -> int:
     position raises :class:`DegenerateConfigError`, naming the failed
     condition.
     """
-    n, d = config.n, config.d
-    module = _reduction(n, d)
-    if module is odd and classify_case(n, d).r > 1:
+    tag, module = _reduction(config.n, config.d)
+    if module is odd and tag.r > 1:
         return _jet_rank(config)
-    tag, _, letters, degeneracy = module.letters(config)
+    _, _, mats, degeneracy = letters(config)
     if degeneracy is not None:
         raise degeneracy.error()
-    if not letters:
+    if not mats:
         return 0
-    rank = _irreducible_rank(letters)
+    rank = _irreducible_rank(mats)
     if rank is None:
-        words = words_for(tag, d, len(letters))
-        rank = Mat([grad for grad, _ in word_gradients(letters, words)]).rank()
+        words = words_for(tag, config.d, len(mats))
+        rank = Mat([grad for grad, _ in word_gradients(mats, words)]).rank()
     return rank
 
 
@@ -366,11 +412,15 @@ def _jet_rank(config: Config) -> int:
     to ``bound`` is the certificate.  A sketch that falls short (a special
     point, an unlucky draw, or a prime that divides a minor) or exceeds
     ``bound`` (a wrong count) is discarded, and the rank is that of one more
-    pass with the n*d*s unit directions, by exact elimination.  Both passes
-    run at the echelon point E c (:meth:`Config.echelon_config`): the
-    invariants are constant on orbits, so J has the same rank there (the
-    module docstring has the argument), and the rational E keeps every
-    derivative in the free members.  The jet pass pivots on values, so it
+    pass with the n*d*(s - r) unit directions of members r+1..s, by exact
+    elimination.  Both passes run at the echelon point E c
+    (:meth:`Config.echelon_config`): the invariants are constant on orbits,
+    so J has the same rank there, and the rational E keeps every derivative
+    in the free members.  Members 1..r of E c are unit blocks once the
+    sketch pass has built letters, and a left action that moves member
+    i <= r by Delta moves only members r+1..s besides, so J along member i
+    is a combination of J along them: the unit pass loses no rank (the
+    module docstring has both arguments).  The jet pass pivots on values, so it
     raises the plain pass's degeneracy, and general position is a property
     of the orbit, so E c fails exactly the conditions c fails.
     """
@@ -382,7 +432,8 @@ def _jet_rank(config: Config) -> int:
     bound = min(expected, words, coords)
     if _rank_mod_p(rows, _RANK_PRIME) == bound:
         return bound
-    units = [[int(c == k) for c in range(coords)] for k in range(coords)]
+    first = n * d * _reduction(n, d)[0].r
+    units = [[int(c == k) for c in range(coords)] for k in range(first, coords)]
     return Mat(_derivative_rows(config, units)[0]).rank()
 
 
@@ -430,10 +481,10 @@ def _jet_pass(config: Config, directions: Sequence[Sequence[int]]) -> list:
         for at, row in zip(range(0, size, cols), basis.num):
             rows.append(row + [x * den for part in slices for x in part[at : at + cols]])
         jet_subs.append(Subspace._raw(Mat._form(rows, den, cols, k)))
-    tag, _, letters, degeneracy = _reduction(config.n, config.d).letters(Config(jet_subs))
+    tag, _, mats, degeneracy = letters(Config(jet_subs))
     if degeneracy is not None:
         raise degeneracy.error()
-    return trace_derivatives(letters, words_for(tag, config.d, len(letters)))
+    return trace_derivatives(mats, words_for(tag, config.d, len(mats)))
 
 
 def _derivative_rows(config: Config, directions: Sequence[Sequence[int]]) -> tuple[list, int]:

@@ -254,7 +254,7 @@ def trace_vector(
     letters: Sequence[Mat],
     degeneracy: Degeneracy | None,
 ) -> InvariantVector:
-    """The :class:`InvariantVector` of a configuration from what its case's ``letters`` returned."""
+    """The :class:`InvariantVector` of a configuration from what :func:`planeinv.orbit.letters` returned."""
     words = words_for(tag, config.d, len(letters))
     values = evaluate_traces(letters, words)
     return InvariantVector(

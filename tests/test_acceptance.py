@@ -15,7 +15,7 @@ and a criterion that fails carries its full evidence in the assert message.
 import time
 from fractions import Fraction
 
-from planeinv.divisible import embed, letters
+from planeinv.divisible import embed
 from planeinv.grassmann import (
     Config,
     SplitMix64,
@@ -36,6 +36,7 @@ from planeinv.orbit import (
     invariant_vector,
     jacobian_rank,
     letter_count,
+    letters,
     same_orbit_test,
 )
 

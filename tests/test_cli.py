@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from test_orbit import spy_on_words
 
-from planeinv import divisible, fileio, orbit
+from planeinv import fileio, grassmann, orbit
 from planeinv.cli import main
 from planeinv.divisible import embed
 from planeinv.grassmann import Config, SplitMix64, Subspace, act_left, sample_config, sample_invertible
@@ -527,7 +527,7 @@ class TestEmbedCmd:
         path, out = tmp_path / "letters.json", tmp_path / "emb.json"
         path.write_text(json.dumps({"kind": "divisible", "d": 2, "r": 3, "s": 6, "letters": letters}))
         assert run("embed", "--in", path, "--out", out) == 0
-        _, ids, mats, _ = divisible.letters(fileio.config_from_obj(fileio.load_json(out)))
+        _, ids, mats, _ = orbit.letters(fileio.config_from_obj(fileio.load_json(out)))
         assert {i: fileio._format_matrix(m) for i, m in zip(ids, mats)} == letters
 
     def test_wrong_letter_set_exits_2(self, tmp_path, capsys):
@@ -537,6 +537,70 @@ class TestEmbedCmd:
         path.write_text(json.dumps(obj))
         assert run("embed", "--in", path, "--out", tmp_path / "o.json") == 2
         assert "error:" in capsys.readouterr().err
+
+
+def spy_on_letters(monkeypatch):
+    """The configuration of every ``orbit.letters`` pass from now on, in order."""
+    configs = []
+    letters = orbit.letters
+    monkeypatch.setattr(orbit, "letters", lambda config: configs.append(config) or letters(config))
+    return configs
+
+
+class TestOneReductionPerConfiguration:
+    """Every command reduces each configuration it reads once, through ``orbit.letters``."""
+
+    def write(self, tmp_path, *shape, seed=1):
+        path = tmp_path / f"c{seed}.json"
+        fileio.write_json(path, fileio.config_to_obj(sample_config(*shape, seed=seed)))
+        return path
+
+    def test_invariants(self, tmp_path, monkeypatch):
+        cfg = self.write(tmp_path, 4, 2, 5)
+        passes = spy_on_letters(monkeypatch)
+        assert run("invariants", "--in", cfg, "--out", tmp_path / "v.json") == 0
+        assert len(passes) == 1
+
+    def test_orbit_test(self, tmp_path, monkeypatch):
+        a, b = (self.write(tmp_path, 7, 2, 7, seed=seed) for seed in (1, 2))
+        passes = spy_on_letters(monkeypatch)
+        assert run("orbit-test", "--a", a, "--b", b) == 3
+        assert len(passes) == 2
+
+    def test_embed(self, tmp_path, monkeypatch):
+        letters = tmp_path / "letters.json"
+        letters.write_text(json.dumps({
+            "kind": "divisible", "d": 2, "r": 2, "s": 5,
+            "letters": {"G_2_2": [[1, 2], [3, 4]], "G_2_3": [[0, 1], [1, 0]]},
+        }))
+        passes = spy_on_letters(monkeypatch)
+        assert run("embed", "--in", letters, "--out", tmp_path / "o.json") == 0
+        assert len(passes) == 1
+
+    def test_gen_once_per_attempt(self, tmp_path, monkeypatch):
+        # the seed's first draw has a singular intersection frame
+        attempts = []
+        general_position = grassmann.general_position
+        monkeypatch.setattr(grassmann, "general_position", lambda c: attempts.append(c) or general_position(c))
+        passes = spy_on_letters(monkeypatch)
+        assert run("gen", "--n", 3, "--d", 2, "--s", 6, "--seed", 3871074876, "--out", tmp_path / "c.json") == 0
+        assert len(attempts) == 2
+        assert passes == attempts
+
+    @pytest.mark.parametrize("shape", [(4, 2, 5), (3, 2, 6)], ids=["divisible", "odd-r1"])
+    def test_rank_by_letters(self, tmp_path, monkeypatch, shape):
+        cfg = self.write(tmp_path, *shape)
+        passes = spy_on_letters(monkeypatch)
+        assert run("rank", "--in", cfg) == 0
+        (reduced,) = passes
+        assert all(sub.basis.k is None for sub in reduced)
+
+    def test_rank_by_one_certified_jet_pass(self, tmp_path, monkeypatch):
+        cfg = self.write(tmp_path, 5, 2, 5)
+        passes = spy_on_letters(monkeypatch)
+        assert run("rank", "--in", cfg) == 0
+        (reduced,) = passes
+        assert any(sub.basis.k for sub in reduced)
 
 
 class TestBadOut:

@@ -11,10 +11,10 @@ is pinned on a configuration that fails it.
 
 import pytest
 
-from planeinv import divisible, fileio, odd
+from planeinv import fileio, orbit
 from planeinv.cli import main
 from planeinv.errors import Degeneracy, DegenerateConfigError, SingularMatrixError
-from planeinv.grassmann import Config, Subspace, classify_case, sample_config
+from planeinv.grassmann import Config, Subspace, sample_config
 from planeinv.linalg import Mat
 
 
@@ -29,7 +29,7 @@ def test_first_members_that_do_not_span(tmp_path, capsys):
     """The first r members do not span: raised with letters, (4,2,5), recorded without, (6,2,4)."""
     config = _second_in_first(4, 2, 5)
     with pytest.raises(DegenerateConfigError) as info:
-        divisible.letters(config)
+        orbit.letters(config)
     message = "the first r = 2 members do not span the ambient space"
     assert (str(info.value), info.value.block) == (message, None)
     path = tmp_path / "c.json"
@@ -37,7 +37,7 @@ def test_first_members_that_do_not_span(tmp_path, capsys):
     for argv in (["invariants", "--in", path, "--out", tmp_path / "v.json"], ["rank", "--in", path]):
         assert main([str(a) for a in argv]) == 4
         assert capsys.readouterr().err.strip() == f"error: {message}"
-    assert divisible.letters(_second_in_first(6, 2, 4))[3] == Degeneracy(
+    assert orbit.letters(_second_in_first(6, 2, 4))[3] == Degeneracy(
         "the first r = 3 members do not span the ambient space"
     )
 
@@ -97,7 +97,6 @@ CENSUS = {
 @pytest.mark.parametrize("shape", list(CENSUS), ids=lambda s: "-".join(map(str, s)))
 def test_forced_singular_inverses(shape, monkeypatch):
     config = sample_config(*shape, seed=1)
-    module = divisible if classify_case(shape[0], shape[1]).kind == "divisible" else odd
     inverse = Mat.inverse
     found = []
     while True:
@@ -112,7 +111,7 @@ def test_forced_singular_inverses(shape, monkeypatch):
 
         monkeypatch.setattr(Mat, "inverse", forced)
         try:
-            degeneracy = module.letters(config)[3]
+            degeneracy = orbit.letters(config)[3]
         except ArithmeticError as exc:
             entry = (type(exc).__name__, str(exc), getattr(exc, "block", None))
         else:

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planeinv.divisible import (
-    embed,
-    invariants,
-    letters,
-    phi_left,
-)
+from planeinv.divisible import embed, phi_left
 from planeinv.errors import (
     CaseMismatchError,
     DegenerateConfigError,
@@ -29,6 +24,7 @@ from planeinv.grassmann import (
     sample_invertible,
 )
 from planeinv.linalg import Mat
+from planeinv.orbit import invariant_vector, letters
 from planeinv.words import evaluate_traces
 
 # ---------------------------------------------------------------------------
@@ -87,7 +83,7 @@ class TestRatioMaps:
     def test_cross_ratio_through_pipeline(self):
         cols = [Mat([[1], [z]]) for z in (0, 1, 2, 3)]
         c = Config(tuple(Subspace(col) for col in cols))
-        v = invariants(c)
+        v = invariant_vector(c)
         assert v.letter_ids == ("G_2_2",)
         assert v.values == (Fraction(3, 4),)
 
@@ -125,7 +121,7 @@ class TestMatrixData:
         c = sample_config(6, 2, 6, seed=2)
         _, ids, mats, _ = letters(c)
         assert ids == ("G_2_2", "G_2_3", "G_3_2", "G_3_3")
-        phi = phi_left(c)
+        phi = phi_left(c, 3)
         for letter_id, m in zip(ids, mats):
             i, j = map(int, letter_id.split("_")[1:])
             assert m == block_ratio(phi, i, j, 2)
@@ -133,7 +129,7 @@ class TestMatrixData:
     def test_needs_more_members_than_r(self):
         c = sample_config(4, 2, 2, seed=1)
         with pytest.raises(CaseMismatchError):
-            phi_left(c)
+            phi_left(c, 2)
 
     def test_left_action_fixes_letters(self):
         c = sample_config(4, 2, 5, seed=3)
@@ -229,7 +225,7 @@ class TestGeneralPositionDivisible:
         for seed in range(8):
             c = sample_config(4, 2, 5, seed=seed)
             assert general_position(c)
-            assert invariants(c).degeneracy is None
+            assert invariant_vector(c).degeneracy is None
 
     def test_repeated_member_fails(self):
         # member 3 equal to member 1 zeroes the (2, 1) block of the ratio
@@ -240,7 +236,7 @@ class TestGeneralPositionDivisible:
         deg = Config(tuple(subs))
         assert not general_position(deg)
         with pytest.raises(DegenerateConfigError, match=r"block \(2, 1\)") as exc:
-            invariants(deg)
+            invariant_vector(deg)
         assert exc.value.block == 3
 
     def test_few_members_rank_condition(self):
@@ -249,7 +245,7 @@ class TestGeneralPositionDivisible:
         assert general_position(c)
         subs = list(c.subspaces)
         subs[1] = subs[0]
-        v = invariants(Config(tuple(subs)))
+        v = invariant_vector(Config(tuple(subs)))
         assert len(v) == 0
         assert v.degeneracy.reason == "members are not in direct sum"
         assert not general_position(Config(tuple(subs)))
@@ -259,7 +255,7 @@ class TestGeneralPositionDivisible:
         # the full vector and records the singular phi block with its member
         sing = Mat([[1, 0], [0, 0]])
         c = embed(2, 2, 5, (sing, Mat.identity(2)))
-        v = invariants(c)
+        v = invariant_vector(c)
         assert len(v) == 9
         assert v.degeneracy.reason == "phi block (2, 2) is singular"
         assert v.degeneracy.block == 4
@@ -270,19 +266,19 @@ class TestGeneralPositionDivisible:
         c = sample_config(4, 2, 3, seed=1)
         subs = list(c.subspaces)
         subs[1] = subs[0]
-        v = invariants(Config(tuple(subs)))
+        v = invariant_vector(Config(tuple(subs)))
         assert len(v) == 0 and v.degeneracy is not None
 
 
 class TestInvariantsDivisible:
     def test_trivial_range_empty(self):
         for s in (1, 2, 3):
-            v = invariants(sample_config(4, 2, s, seed=1))
+            v = invariant_vector(sample_config(4, 2, s, seed=1))
             assert len(v) == 0
             assert v.letter_ids == ()
 
     def test_word_count_two_letters(self):
-        v = invariants(sample_config(4, 2, 5, seed=1))
+        v = invariant_vector(sample_config(4, 2, 5, seed=1))
         # two 2x2 letters, words up to length 3: 2 + 3 + 4 necklaces
         assert v.letter_ids == ("G_2_2", "G_2_3")
         assert len(v) == 9
@@ -291,14 +287,14 @@ class TestInvariantsDivisible:
     @settings(max_examples=15, deadline=None)
     def test_exact_invariance(self, seed):
         c = sample_config(4, 2, 5, seed=seed)
-        base = invariants(c).values
+        base = invariant_vector(c).values
         rng = SplitMix64(seed ^ 0xABCDEF)
         g = sample_invertible(rng, 4)
         hs = [sample_invertible(rng, 2) for _ in range(5)]
-        assert invariants(act_left(g, c)).values == base
-        assert invariants(act_right(hs, c)).values == base
+        assert invariant_vector(act_left(g, c)).values == base
+        assert invariant_vector(act_right(hs, c)).values == base
 
     def test_translated_grid_changes_vector(self):
-        a = invariants(sample_config(4, 2, 5, seed=1))
-        b = invariants(sample_config(4, 2, 5, seed=2))
+        a = invariant_vector(sample_config(4, 2, 5, seed=1))
+        b = invariant_vector(sample_config(4, 2, 5, seed=2))
         assert a.values != b.values

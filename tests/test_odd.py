@@ -25,14 +25,19 @@ from planeinv.grassmann import (
 from planeinv.linalg import Mat, hstack, vstack
 from planeinv.odd import (
     frame_odd,
-    invariants,
     letter_ids,
-    letters,
     letters_odd,
     nullspace_component,
     reduce_odd,
 )
-from planeinv.orbit import Verdict, expected_quotient_dim, jacobian_rank, same_orbit_test
+from planeinv.orbit import (
+    Verdict,
+    expected_quotient_dim,
+    invariant_vector,
+    jacobian_rank,
+    letters,
+    same_orbit_test,
+)
 
 def odd_tag(c: Config):
     return classify_case(c.n, c.d)
@@ -202,13 +207,14 @@ class TestFrameReadOff:
             general_frame(monkeypatch, c, tag)
         assert (str(fast.value), fast.value.block) == (str(general.value), general.value.block) == (message, 4)
 
-    def test_unit_pass_takes_the_general_route(self, monkeypatch):
-        # at this point the sketch falls short, and the unit pass gives
-        # members 1..r derivatives too
+    def test_unit_pass_reads_the_unit_members(self, monkeypatch):
+        # at this point the sketch falls short, and the unit pass
+        # differentiates along members r+1..s only, so members 1..r stay
+        # unit blocks in both passes
         c = sample_config(5, 2, 5, seed=6, bound=1)
         routes = frame_routes(monkeypatch)
         assert jacobian_rank(c) == 3
-        assert routes == ["units", "general"]
+        assert routes == ["units", "units"]
 
     def test_r1_takes_the_general_route(self, monkeypatch):
         routes = frame_routes(monkeypatch)
@@ -254,7 +260,7 @@ class TestReduceOdd:
 class TestSigmaLetters:
     def test_letter_ids_and_count(self):
         c = sample_config(3, 2, 6, seed=41)
-        v = invariants(c)
+        v = invariant_vector(c)
         assert v.letter_ids == ("sigma_9", "sigma_10", "sigma_11", "sigma_12")
 
     def test_copied_member_gives_identity_letters(self):
@@ -263,7 +269,7 @@ class TestSigmaLetters:
         c = sample_config(3, 2, 5, seed=42)
         subs = list(c.subspaces)
         subs[4] = subs[3]
-        v = invariants(Config(tuple(subs)))
+        v = invariant_vector(Config(tuple(subs)))
         assert [str(x) for x in v.values] == ["1", "1"]
 
 
@@ -297,7 +303,7 @@ class TestOddLetters:
 
     def test_trivial_small_case(self):
         c = sample_config(5, 2, 4, seed=46)
-        assert len(invariants(c)) == 0
+        assert len(invariant_vector(c)) == 0
 
 
 class TestOddLettersPinned:
@@ -336,7 +342,7 @@ class TestGeneralPositionOdd:
         for seed in range(5):
             c = sample_config(n, d, s, seed=seed)
             assert general_position(c)
-            assert invariants(c).degeneracy is None
+            assert invariant_vector(c).degeneracy is None
 
     def test_duplicate_member_fails(self):
         c = sample_config(3, 2, 5, seed=47)
@@ -345,14 +351,14 @@ class TestGeneralPositionOdd:
         deg = Config(tuple(subs))
         assert not general_position(deg)
         with pytest.raises(DegenerateConfigError):
-            invariants(deg)
+            invariant_vector(deg)
 
     def test_trivial_range_failure_recorded(self):
         # s = 4 with r = 1 has no letters: the pass records the failure
         c = sample_config(3, 2, 4, seed=47)
         subs = list(c.subspaces)
         subs[1] = subs[0]
-        v = invariants(Config(tuple(subs)))
+        v = invariant_vector(Config(tuple(subs)))
         assert len(v) == 0 and v.degeneracy is not None
         assert not general_position(Config(tuple(subs)))
 
@@ -370,7 +376,7 @@ class TestGeneralPositionOdd:
         ]
         c = Config(tuple(Subspace(Mat(b)) for b in raw))
         with pytest.raises(DegenerateConfigError, match="intersection frame is singular"):
-            invariants(c)
+            invariant_vector(c)
         assert not general_position(c)
         assert general_position(sample_config(3, 2, 6, seed=3871074876))
 
@@ -387,14 +393,14 @@ class TestCoordinatePlaneMember:
     # member: general position does not depend on the coordinates
     def test_coordinate_plane_member_is_generic(self):
         c = coordinate_plane_member()
-        v = invariants(c)
+        v = invariant_vector(c)
         assert v.degeneracy is None and len(v) > 0
         assert jacobian_rank(c) == expected_quotient_dim(5, 2, 5) == 6
         rng = SplitMix64(99)
         g = sample_invertible(rng, 5)
         hs = [sample_invertible(rng, 2) for _ in range(5)]
         moved = act_right(hs, act_left(g, c))
-        assert invariants(moved).values == v.values
+        assert invariant_vector(moved).values == v.values
         assert same_orbit_test(c, moved) is Verdict.EQUIVALENT
 
 
@@ -422,7 +428,7 @@ class TestSingularFrameAtThreeMembers:
         c = build()
         assert frame_odd(c, odd_tag(c)).rank() == rank
         assert not general_position(c)
-        v = invariants(c)
+        v = invariant_vector(c)
         assert len(v) == 0
         assert v.degeneracy == Degeneracy("intersection frame is singular")
         generic = sample_config(c.n, c.d, 3, seed=1)
@@ -447,7 +453,7 @@ class TestMeetAtRPlusOneMembers:
         blocks = nullspace_component(c, odd_tag(c), [1, 2], 3)
         assert [b.rank() for b in blocks] == [1, 0]
         assert not general_position(c)
-        v = invariants(c)
+        v = invariant_vector(c)
         assert len(v) == 0
         assert v.degeneracy == Degeneracy(
             "member 3 meets the sum of the first 2 members other than member 2", block=3
@@ -472,12 +478,12 @@ class TestTrivialRangeGeneralPosition:
     @pytest.mark.parametrize("n,second", [(3, (0, 1)), (5, (0, 2))], ids=["equal", "shared-line"])
     def test_recorded_and_inconclusive(self, tmp_path, capsys, n, second):
         c = moved_pair(n, second)
-        v = invariants(c)
+        v = invariant_vector(c)
         assert len(v) == 0
         assert v.degeneracy == Degeneracy("members are not in general position")
         assert not general_position(c)
         generic = sample_config(n, 2, 2, seed=1)
-        assert general_position(generic) and invariants(generic).degeneracy is None
+        assert general_position(generic) and invariant_vector(generic).degeneracy is None
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_json(str(a), config_to_obj(c))
         write_json(str(b), config_to_obj(generic))
@@ -499,12 +505,12 @@ class TestInvarianceOdd:
     def test_exact_invariance(self, n, d, s):
         for seed in (0, 1):
             c = sample_config(n, d, s, seed=seed)
-            base = invariants(c).values
+            base = invariant_vector(c).values
             rng = SplitMix64(seed + 4096)
             g = sample_invertible(rng, n)
             hs = [sample_invertible(rng, d) for _ in range(s)]
-            assert invariants(act_left(g, c)).values == base
-            assert invariants(act_right(hs, c)).values == base
+            assert invariant_vector(act_left(g, c)).values == base
+            assert invariant_vector(act_right(hs, c)).values == base
 
     @pytest.mark.parametrize(
         "n,d,s", [(3, 2, 6), (6, 4, 6), (5, 2, 6), (7, 2, 7), (10, 4, 6)]
@@ -517,6 +523,6 @@ class TestInvarianceOdd:
             assert letters(act_left(g, c))[2:] == letters(c)[2:]
 
     def test_vectors_separate_random_pairs(self):
-        a = invariants(sample_config(3, 2, 5, seed=1))
-        b = invariants(sample_config(3, 2, 5, seed=2))
+        a = invariant_vector(sample_config(3, 2, 5, seed=1))
+        b = invariant_vector(sample_config(3, 2, 5, seed=2))
         assert a.values != b.values

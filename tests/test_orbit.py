@@ -110,7 +110,7 @@ class TestDimensions:
     def test_letters_follow_the_alphabet(self, n, d, s):
         """The pass returns letter_ids(tag, s), one letter each, in every range."""
         module = divisible if n % d == 0 else odd
-        tag, ids, mats, _ = module.letters(sample_config(n, d, s, seed=1))
+        tag, ids, mats, _ = orbit.letters(sample_config(n, d, s, seed=1))
         assert ids == module.letter_ids(tag, s)
         assert len(mats) == letter_count(n, d, s)
 
@@ -193,7 +193,7 @@ class TestSameOrbit:
         """
         diag = diag_of_tri_config()
         assert invariant_vector(tri_config()).values == invariant_vector(diag).values
-        assert orbit._intertwiners(tri_letters(), divisible.letters(diag)[2]).cols == 1
+        assert orbit._intertwiners(tri_letters(), orbit.letters(diag)[2]).cols == 1
         assert same_orbit_test(tri_config(), diag) is Verdict.DISTINCT
         assert same_orbit_test(diag, tri_config()) is Verdict.DISTINCT
 
@@ -217,7 +217,7 @@ class TestSameOrbit:
         left = act_left(sample_invertible(rng, c.n), c)
         right = act_right([sample_invertible(rng, c.d) for _ in range(c.s)], c)
         for moved in (left, right):
-            assert orbit._intertwiners(divisible.letters(c)[2], divisible.letters(moved)[2]).cols == dim
+            assert orbit._intertwiners(orbit.letters(c)[2], orbit.letters(moved)[2]).cols == dim
             assert same_orbit_test(c, moved) is Verdict.EQUIVALENT
             assert same_orbit_test(moved, c) is Verdict.EQUIVALENT
 
@@ -226,7 +226,7 @@ class TestSameOrbit:
         jordan = embed(2, 2, 4, (Mat([[1, 1], [0, 1]]),))
         eye = embed(2, 2, 4, (Mat.identity(2),))
         assert invariant_vector(jordan).values == invariant_vector(eye).values
-        assert orbit._intertwiners(divisible.letters(jordan)[2], divisible.letters(eye)[2]).cols == 2
+        assert orbit._intertwiners(orbit.letters(jordan)[2], orbit.letters(eye)[2]).cols == 2
         assert same_orbit_test(jordan, eye) is Verdict.INCONCLUSIVE
         assert same_orbit_test(jordan, jordan) is Verdict.EQUIVALENT
 
@@ -471,6 +471,12 @@ def one_letter_config(letter):
     return embed(2, 2, 4, (Mat(letter),))
 
 
+def is_odd_r2(n, d):
+    """Whether shape (n, d) is in the odd family at r >= 2, where the rank takes the jet route."""
+    tag = classify_case(n, d)
+    return tag.kind == "odd_multiple" and tag.r > 1
+
+
 def point_id(value):
     """``5-2-5-33`` for a point (n, d, s, seed); pytest's default id otherwise."""
     return "-".join(map(str, value)) if isinstance(value, tuple) else None
@@ -552,8 +558,7 @@ class TestRankSketch:
 
             return counted
 
-        for module in (divisible, odd):
-            monkeypatch.setattr(module, "letters", counting(module.letters))
+        monkeypatch.setattr(orbit, "letters", counting(orbit.letters))
         for (n, d, s, _, fixed), c in zip(points, configs):
             calls.clear()
             expected = expected_quotient_dim(n, d, s)
@@ -588,7 +593,8 @@ class TestRankSketch:
         for name in ("inverse", "__matmul__"):
             monkeypatch.setattr(Mat, name, watched(getattr(Mat, name)))
         assert orbit._jet_rank(c) == {(4, 2, 5): 4, (6, 3, 5): 6}[n, d, s]
-        assert passes == [len(orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s))), n * d * s]
+        sketch = len(orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s)))
+        assert passes == [sketch, n * d * (s - n // d)]
         assert wasted == []
 
     @pytest.mark.parametrize("n,d,s,fixed", FIXED_MEMBERS)
@@ -601,14 +607,14 @@ class TestRankSketch:
         assert expected_quotient_dim(n, d, fixed) == 0 < expected_quotient_dim(n, d, fixed + 1)
         for count, lettered in [(fixed, False), (fixed + 1, True)]:
             c = sample_config(n, d, count, seed=1)
-            _, ids, _, degeneracy = orbit._reduction(n, d).letters(c)
+            _, ids, _, degeneracy = orbit.letters(c)
             assert bool(ids) is lettered and degeneracy is None
 
     @pytest.mark.parametrize("n,d,s", [(4, 2, 5), (6, 2, 6), (6, 3, 5)])
     def test_embed_fixes_the_first_members(self, n, d, s):
         """embed's first F members are the same for every letter grid, and member F + 1 is not."""
         r = n // d
-        a, b = (embed(d, r, s, divisible.letters(sample_config(n, d, s, seed=seed))[2]) for seed in (1, 2))
+        a, b = (embed(d, r, s, orbit.letters(sample_config(n, d, s, seed=seed))[2]) for seed in (1, 2))
         fixed = orbit._fixed_members(n, d, s)
         assert a.subspaces[:fixed] == b.subspaces[:fixed]
         assert a.subspaces[fixed] != b.subspaces[fixed]
@@ -625,7 +631,11 @@ class TestRankSketch:
         assert passes == [len(orbit._sketch_directions(n, d, s, expected_quotient_dim(n, d, s)))]
 
     def test_count_computed_once(self, monkeypatch):
-        """One (5,2,5) rank computes the count once, and classifies the shape 7 times."""
+        """One (5,2,5) rank computes the count once, and classifies the shape 3 times.
+
+        Once to choose the route, once for the count and once in the jet
+        pass's one reduction; ``orbit._reduction`` is the only caller.
+        """
         c = sample_config(5, 2, 5, seed=1)
         calls = []
 
@@ -633,20 +643,19 @@ class TestRankSketch:
             calls.append((n, d))
             return classify_case(n, d)
 
-        for module in (orbit, odd, divisible):
-            monkeypatch.setattr(module, "classify_case", counted)
+        monkeypatch.setattr(orbit, "classify_case", counted)
         assert jacobian_rank(c) == 6
-        assert len(calls) == 7
+        assert calls == [(5, 2)] * 3
 
     @pytest.mark.parametrize("extra", [1, 5])
     @pytest.mark.parametrize("n,d,s,seed,true_rank", [(4, 2, 5, 101, 5), (5, 2, 5, 404, 6)])
     def test_wrong_fixed_count_stays_exact(self, monkeypatch, n, d, s, seed, true_rank, extra):
-        """Fixing too many members (all of them at ``extra = 5``) only costs the fallback pass."""
+        """Fixing too many members (all of them at ``extra = 5``) only costs the fallback pass over members r+1..s."""
         fixed = orbit._fixed_members
         monkeypatch.setattr(orbit, "_fixed_members", lambda *shape: min(shape[2], fixed(*shape) + extra))
         passes = counted_passes(monkeypatch)
         assert orbit._jet_rank(sample_config(n, d, s, seed=seed)) == true_rank
-        assert passes[1:] == [n * d * s]
+        assert passes[1:] == [n * d * (s - classify_case(n, d).r)]
 
     @pytest.mark.parametrize("point", [(4, 2, 5, 101), (3, 2, 6, 303), (5, 2, 5, 404)], ids=point_id)
     def test_sliced_rows_match_unit_oracle(self, point):
@@ -662,6 +671,22 @@ class TestRankSketch:
             deriv(*pair) or [Fraction(0)] * len(directions) for pair in orbit._jet_pass(c, directions)
         ]
         assert [list(row) for row in zip(*columns)] == want
+
+    @pytest.mark.parametrize(
+        "point,bound",
+        [(cell[:4], 10) for cell in RANK_CELLS if is_odd_r2(*cell[:2])]
+        + [(point, 1) for point in BOUND_ONE_POINTS],
+        ids=point_id,
+    )
+    def test_fallback_over_later_members_is_exact(self, monkeypatch, point, bound):
+        """With no sketch certified, the unit pass along members r+1..s alone gives the exact rank."""
+        n, d, s, seed = point
+        c = sample_config(n, d, s, seed=seed, bound=bound)
+        want = exhaustive_rank(c)
+        monkeypatch.setattr(orbit, "_rank_mod_p", lambda rows, p: -1)
+        passes = counted_passes(monkeypatch)
+        assert orbit._jet_rank(c) == want
+        assert passes[1:] == [n * d * (s - classify_case(n, d).r)]
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_agrees_with_exhaustive_on_rank_cells(self, n, d, s, seed, pinned):
@@ -683,11 +708,7 @@ class TestRankSketch:
     @pytest.mark.parametrize(
         "point,bound",
         [((5, 2, 5, 6), 1), ((5, 2, 5, 33), 1), ((7, 2, 7, 1), 1)]
-        + [
-            (cell[:4], 10)
-            for cell in RANK_CELLS
-            if classify_case(*cell[:2]).kind == "odd_multiple" and classify_case(*cell[:2]).r > 1
-        ],
+        + [(cell[:4], 10) for cell in RANK_CELLS if is_odd_r2(*cell[:2])],
         ids=point_id,
     )
     def test_echelon_point_keeps_the_rank(self, monkeypatch, point, bound):
@@ -749,10 +770,10 @@ R1_POINTS = [
 
 
 def assert_one_rational_pass(monkeypatch, module, c, rank):
-    """``jacobian_rank(c)`` is ``rank``, from one rational ``module.letters`` pass and no jet pass."""
+    """``jacobian_rank(c)`` is ``rank``, from one rational ``module.reduce`` pass and no jet pass."""
     calls = []
-    letters = module.letters
-    monkeypatch.setattr(module, "letters", lambda config: calls.append(config) or letters(config))
+    reduce = module.reduce
+    monkeypatch.setattr(module, "reduce", lambda config, tag: calls.append(config) or reduce(config, tag))
     passes = counted_passes(monkeypatch)
     assert jacobian_rank(c) == rank
     assert passes == []
@@ -814,7 +835,7 @@ class TestIrreducibleCertificate:
         blocks = [alphas[7], alphas[8], Mat.identity(e)]
         zero = Mat.zeros(e, e)
         diag = vstack([hstack([b if i == j else zero for j in range(3)]) for i, b in enumerate(blocks)])
-        assert act_left(diag @ h.inverse(), c) == odd_normal_form(list(odd.letters(c)[2]))
+        assert act_left(diag @ h.inverse(), c) == odd_normal_form(list(orbit.letters(c)[2]))
 
     @pytest.mark.parametrize("seed", [6, 33])
     def test_odd_r2_letters_do_not_certify(self, seed):
@@ -824,7 +845,7 @@ class TestIrreducibleCertificate:
         the jet pass finds 3.
         """
         c = sample_config(5, 2, 5, seed=seed, bound=1)
-        assert orbit._irreducible_rank(odd.letters(c)[2]) == 6
+        assert orbit._irreducible_rank(orbit.letters(c)[2]) == 6
         assert jacobian_rank(c) == 3
 
     @pytest.mark.parametrize(
@@ -850,7 +871,7 @@ class TestIrreducibleCertificate:
         there, rather than one jet pass per coordinate.
         """
         c = make()
-        assert orbit._irreducible_rank(orbit._reduction(c.n, c.d).letters(c)[2]) is None
+        assert orbit._irreducible_rank(orbit.letters(c)[2]) is None
         passes = counted_passes(monkeypatch)
         assert jacobian_rank(c) == rank
         assert passes == []
@@ -957,7 +978,8 @@ class TestBatchedSketch:
         monkeypatch.setattr(orbit, "expected_quotient_dim", lambda *shape: 2)
         monkeypatch.setattr(orbit, "_jet_pass", crafted)
         assert jacobian_rank(sample_config(5, 2, 5, seed=404)) == 2
-        assert passes == [3, 50]  # the sketch pass, then the unit-direction fallback
+        # the sketch pass, then the unit-direction fallback over members 3..5
+        assert passes == [3, 30]
 
     @pytest.mark.parametrize("n,d,s,seed,pinned", RANK_CELLS)
     def test_mod_p_rank_agrees_with_rational_rank(self, n, d, s, seed, pinned):

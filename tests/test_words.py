@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_linalg import Dual, as_duals, deriv, jet, jet_mat, trace_word
 
-from planeinv import divisible
+from planeinv import orbit
 from planeinv.cli import main
 from planeinv.grassmann import sample_config
 from planeinv.linalg import Jet, Mat
@@ -191,7 +191,7 @@ class TestEvaluateTraces:
             return missing(cache, w)
 
         monkeypatch.setattr(_Products, "__missing__", counted)
-        tag, _, letters, _ = divisible.letters(sample_config(6, 3, 6, seed=1))
+        tag, _, letters, _ = orbit.letters(sample_config(6, 3, 6, seed=1))
         words = words_for(tag, 3, len(letters))
         assert len(words) == 540
         evaluate_traces(letters, words)
@@ -246,7 +246,7 @@ class TestTraceDerivatives:
         products; taking the first cofactor times the empty prefix took
         3,475, 537 of them with the identity as right operand.
         """
-        tag, _, letters, _ = divisible.letters(sample_config(6, 3, 6, seed=1))
+        tag, _, letters, _ = orbit.letters(sample_config(6, 3, 6, seed=1))
         words = words_for(tag, 3, len(letters))
         calls = []
         matmul = Mat.__matmul__
