@@ -2,7 +2,10 @@
 
 All rational values are serialized as reduced strings "p/q" (denominator
 omitted when it is 1) -- never floats, so parse/serialize roundtrips are
-lossless.  Files are UTF-8 in the layout of ``json.dumps(obj,
+lossless.  They are formatted from integer parts by one rule, with no
+``Fraction``: a matrix entry from the form's numerator and denominator,
+reduced by one gcd, and an invariant value from the vector's reduced
+parts.  Files are UTF-8 in the layout of ``json.dumps(obj,
 ensure_ascii=False, indent=2)``: two-space indent, keys in a fixed order,
 newline-terminated.  Configuration files go through ``json.dumps``
 (:func:`write_json`); the invariants file is written from the vector in one
@@ -25,6 +28,7 @@ import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import gcd
 
 from . import divisible
 from .errors import RankDeficientError
@@ -33,8 +37,13 @@ from .linalg import Mat
 from .words import InvariantVector
 
 
+def _format_parts(p: int, q: int) -> str:
+    """The string form of the reduced ratio ``p / q``, ``q > 0``: "p", or "p/q" when ``q > 1``."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def format_rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _format_parts(x.numerator, x.denominator)
 
 
 # The string form of a rational: "p" or "p/q" in ASCII decimal digits.  The
@@ -89,7 +98,13 @@ def _parse_matrix(rows, nrows: int, ncols: int, what: str) -> Mat:
 
 
 def _format_matrix(m: Mat) -> list[list[str]]:
-    return [[format_rat(x) for x in row] for row in m.data]
+    """The entries of the rational ``m`` as strings, each reduced from its form by one gcd."""
+    den = m.den
+    out = []
+    for row in m.num:
+        gs = [gcd(x, den) for x in row]
+        out.append([_format_parts(x // g, den // g) for x, g in zip(row, gs)])
+    return out
 
 
 def config_to_obj(config: Config, seed: int | None = None, bound: int | None = None) -> dict:
@@ -214,7 +229,7 @@ _TRIVIAL_NOTE = (
 )
 
 # One entry of the "invariants" list as ``json.dumps(..., indent=2)`` lays it
-# out: the escaped letter ids of the word, then the value from format_rat.
+# out: the escaped letter ids of the word, then the value from its parts.
 _ENTRY = '    {\n      "word": [\n        %s\n      ],\n      "value": "%s"\n    }'
 _WORD_SEP = ",\n        "
 
@@ -226,8 +241,8 @@ def write_invariants(path: str, vec: InvariantVector) -> None:
     gives the file object, and a newline.  The header (every key but the
     entries) goes through ``json.dumps``; each entry fills :data:`_ENTRY`, with
     the letter ids escaped once per file as ``json.dumps`` escapes them, and
-    each value from :func:`format_rat` (only ``-``, digits and ``/``, which
-    need no escaping).
+    each value formatted from its integer parts (only ``-``, digits and
+    ``/``, which need no escaping), with no ``Fraction``.
     """
     head = {
         "case": {"kind": vec.case.kind, "r": vec.case.r, "e": vec.case.e, "k": len(vec.letter_ids)},
@@ -241,13 +256,13 @@ def write_invariants(path: str, vec: InvariantVector) -> None:
     if not vec.letter_ids:
         head["note"] = _TRIVIAL_NOTE
     text = json.dumps(head, ensure_ascii=False, indent=2)
-    if not vec.entries:
+    if not vec.parts:
         _write_atomic(path, [text, "\n"])
         return
     # Words need letters, so there is no note: the header ends in "[]\n}".
     ids = [encode_basestring(i) for i in vec.letter_ids]
     entries = ",\n".join(
-        _ENTRY % (_WORD_SEP.join([ids[k] for k in word]), format_rat(value))
-        for word, value in vec.entries
+        _ENTRY % (_WORD_SEP.join([ids[k] for k in word]), _format_parts(p, q))
+        for word, (p, q) in zip(vec.words, vec.parts)
     )
     _write_atomic(path, [text[: -len("]\n}")], "\n", entries, "\n  ]\n}\n"])

@@ -39,9 +39,10 @@ integer products, with no zero derivatives added to a rational operand.
 on the form too; in ``-``, stacks and solves a rational operand meets a
 jet operand as a jet with zero derivatives.  ``Fraction`` entries, and
 :class:`Jet` records for a jet matrix, are built only when
-:attr:`Mat.data` is first read (file writers, ``repr``, tests); the word
-traces (:mod:`planeinv.words`) read each letter's form as an integer
-matrix and its denominator.
+:attr:`Mat.data` is first read (``repr`` and tests); the word traces
+(:mod:`planeinv.words`) read each letter's form as an integer matrix and
+its denominator, and the file writers (:mod:`planeinv.fileio`) format
+each entry from the form's numerator and denominator.
 """
 
 from __future__ import annotations

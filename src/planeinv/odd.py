@@ -14,19 +14,16 @@ becomes E H, and H^-1 B_j does not change.  So at r >= 2 a rational pass
 reads each member as its d-column block of the reduced echelon form of
 the configuration matrix (:meth:`~planeinv.grassmann.Config.echelon`),
 where the first members are mostly unit columns and the frame's kernels
-and H^-1 meet rows already reduced.  Medians over seeds 1-20 (Python
-3.11, one shared 2-vCPU host): the letters pass takes 13% less time at
-(7,2,7), 19-21% less at (9,2,9) and (10,4,6), 30-40% less at (15,6,6)
-and (14,4,7), and 0-1% more at (5,2,8) and (5,2,9), where n is small and
-the form pays once more for every later member.  Two passes keep the
-members' own bases, each for a measured reason.  At r = 1 the frame is
-three pairwise meets, and the echelon form made the letters 17-19%
-slower at (3,2,6) and 7% slower at (9,6,6).  A pass over jets keeps its
-members too: the echelon form of the jet configuration matrix would carry
-the free members' derivatives into every member (the Jacobian rank's tail
-time rose 22%).  The Jacobian rank instead takes E over the rationals
-before the jets go on (:func:`planeinv.orbit._jet_rank`), so the pass
-starts in echelon coordinates and the derivatives stay in the free members.
+and H^-1 meet rows already reduced.  The form pays once more for every
+later member, so it gains least where n is small.  Two passes keep the
+members' own bases, each for a measured reason (CHANGES.md holds the
+medians).  At r = 1 the frame is three pairwise meets, and the echelon
+form made the letters slower.  A pass over jets keeps its members too:
+the echelon form of the jet configuration matrix would carry the free
+members' derivatives into every member, and the Jacobian rank's tail time
+rose.  The Jacobian rank instead takes E over the rationals before the
+jets go on (:func:`planeinv.orbit._jet_rank`), so the pass starts in
+echelon coordinates and the derivatives stay in the free members.
 
 In echelon coordinates members 1..r are exact unit blocks [0; I_d; 0]
 (the rational passes at r >= 2, and both passes over jets, which keep
@@ -39,12 +36,7 @@ n x (r+1)d kernels, so H and every :class:`WrongKernelDimension` are
 unchanged.  The general kernels stay the route at r = 1 and for any input
 whose members 1..r are not unit blocks.  :func:`letters_odd` then
 applies each right factor once to a whole normalized column and reads the
-letters off its row blocks.  Medians over seeds 1-4, the old and the new
-code interleaved in one process (Python 3.11, one shared 2-vCPU host): the
-frame takes 0.19 ms in place of 0.29 ms at (7,2,7) and 0.45 ms in place of
-0.86 ms at (14,4,6), :func:`letters_odd` 0.28-0.31 ms in place of
-0.32-0.34 ms at (7,2,7), and the letters pass 7-13% less time at each of
-(5,2,5), (7,2,7), (5,2,8), (9,2,9), (10,4,6), (14,4,6) and (10,4,7).
+letters off its row blocks.
 
 * r = 1 (n = 3e): expressing the remaining members in H-coordinates yields
   pairs (alpha_{2i-1}, alpha_{2i}) of e x e blocks, and normalizing by the

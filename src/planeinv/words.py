@@ -17,8 +17,11 @@ is.  Each word is split at its middle into a front and a back half-word,
 whose integer products come from one cache.  The trace is one inner
 product of the front's product with the back's transposed product, divided
 back by the product of the letters' denominators, so each value costs one
-gcd and no word is multiplied out.  Each trace's gradient in the letters'
-entries comes from the chain rule, also over the integers
+gcd and no word is multiplied out (:func:`trace_parts`).  A value stays a
+reduced integer pair ``(p, q)`` from the trace to the file: an
+:class:`InvariantVector` stores the pairs, and builds a ``Fraction`` only
+when its ``values`` or ``entries`` are read.  Each trace's gradient in
+the letters' entries comes from the chain rule, also over the integers
 (:func:`word_gradients`): each term is a suffix's product times a
 prefix's, and both are words, so the same cache serves them too.  The
 traces' derivatives along the letters' jet directions
@@ -111,8 +114,8 @@ def _flat_t(mat: Mat) -> list:
     return [x for col in zip(*mat.num) for x in col]
 
 
-def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[Fraction]:
-    """Traces of the letter products along each word, as exact rationals.
+def trace_parts(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Traces of the letter products along each word, as reduced integer parts.
 
     Each letter L_i is stored as an integer matrix over the least common
     denominator D_i of its entries (:class:`_Products`).  A word w of length l is
@@ -121,12 +124,14 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
     transposed entries (m**2 scalar products).  F and B come from one cache
     (:class:`_Products`), and each back half's transposed entries are taken
     once.  The fronts are prefixes of necklaces, far fewer than all words of
-    their length, so the longer half goes in front.  Each value is
-    ``Fraction(t, D_w)`` with D_w the product of the D_i along the word.
+    their length, so the longer half goes in front.  Each value is t / D_w,
+    with D_w the product of the D_i along the word, returned as the pair
+    ``(p, q)`` of that ratio divided by one gcd: coprime, with ``q > 0``,
+    and ``(0, 1)`` for a zero trace.
     """
     product = _Products(letters)
     backs: dict[tuple[int, ...], tuple[list, int]] = {}
-    values = []
+    parts = []
     for w in words:
         h = (len(w) + 1) // 2
         front, d_front = product[w[:h]]
@@ -135,8 +140,10 @@ def evaluate_traces(letters: Sequence[Mat], words: Sequence[tuple[int, ...]]) ->
             mat, d_back = product[w[h:]]
             back = backs[w[h:]] = (_flat_t(mat), d_back)
         t = sum(map(mul, chain.from_iterable(front.num), back[0]))
-        values.append(Fraction(t, d_front * back[1]))
-    return values
+        den = d_front * back[1]
+        g = math.gcd(t, den)
+        parts.append((t // g, den // g))
+    return parts
 
 
 def word_gradients(
@@ -217,10 +224,13 @@ def words_for(tag: CaseTag, d: int, count: int) -> list[tuple[int, ...]]:
 class InvariantVector:
     """The ordered trace-invariant vector of a configuration.
 
-    ``entries`` pairs each word (tuple of 0-based indices into
-    ``letter_ids``) with its exact trace value, over the words of
-    :func:`words_for`.  Two vectors are comparable entry-for-entry iff they
-    share (n, d, s); the word list is then identical by construction.
+    ``words`` are the words of :func:`words_for` (tuples of 0-based indices
+    into ``letter_ids``), and ``parts`` holds each word's exact trace value
+    as the reduced integer pair ``(p, q)``, ``q > 0``, of
+    :func:`trace_parts`.  ``values`` and ``entries`` (word-value pairs)
+    build each value as a ``Fraction`` on every read; the file writer reads
+    the parts.  Two vectors are comparable entry-for-entry iff they share
+    (n, d, s); the word list is then identical by construction.
     ``degeneracy`` is the first genericity condition the configuration fails
     (``None`` in general position): the reduction pass that built the
     letters also checked it.
@@ -231,12 +241,17 @@ class InvariantVector:
     d: int
     s: int
     letter_ids: tuple[str, ...]
-    entries: tuple[tuple[tuple[int, ...], object], ...]
+    words: tuple[tuple[int, ...], ...]
+    parts: tuple[tuple[int, int], ...]
     degeneracy: Degeneracy | None = None
 
     @property
-    def values(self) -> tuple:
-        return tuple(v for _, v in self.entries)
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(p, q) for p, q in self.parts])
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        return tuple(zip(self.words, self.values))
 
     @property
     def max_word_len(self) -> int:
@@ -244,7 +259,7 @@ class InvariantVector:
         return max_word_len_for(letter_size(self.case, self.d))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.parts)
 
 
 def trace_vector(
@@ -256,13 +271,13 @@ def trace_vector(
 ) -> InvariantVector:
     """The :class:`InvariantVector` of a configuration from what :func:`planeinv.orbit.letters` returned."""
     words = words_for(tag, config.d, len(letters))
-    values = evaluate_traces(letters, words)
     return InvariantVector(
         case=tag,
         n=config.n,
         d=config.d,
         s=config.s,
         letter_ids=tuple(letter_ids),
-        entries=tuple(zip(words, values)),
+        words=tuple(words),
+        parts=tuple(trace_parts(letters, words)),
         degeneracy=degeneracy,
     )

@@ -206,7 +206,12 @@ class TestInvariantsLayout:
         # (all of them for None), so files with 0, 1 or a few entries are covered
         vec = orbit.invariant_vector(sample_config(*shape, seed=1))
         if cut is not None:
-            vec = dataclasses.replace(vec, entries=tuple(e for e in vec.entries if len(e[0]) <= cut))
+            keep = [len(w) <= cut for w in vec.words]
+            vec = dataclasses.replace(
+                vec,
+                words=tuple(w for w, k in zip(vec.words, keep) if k),
+                parts=tuple(p for p, k in zip(vec.parts, keep) if k),
+            )
         self.assert_layout(tmp_path, vec)
 
     def test_letter_ids_escaped_as_json_dumps_escapes(self, tmp_path):
@@ -483,6 +488,21 @@ class TestRankCmd:
         )
 
 
+# The r = 3 letters file of CI's embed pins: four letters, one with a 1/3 entry.
+R3_LETTERS = {
+    "G_2_2": [["1", "2"], ["3", "4"]],
+    "G_2_3": [["0", "1"], ["1", "0"]],
+    "G_3_2": [["2", "0"], ["1", "1/3"]],
+    "G_3_3": [["-1", "5"], ["0", "7"]],
+}
+
+
+def write_r3_letters(tmp_path):
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps({"kind": "divisible", "d": 2, "r": 3, "s": 6, "letters": R3_LETTERS}))
+    return path
+
+
 class TestEmbedCmd:
     def _letters_file(self, tmp_path):
         path = tmp_path / "letters.json"
@@ -518,17 +538,10 @@ class TestEmbedCmd:
 
     def test_letters_land_by_id(self, tmp_path):
         # at r = 3 a letter read out of letter_ids order lands in the wrong block
-        letters = {
-            "G_2_2": [["1", "2"], ["3", "4"]],
-            "G_2_3": [["0", "1"], ["1", "0"]],
-            "G_3_2": [["2", "0"], ["1", "1/3"]],
-            "G_3_3": [["-1", "5"], ["0", "7"]],
-        }
-        path, out = tmp_path / "letters.json", tmp_path / "emb.json"
-        path.write_text(json.dumps({"kind": "divisible", "d": 2, "r": 3, "s": 6, "letters": letters}))
+        path, out = write_r3_letters(tmp_path), tmp_path / "emb.json"
         assert run("embed", "--in", path, "--out", out) == 0
         _, ids, mats, _ = orbit.letters(fileio.config_from_obj(fileio.load_json(out)))
-        assert {i: fileio._format_matrix(m) for i, m in zip(ids, mats)} == letters
+        assert {i: fileio._format_matrix(m) for i, m in zip(ids, mats)} == R3_LETTERS
 
     def test_wrong_letter_set_exits_2(self, tmp_path, capsys):
         path = tmp_path / "letters.json"
@@ -601,6 +614,37 @@ class TestOneReductionPerConfiguration:
         assert run("rank", "--in", cfg) == 0
         (reduced,) = passes
         assert any(sub.basis.k for sub in reduced)
+
+
+class TestNoFraction:
+    """No command builds a ``Fraction``: values stay integer parts from the file read to the file written."""
+
+    def test_commands(self, tmp_path, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        cfg, other = tmp_path / "c.json", tmp_path / "o.json"
+        argvs = {
+            "gen": ["gen", "--n", 6, "--d", 3, "--s", 6, "--seed", 1, "--out", cfg],
+            "invariants": ["invariants", "--in", cfg, "--out", tmp_path / "v.json"],
+            "rank": ["rank", "--in", cfg],
+            "orbit-test": ["orbit-test", "--a", cfg, "--b", cfg],
+            "embed": ["embed", "--in", write_r3_letters(tmp_path), "--out", other],
+        }
+        counts = {}
+        for command, argv in argvs.items():
+            built.clear()
+            assert run(*argv) == 0
+            counts[command] = len(built)
+        assert counts == dict.fromkeys(argvs, 0)
+        # the patch counts: reading the values builds one Fraction per entry
+        assert len(orbit.invariant_vector(fileio.config_from_obj(fileio.load_json(cfg))).values) == 540
+        assert len(built) == 540
 
 
 class TestBadOut:

@@ -25,7 +25,7 @@ from planeinv.grassmann import (
 )
 from planeinv.linalg import Mat
 from planeinv.orbit import invariant_vector, letters
-from planeinv.words import evaluate_traces
+from planeinv.words import trace_parts
 
 # ---------------------------------------------------------------------------
 # ratio maps
@@ -156,7 +156,7 @@ class TestMatrixData:
         b = letters(act_right(hs, c))[2]
         # y = q^-1 x q for one common q, so traces of words agree
         words = [(0,), (0, 1)]
-        assert evaluate_traces(b, words) == evaluate_traces(a, words)
+        assert trace_parts(b, words) == trace_parts(a, words)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from planeinv.linalg import Jet, Mat
 from planeinv.words import (
     _Products,
     enumerate_words,
-    evaluate_traces,
     trace_derivatives,
+    trace_parts,
     word_gradients,
     words_for,
 )
@@ -136,7 +136,7 @@ def jets(directions):
 
 
 class TestEvaluateTraces:
-    """Each value equals the uncached product along the word, exactly."""
+    """Each value of :func:`trace_parts` equals the uncached product along the word, exactly."""
 
     @given(alphabets(rationals))
     @example(ASYMMETRIC)
@@ -144,12 +144,24 @@ class TestEvaluateTraces:
     @settings(max_examples=60, deadline=None)
     def test_fraction_letters(self, letters):
         words = enumerate_words(len(letters), 5)
-        got = evaluate_traces(letters, words)
-        assert got == [trace_word(letters, w) for w in words]
-        assert all(type(v) is Fraction for v in got)
+        got = trace_parts(letters, words)
+        assert [Fraction(p, q) for p, q in got] == [trace_word(letters, w) for w in words]
+
+    @given(alphabets(rationals))
+    @example(ASYMMETRIC)
+    @example([Mat.zeros(2, 2), Mat([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]])])
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_parts(self, letters):
+        """Each value is a coprime integer pair with a positive denominator, (0, 1) for 0."""
+        words = enumerate_words(len(letters), 4)
+        for (p, q), w in zip(trace_parts(letters, words), words):
+            assert type(p) is int and type(q) is int
+            assert q > 0 and math.gcd(p, q) == 1
+            if trace_word(letters, w) == 0:
+                assert (p, q) == (0, 1)
 
     def test_no_words(self):
-        assert evaluate_traces([Mat([[1]])], []) == []
+        assert trace_parts([Mat([[1]])], []) == []
 
     def test_one_product_per_half_word(self, monkeypatch):
         """Only the halves of the words are multiplied out, not every prefix.
@@ -171,7 +183,7 @@ class TestEvaluateTraces:
             for k in range(3)
         ]
         words = enumerate_words(3, 7)
-        evaluate_traces(letters, words)
+        trace_parts(letters, words)
         halves = {part for w in words for part in (w[: (len(w) + 1) // 2], w[(len(w) + 1) // 2 :])}
         needed = {h[:i] for h in halves for i in range(2, len(h) + 1)}
         assert len(words) == 540 and len(calls) == len(needed) == 62
@@ -194,7 +206,7 @@ class TestEvaluateTraces:
         tag, _, letters, _ = orbit.letters(sample_config(6, 3, 6, seed=1))
         words = words_for(tag, 3, len(letters))
         assert len(words) == 540
-        evaluate_traces(letters, words)
+        trace_parts(letters, words)
         assert len(fills) == 62
         fills.clear()
         trace_derivatives(letters, words)
@@ -207,7 +219,7 @@ class TestEvaluateTraces:
         gc.collect()
         gc.disable()
         try:
-            evaluate_traces(letters, words)
+            trace_parts(letters, words)
             trace_derivatives(letters, words)
             assert gc.collect() == 0
         finally:
